@@ -1,6 +1,6 @@
 """Deterministic multi-agent navigation with harmonic and circulating potential fields."""
 
-from .controller import AgentController, goal_term, on_tick_sense, self_control
+from .controller import AgentController, goal_term, on_tick_sense
 from .engine import (
     MetricsReport,
     SimConfig,
@@ -8,7 +8,6 @@ from .engine import (
     collision_audit,
     curvature_profile,
     detect_deadlock,
-    lyapunov_trace,
     run,
     step,
 )
@@ -26,11 +25,6 @@ from .interaction import (
     ObstacleRepulsionParams,
     WeightProfile,
     circulation_bound_check,
-    obstacle_repulsion,
-    pair_force,
-    radial_direction,
-    tangential_direction,
-    weight,
 )
 from .scenarios import BUILTIN_NAMES, ScenarioSpec, builtin, load, save
 from .world import (
@@ -40,7 +34,6 @@ from .world import (
     ConfigError,
     KnowledgeMap,
     Workspace,
-    neighbors,
     passage_width_audit,
     sense_obstacles,
     update_knowledge,

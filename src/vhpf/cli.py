@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -150,13 +148,7 @@ def cmd_sweep_delta(args) -> int:
     profiles = [_PROFILE_ALIASES[p.strip()] for p in args.profiles.split(",") if p.strip()]
     if not profiles:
         raise ConfigError("no profiles given for the sweep")
-    jobs = [(p, d) for p in profiles for d in deltas]
-    workers = int(os.environ.get("VHPF_THREADS", "0"))
-    if workers >= 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda pd: _sweep_one(spec, *pd), jobs))
-    else:
-        rows = [_sweep_one(spec, p, d) for p, d in jobs]
+    rows = [_sweep_one(spec, p, d) for p in profiles for d in deltas]
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

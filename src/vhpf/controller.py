@@ -1,8 +1,10 @@
-"""Per-agent control composition: goal seeking + conflict resolution + wall cushion.
+"""Per-agent controller state, the goal-seeking term and the discovery loop.
 
-Each agent's control uses only its own position, its own discovered map, and
-the positions of agents inside its sensing ring. Nothing here reads another
-agent's goal or knowledge, which is what keeps the group decentralized.
+`engine.Runtime.eval_controls` adds the pair forces and the wall cushion to
+the goal term. Each agent's control uses only its own position, its own
+discovered map, and the positions of agents inside its sensing ring. Nothing
+reads another agent's goal or knowledge, which is what keeps the group
+decentralized.
 """
 
 from __future__ import annotations
@@ -82,23 +84,6 @@ def goal_term(ctrl: AgentController, x) -> np.ndarray:
             return np.zeros_like(g)
         return -ctrl.cruise * g / n
     return -ctrl.gain * harmonic.gradient_at(ctrl.field, x)
-
-
-def self_control(ctrl: AgentController, body: AgentBody, chi) -> np.ndarray:
-    """Full control for one agent given its in-range neighbors `chi`.
-
-    The pair-force sum is dropped for a non-cooperative agent (it still repels
-    everyone else through their own sums). The wall cushion reacts only to the
-    agent's own discovered boundary cells.
-    """
-    u = goal_term(ctrl, body.x)
-    if ctrl.crf_enabled and ctrl.cooperative:
-        for other in sorted(chi, key=lambda b: b.id):
-            u = u + interaction.pair_force(body, other, ctrl.params, ctrl.profile)
-    if ctrl.uo_enabled and ctrl.repulsion is not None:
-        f, _ = interaction.obstacle_repulsion(body.x, body.radius, ctrl.boundary_index, ctrl.repulsion)
-        u = u + f
-    return u
 
 
 def on_tick_sense(ctrl: AgentController, body: AgentBody, ws: Workspace) -> int:

@@ -8,9 +8,11 @@ frozen, so integration stages see a fixed control law.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,10 @@ class SimConfig:
     collision_tol: float = 1e-3
 
     def __post_init__(self):
+        for name in ("dt", "t_max", "w_dead", "collision_tol", "v_eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ConfigError(f"time step must be positive, got {self.dt}")
         if self.t_max <= self.dt:
@@ -158,6 +164,14 @@ class Runtime:
         self.radii = np.array([b.radius for b in self.bodies], float)
         self.reach = np.array([b.reach for b in self.bodies], float)
         self.dim = ws.dim
+        self.has_goal = np.array([b.goal is not None for b in self.bodies], dtype=bool)
+        # agents without a goal get a NaN goal, which no position is inside
+        self.goals = np.full((len(self.bodies), self.dim), np.nan)
+        self.r_target = np.full(len(self.bodies), np.nan)
+        for i, b in enumerate(self.bodies):
+            if b.goal is not None:
+                self.goals[i] = b.goal
+                self.r_target[i] = b.r_target
         self.tracks_switches = interaction.weight_can_jump(profile, self.radii, self.reach)
         self._last_key = None       # switch key of the latest control evaluation
         self._step_key = None       # switch key at the start of the current step
@@ -175,7 +189,13 @@ class Runtime:
             b.x = np.array(x)
 
     def eval_controls(self, positions):
-        """Controls for all agents on one snapshot. Returns (U, penetration mask)."""
+        """Controls for all agents on one snapshot. Returns (U, penetration mask).
+
+        Each row is the goal term plus the pair-force sum plus the wall
+        cushion. The pair-force sum is dropped for a non-cooperative agent
+        (it still repels everyone else through their own sums). The cushion
+        reacts only to the agent's own discovered boundary cells.
+        """
         L = self.n_agents
         U = np.zeros((L, self.dim))
         pen = np.zeros(L, dtype=bool)
@@ -223,6 +243,12 @@ class Runtime:
                 groups.setdefault(id(c.boundary_index), (c.boundary_index, []))[1].append(i)
         return [(index, np.array(rows)) for index, rows in groups.values()]
 
+    def in_target(self, positions):
+        """Per-agent flags: inside its target zone. False for an agent without
+        a goal and for a non-finite position."""
+        offset = positions - self.goals
+        return np.sqrt((offset * offset).sum(axis=1)) <= self.r_target
+
     def sigma_activity(self, positions):
         """Per-agent sum of interaction weights against all other agents."""
         L = self.n_agents
@@ -253,33 +279,50 @@ def step(runtime: Runtime, positions, cfg: SimConfig, k1=None):
 # Monitors
 # ---------------------------------------------------------------------------
 
-def detect_deadlock(times, speeds, outside_target, cfg: SimConfig, v_eps) -> bool:
-    """True iff every agent stayed below v_eps across a full w_dead window while
-    someone is still short of its target."""
-    times = np.asarray(times, float)
-    speeds = np.asarray(speeds, float)
-    if len(times) < 2 or times[-1] - times[0] < cfg.w_dead - 1e-9:
-        return False
-    if not np.any(outside_target):
-        return False
-    cutoff = times[-1] - cfg.w_dead
-    window = times >= cutoff - 1e-12
-    return bool(np.all(speeds[window] < v_eps))
+def detect_deadlock(slow_time, speeds, outside_target, cfg: SimConfig, v_eps):
+    """Advance the deadlock window by one tick. Returns (slow_time, deadlocked).
+
+    slow_time is the consecutive time every agent has stayed below v_eps; any
+    fast tick (or an empty group) resets it. The group is deadlocked once that
+    time reaches w_dead while someone is still outside its target.
+    """
+    if len(speeds) and speeds.max() < v_eps:
+        slow_time += cfg.dt
+    else:
+        slow_time = 0.0
+    return slow_time, bool(slow_time >= cfg.w_dead and np.any(outside_target))
 
 
-def collision_audit(bodies, ws: Workspace, collision_tol: float) -> list:
-    """Body-body overlaps and body-obstacle penetrations beyond the numerical slack."""
-    out = []
-    for a, b in itertools.combinations(bodies, 2):
-        depth = a.radius + b.radius - float(np.linalg.norm(a.x - b.x))
-        if depth > collision_tol:
-            out.append({"kind": "pair", "agents": [a.id, b.id], "depth": depth})
+class CollisionAudit(NamedTuple):
+    pair_clearance: np.ndarray              # (L (L - 1) / 2,) in np.triu_indices order
+    obstacle_clearance: np.ndarray | None   # (L,); None without obstacles
+    pairs: np.ndarray                       # (n, 2) overlapping pairs i < j, same order
+    agents: np.ndarray                      # (m,) agents penetrating an obstacle, ascending
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_index(n: int) -> np.ndarray:
+    """(n (n - 1) / 2, 2) read-only array of the pairs i < j in np.triu_indices
+    order. Cached: building it costs more than a small group's whole audit."""
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def collision_audit(positions, radii, ws: Workspace, collision_tol: float) -> CollisionAudit:
+    """Surface clearances of every body pair and of every body to the
+    obstacles, and which of them overlap beyond the numerical slack."""
+    index = _pair_index(len(radii))
+    i, j = index[:, 0], index[:, 1]
+    rel = positions[i] - positions[j]
+    pair_clearance = np.sqrt((rel * rel).sum(axis=1)) - (radii[i] + radii[j])
+    pairs = index[pair_clearance < -collision_tol]
+    obstacle_clearance = None
+    agents = np.empty(0, dtype=int)
     if ws.obstacles:
-        for a in bodies:
-            clearance = float(ws.obstacle_clearance(a.x)) - a.radius
-            if clearance < -collision_tol:
-                out.append({"kind": "obstacle", "agents": [a.id], "depth": -clearance})
-    return out
+        obstacle_clearance = ws.obstacle_clearance(positions) - radii
+        agents = np.flatnonzero(obstacle_clearance < -collision_tol)
+    return CollisionAudit(pair_clearance, obstacle_clearance, pairs, agents)
 
 
 def curvature_profile(positions, speeds, v_eps, breaks=None):
@@ -365,19 +408,6 @@ def agent_potential(c: ctl.AgentController, x) -> float | None:
     return None
 
 
-def lyapunov_trace(log: TrajectoryLog, controllers):
-    """Summed goal potentials along the run, or None when any agent has no
-    bounded potential (pure drift). Harmonic terms use the controllers' current
-    fields, so for discovery runs prefer the trace recorded during the run."""
-    if any(c.goal_kind == ctl.CONSTANT_DRIFT for c in controllers):
-        return None
-    xs = log.position_array()
-    out = []
-    for k in range(xs.shape[0]):
-        out.append(sum(agent_potential(c, xs[k, i]) for i, c in enumerate(controllers)))
-    return np.asarray(out)
-
-
 # ---------------------------------------------------------------------------
 # Run loop
 # ---------------------------------------------------------------------------
@@ -390,25 +420,6 @@ def _auto_v_eps(runtime: Runtime) -> float:
             mags.append(m)
     typical = float(np.mean(mags)) if mags else 1.0
     return 1e-3 * typical
-
-
-def _outside_target(runtime: Runtime, positions):
-    out = np.zeros(runtime.n_agents, dtype=bool)
-    for i, b in enumerate(runtime.bodies):
-        if b.goal is None:
-            out[i] = True
-        else:
-            out[i] = np.linalg.norm(positions[i] - b.goal) > b.r_target
-    return out
-
-
-def _converged(runtime: Runtime, positions, speeds, v_eps) -> bool:
-    for i, b in enumerate(runtime.bodies):
-        if b.goal is None:
-            continue
-        if np.linalg.norm(positions[i] - b.goal) > b.r_target or speeds[i] >= v_eps:
-            return False
-    return True
 
 
 def _horizon_success(runtime: Runtime, start_positions, positions) -> bool:
@@ -439,8 +450,8 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
     violations = world.validate_scenario(runtime.ws, runtime.bodies)
     if violations:
         raise ConfigError("scenario validation failed: " + "; ".join(violations))
-    if (getattr(runtime.success, "kind", "converge") == "converge"
-            and runtime.bodies and all(b.goal is None for b in runtime.bodies)):
+    success_kind = getattr(runtime.success, "kind", "converge")
+    if success_kind == "converge" and runtime.bodies and not runtime.has_goal.any():
         raise ConfigError("convergence needs at least one agent with a goal; "
                           "use a horizon success criterion for pure drift runs")
 
@@ -462,12 +473,10 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
 
     positions = runtime.positions()
     start_positions = positions.copy()
-    iu = np.triu_indices(runtime.n_agents, k=1)
     t = 0.0
     slow_time = 0.0
-    collided = False
-    seen_pairs = set()
-    seen_obstacle = set()
+    pair_reported = np.zeros((runtime.n_agents, runtime.n_agents), dtype=bool)
+    obstacle_reported = np.zeros(runtime.n_agents, dtype=bool)
     min_pair = np.inf
     min_obstacle = np.inf
     trace = [] if all(c.goal_kind != ctl.CONSTANT_DRIFT for c in runtime.controllers) else None
@@ -491,52 +500,42 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
         if switched is not None:
             log.switches.append((log.n_ticks - 1, switched))
         log.append(t, positions, U, runtime.sigma_activity(positions))
-        for i in np.where(pen)[0]:
+        for i in np.flatnonzero(pen):
             log.add_event(t, "penetration", agent=runtime.bodies[i].id)
 
-        if runtime.n_agents >= 2:
-            diffs = positions[:, None, :] - positions[None, :, :]
-            d = np.linalg.norm(diffs, axis=2)
-            clearance = d - np.add.outer(runtime.radii, runtime.radii)
-            pairc = clearance[iu]
-            if pairc.size:
-                min_pair = min(min_pair, float(pairc.min()))
-            for a, b_ in zip(*iu):
-                if clearance[a, b_] < -config.collision_tol and (a, b_) not in seen_pairs:
-                    seen_pairs.add((a, b_))
-                    collided = True
-                    log.add_event(t, "collision",
-                                  agents=[runtime.bodies[a].id, runtime.bodies[b_].id])
-        if runtime.ws.obstacles:
-            oc = runtime.ws.obstacle_clearance(positions) - runtime.radii
-            min_obstacle = min(min_obstacle, float(oc.min()))
-            for i in np.where(oc < -config.collision_tol)[0]:
-                if i not in seen_obstacle:
-                    seen_obstacle.add(i)
-                    collided = True
-                    log.add_event(t, "collision_obstacle", agent=runtime.bodies[i].id)
+        hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol)
+        if hits.pair_clearance.size:
+            min_pair = min(min_pair, float(hits.pair_clearance.min()))
+        if hits.obstacle_clearance is not None and hits.obstacle_clearance.size:
+            min_obstacle = min(min_obstacle, float(hits.obstacle_clearance.min()))
+        # each pair or agent is reported once, at its first overlapping tick
+        if len(hits.pairs):
+            new_pairs = hits.pairs[~pair_reported[hits.pairs[:, 0], hits.pairs[:, 1]]]
+            pair_reported[new_pairs[:, 0], new_pairs[:, 1]] = True
+            for a, b_ in new_pairs:
+                log.add_event(t, "collision", agents=[runtime.bodies[a].id, runtime.bodies[b_].id])
+        if len(hits.agents):
+            new_agents = hits.agents[~obstacle_reported[hits.agents]]
+            obstacle_reported[new_agents] = True
+            for i in new_agents:
+                log.add_event(t, "collision_obstacle", agent=runtime.bodies[i].id)
 
         if trace is not None:
             trace.append(sum(agent_potential(c, positions[i])
                              for i, c in enumerate(runtime.controllers)))
 
-        speeds = np.linalg.norm(U, axis=1) if runtime.n_agents else np.zeros(0)
-        if getattr(runtime.success, "kind", "converge") == "converge":
-            if _converged(runtime, positions, speeds, v_eps):
-                outcome = CONVERGED
-                break
-        # incremental deadlock window: consecutive time with every agent slow
-        if runtime.n_agents and speeds.max() < v_eps:
-            slow_time += config.dt
-        else:
-            slow_time = 0.0
-        if slow_time >= config.w_dead and np.any(_outside_target(runtime, positions)):
+        speeds = np.linalg.norm(U, axis=1)
+        inside = runtime.in_target(positions)
+        if success_kind == "converge" and ((inside & (speeds < v_eps)) | ~runtime.has_goal).all():
+            outcome = CONVERGED
+            break
+        slow_time, deadlocked = detect_deadlock(slow_time, speeds, ~inside, config, v_eps)
+        if deadlocked:
             outcome = DEADLOCK
             log.add_event(t, "deadlock")
             break
         if t >= config.t_max - 0.5 * config.dt:
-            if getattr(runtime.success, "kind", "converge") == "horizon" \
-                    and _horizon_success(runtime, start_positions, positions):
+            if success_kind == "horizon" and _horizon_success(runtime, start_positions, positions):
                 outcome = CONVERGED
             else:
                 outcome = TIMEOUT
@@ -549,7 +548,7 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
             raise SimulationError(f"integration failed at t={t:g}: {exc}") from exc
         t += config.dt
 
-    log.outcome = COLLISION if collided else outcome
+    log.outcome = COLLISION if pair_reported.any() or obstacle_reported.any() else outcome
 
     kappa = {}
     corners = {}

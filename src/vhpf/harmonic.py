@@ -22,7 +22,6 @@ GOAL_BC = 2
 OUTER_BC = 3
 
 DEFAULT_TOL = 1e-8
-DEFAULT_OMEGA = 1.8
 
 
 class SolverError(RuntimeError):
@@ -44,7 +43,7 @@ class ScalarGridField:
     """Solved potential with per-cell classification and gradient sampling."""
 
     def __init__(self, grid: GridSpec, cell_class, values, known_mask, goal_cell,
-                 tol=DEFAULT_TOL, inflate=0.0, omega=DEFAULT_OMEGA):
+                 tol=DEFAULT_TOL, inflate=0.0):
         self.grid = grid
         self.cell_class = cell_class
         self.values = values
@@ -52,7 +51,6 @@ class ScalarGridField:
         self.goal_cell = goal_cell
         self.tol = tol
         self.inflate = inflate
-        self.omega = omega
         self.residual = np.inf
         self.iterations = 0
         self._gradients = None
@@ -90,7 +88,7 @@ def _neighbor_sum(v, out=None):
     return out
 
 
-def optimal_omega(shape):
+def _over_relaxation(shape):
     """Near-optimal over-relaxation factor for a rectangular grid Laplacian."""
     rho = float(np.mean([math.cos(math.pi / max(n, 3)) for n in shape]))
     return min(1.95, 2.0 / (1.0 + math.sqrt(max(1.0 - rho * rho, 0.0))))
@@ -116,7 +114,7 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
     even, odd = _parity_masks(v.shape)
     colors = (free & even, free & odd)
     inv = 1.0 / (2 * dim)
-    omega = field.omega
+    factor = _over_relaxation(v.shape)
     if max_sweeps is None:
         max_sweeps = 100 * int(np.sum(v.shape))
     buf = np.zeros_like(v)
@@ -128,7 +126,7 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
     for sweep in range(1, max_sweeps + 1):
         for color in colors:
             s = _neighbor_sum(v, buf)
-            v[color] += omega * (s[color] * inv - v[color])
+            v[color] += factor * (s[color] * inv - v[color])
         s = _neighbor_sum(v, buf)
         residual = float(np.max(np.abs(s[free] * inv - v[free])))
         field.iterations += 1
@@ -166,19 +164,16 @@ def _inflate_mask(mask, grid: GridSpec, radius: float):
 
 
 def solve_dirichlet(grid: GridSpec, known_cells, goal, tol=DEFAULT_TOL,
-                    inflate=0.0, omega=None, max_sweeps=None) -> ScalarGridField:
+                    inflate=0.0, max_sweeps=None) -> ScalarGridField:
     """Solve the grid potential for one agent's knowledge of the boundary.
 
     known_cells: discovered boundary cells (pinned to 1, optionally inflated by
     `inflate` world units so a body of that radius can follow the gradient as a
     point). The outer rim is pinned to 1, the goal cell to 0. Cells the agent
     has not discovered stay free regardless of the true obstacle layout.
-    omega defaults to a grid-size-tuned over-relaxation factor.
     """
     if tol <= 0:
         raise ConfigError(f"solver tolerance must be positive, got {tol}")
-    if omega is None:
-        omega = optimal_omega(grid.shape)
     shape = grid.shape
     cls = np.full(shape, FREE, dtype=np.int8)
     for ax in range(grid.dim):
@@ -205,7 +200,7 @@ def solve_dirichlet(grid: GridSpec, known_cells, goal, tol=DEFAULT_TOL,
     values[goal_cell] = 0.0
 
     field = ScalarGridField(grid, cls, values, known_mask, goal_cell,
-                            tol=tol, inflate=inflate, omega=omega)
+                            tol=tol, inflate=inflate)
     _relax(field, tol, max_sweeps)
     return field
 
@@ -300,12 +295,3 @@ def field_stats(field: ScalarGridField) -> FieldStats:
         iterations=field.iterations,
     )
 
-
-def dump_field_csv(field: ScalarGridField, path):
-    """Debug dump: one row per cell with index, class, and value."""
-    names = {FREE: "free", OBSTACLE_BC: "obstacle", GOAL_BC: "goal", OUTER_BC: "outer"}
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("cell,class,value\n")
-        for idx in np.ndindex(field.grid.shape):
-            label = names[int(field.cell_class[idx])]
-            f.write(f"{'/'.join(map(str, idx))},{label},{field.values[idx]!r}\n")

@@ -29,10 +29,6 @@ CCW = "ccw"
 CW = "cw"
 
 
-class CoincidentCentersError(ValueError):
-    """Direction query for two agents at numerically the same point."""
-
-
 @dataclass(frozen=True)
 class WeightProfile:
     """Locality envelope for the pair force. delta is the annulus width."""
@@ -116,11 +112,6 @@ def interaction_weights(r, contact, profile: WeightProfile):
     return w
 
 
-def weight(r: float, contact: float, profile: WeightProfile) -> float:
-    """Scalar weight at separation r for a pair with the given contact distance."""
-    return float(interaction_weights(r, contact, profile))
-
-
 def _narrow_rings(radii, reach, profile: WeightProfile):
     """Rows whose sensing ring ends inside the profile's support, where the
     weight is still positive; None without sensing rings."""
@@ -160,97 +151,26 @@ def _jump_inner(w, dist, contact, profile: WeightProfile, radii, reach):
 
 
 # ---------------------------------------------------------------------------
-# Directions
-# ---------------------------------------------------------------------------
-
-def radial_direction(rel) -> np.ndarray:
-    """Unit vector along rel = x_i - x_j: pushes agent i straight away from j."""
-    rel = np.asarray(rel, float)
-    n = np.linalg.norm(rel)
-    if n < 1e-12:
-        raise CoincidentCentersError("agents at numerically coincident centers")
-    return rel / n
-
-
-def _rot90(rel):
-    rel = np.asarray(rel, float)
-    return np.array([-rel[1], rel[0]])
-
-
-def _circulating_vector(rel, params: InteractionParams):
-    """Unnormalized vector orthogonal to rel along the shared circulation sense."""
-    rel = np.asarray(rel, float)
-    if rel.size == 2:
-        out = _rot90(rel)
-    else:
-        axis = np.asarray(params.axis, float)
-        out = np.cross(axis, rel)
-        if np.linalg.norm(out) < 1e-9 * np.linalg.norm(rel):
-            out = np.cross(np.array([1.0, 0.0, 0.0]), rel)
-            if np.linalg.norm(out) < 1e-9 * np.linalg.norm(rel):
-                out = np.cross(np.array([0.0, 1.0, 0.0]), rel)
-    if params.circulation == CW:
-        out = -out
-    return out
-
-
-def tangential_direction(rel, params: InteractionParams) -> np.ndarray:
-    """Unit circulating direction; orthogonal to radial_direction(rel)."""
-    rel = np.asarray(rel, float)
-    if np.linalg.norm(rel) < 1e-12:
-        raise CoincidentCentersError("agents at numerically coincident centers")
-    vec = _circulating_vector(rel, params)
-    return vec / np.linalg.norm(vec)
-
-
-def fallback_direction(id_i: int, id_j: int, dim: int) -> np.ndarray:
-    """Deterministic separation axis for coincident centers, picked by agent ids."""
-    out = np.zeros(dim)
-    out[(id_i + id_j) % dim] = 1.0
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Pair force
 # ---------------------------------------------------------------------------
-
-def pair_force(agent_i, agent_j, params: InteractionParams, profile: WeightProfile) -> np.ndarray:
-    """Force exerted on agent i by the presence of agent j.
-
-    Zero whenever the weight is zero, which keeps the interaction strictly
-    local. In unit mode the radial and circulating parts are unit vectors
-    scaled by their gains; in spring mode they scale with separation.
-    """
-    if agent_i.id == agent_j.id:
-        raise ConfigError("pair force requires two distinct agents")
-    rel = np.asarray(agent_i.x, float) - np.asarray(agent_j.x, float)
-    r = float(np.linalg.norm(rel))
-    w = weight(r, agent_i.radius + agent_j.radius, profile)
-    if w == 0.0:
-        return np.zeros(rel.size)
-    if r < 1e-12:
-        rad = fallback_direction(agent_i.id, agent_j.id, rel.size)
-        tan = _circulating_vector(rad, params)
-    elif params.mode == UNIT_MODE:
-        rad = rel / r
-        tan = tangential_direction(rel, params)
-    else:
-        rad = rel
-        tan = _circulating_vector(rel, params)
-    return w * (params.kr * rad + params.kt * tan)
-
 
 def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,
                suppressed=None, reach=None, switch_key=False):
     """Summed pair forces for all agents at once.
 
+    The force on agent i from agent j is w * (kr * radial + kt * circ),
+    with rel = x_i - x_j and w the pair weight (zero outside contact + delta,
+    which keeps the interaction strictly local). In unit mode the radial and
+    circulating parts are unit vectors; in spring mode they scale with the
+    separation (radial = rel, circ = rel turned by 90 degrees, or crossed
+    with the circulation axis in 3-D).
+
     positions: (L, dim); radii: (L,). Rows listed in `suppressed` get a zero
     sum (their presence still acts on everyone else). When `reach` is given,
-    row i only feels agents whose bodies intersect its sensing ring, matching
-    the per-agent neighbor query. Summation runs in agent index order, so
-    results are reproducible bit for bit. Numerically coincident pairs (an
-    upstream-prevented degenerate case) contribute nothing here; pair_force
-    resolves them with its deterministic fallback axis instead.
+    row i only feels agents whose bodies intersect its sensing ring.
+    Summation runs in agent index order, so results are reproducible bit for
+    bit. A pair at numerically the same point (an upstream-prevented
+    degenerate case) has no direction and contributes nothing to either agent.
 
     With `switch_key`, returns (forces, key): key is an (L, L) boolean mask,
     taken from the same weights, of the pairs on the inner side of a
@@ -361,29 +281,15 @@ class KnownBoundaryIndex:
         return dist, normal
 
 
-def obstacle_repulsion(x, radius, index: KnownBoundaryIndex | None,
-                       params: ObstacleRepulsionParams):
-    """Wall cushion for one body: (force vector, penetrated flag).
-
-    The clearance is measured from the body surface to the nearest known
-    boundary cell; the magnitude falls off quadratically and is exactly zero
-    at clearance >= influence. Negative clearance returns the peak force and
-    flags a penetration.
-    """
-    x = np.asarray(x, float)
-    if index is None or len(index) == 0:
-        return np.zeros_like(x), False
-    dist, normal = index.clearance_normal(x[None, :])
-    d = float(dist[0]) - radius
-    if d >= params.influence:
-        return np.zeros_like(x), False
-    mag = params.strength * (1.0 - max(d, 0.0) / params.influence) ** 2
-    return mag * normal[0], d < 0
-
-
 def repulsion_batch(points, radii, index: KnownBoundaryIndex,
                     params: ObstacleRepulsionParams):
-    """Vectorized obstacle_repulsion for several bodies sharing one index."""
+    """Wall cushion for several bodies sharing one index: (forces, penetrated flags).
+
+    The clearance is measured from each body surface to the nearest known
+    boundary cell; the magnitude falls off quadratically and is exactly zero
+    at clearance >= influence. Negative clearance gives the peak force and
+    flags a penetration.
+    """
     X = np.asarray(points, float)
     dist, normal = index.clearance_normal(X)
     d = dist - np.asarray(radii, float)

@@ -279,17 +279,6 @@ def update_knowledge(km: KnowledgeMap, sensed: set):
     return km, km.novel
 
 
-def neighbors(agent: AgentBody, bodies) -> list:
-    """Every other agent whose body intersects this agent's sensing ring region."""
-    out = []
-    for other in bodies:
-        if other.id == agent.id:
-            continue
-        if np.linalg.norm(agent.x - other.x) <= agent.reach + other.radius:
-            out.append(other)
-    return out
-
-
 def passage_width_audit(ws: Workspace, radius: float) -> list:
     """Free cells with no nearby disc of the given radius clear of all obstacles.
 

@@ -1,4 +1,5 @@
-"""Shared oracles for the test-suite: dense linear solves, random workspaces."""
+"""Shared oracles for the test-suite: dense linear solves, random workspaces,
+and a scalar, one-pair-at-a-time evaluation of the pair force."""
 
 import itertools
 
@@ -6,7 +7,8 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from vhpf.harmonic import FREE, ScalarGridField
-from vhpf.world import Ball, Box, ConfigError, Workspace
+from vhpf.interaction import CW, UNIT_MODE, InteractionParams, WeightProfile, interaction_weights
+from vhpf.world import AgentBody, Ball, Box, ConfigError, Workspace
 
 
 def dense_solve(field: ScalarGridField) -> np.ndarray:
@@ -99,3 +101,86 @@ def random_workspace(rng):
         if _has_thin_necks(ws.free_mask):
             continue
         return ws, ws.grid.cell_center(goal_cell)
+
+
+# ---------------------------------------------------------------------------
+# scalar pair-force oracle for interaction.crf_forces
+# ---------------------------------------------------------------------------
+
+class CoincidentCentersError(ValueError):
+    """Direction query for two agents at numerically the same point."""
+
+
+def weight(r: float, contact: float, profile: WeightProfile) -> float:
+    """Scalar weight at separation r for a pair with the given contact distance."""
+    return float(interaction_weights(r, contact, profile))
+
+
+def radial_direction(rel) -> np.ndarray:
+    """Unit vector along rel = x_i - x_j: pushes agent i straight away from j."""
+    rel = np.asarray(rel, float)
+    n = np.linalg.norm(rel)
+    if n < 1e-12:
+        raise CoincidentCentersError("agents at numerically coincident centers")
+    return rel / n
+
+
+def _circulating_vector(rel, params: InteractionParams):
+    """Unnormalized vector orthogonal to rel along the shared circulation sense."""
+    rel = np.asarray(rel, float)
+    if rel.size == 2:
+        out = np.array([-rel[1], rel[0]])
+    else:
+        axis = np.asarray(params.axis, float)
+        out = np.cross(axis, rel)
+        if np.linalg.norm(out) < 1e-9 * np.linalg.norm(rel):
+            out = np.cross(np.array([1.0, 0.0, 0.0]), rel)
+            if np.linalg.norm(out) < 1e-9 * np.linalg.norm(rel):
+                out = np.cross(np.array([0.0, 1.0, 0.0]), rel)
+    if params.circulation == CW:
+        out = -out
+    return out
+
+
+def tangential_direction(rel, params: InteractionParams) -> np.ndarray:
+    """Unit circulating direction; orthogonal to radial_direction(rel)."""
+    rel = np.asarray(rel, float)
+    if np.linalg.norm(rel) < 1e-12:
+        raise CoincidentCentersError("agents at numerically coincident centers")
+    vec = _circulating_vector(rel, params)
+    return vec / np.linalg.norm(vec)
+
+
+def pair_force(agent_i, agent_j, params: InteractionParams, profile: WeightProfile) -> np.ndarray:
+    """Force exerted on agent i by the presence of agent j.
+
+    Zero whenever the weight is zero, which keeps the interaction strictly
+    local, and for a pair at numerically the same point, which has no
+    direction. In unit mode the radial and circulating parts are unit vectors
+    scaled by their gains; in spring mode they scale with separation.
+    """
+    if agent_i.id == agent_j.id:
+        raise ConfigError("pair force requires two distinct agents")
+    rel = np.asarray(agent_i.x, float) - np.asarray(agent_j.x, float)
+    r = float(np.linalg.norm(rel))
+    w = weight(r, agent_i.radius + agent_j.radius, profile)
+    if w == 0.0 or r < 1e-12:
+        return np.zeros(rel.size)
+    if params.mode == UNIT_MODE:
+        rad = rel / r
+        tan = tangential_direction(rel, params)
+    else:
+        rad = rel
+        tan = _circulating_vector(rel, params)
+    return w * (params.kr * rad + params.kt * tan)
+
+
+def neighbors(agent: AgentBody, bodies) -> list:
+    """Every other agent whose body intersects this agent's sensing ring region."""
+    out = []
+    for other in bodies:
+        if other.id == agent.id:
+            continue
+        if np.linalg.norm(agent.x - other.x) <= agent.reach + other.radius:
+            out.append(other)
+    return out

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import component, dense_solve, random_workspace
+from helpers import component, dense_solve, pair_force, random_workspace
 from vhpf import engine, harmonic, scenarios
 from vhpf.engine import CONVERGED, DEADLOCK, TIMEOUT, SimConfig, run
 from vhpf.harmonic import FREE, GOAL_BC, resolve_incremental, solve_dirichlet
@@ -27,7 +27,6 @@ from vhpf.interaction import (
     UNIT_MODE,
     InteractionParams,
     WeightProfile,
-    pair_force,
 )
 from vhpf.scenarios import (
     AgentSpec,

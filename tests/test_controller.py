@@ -10,8 +10,8 @@ from vhpf.controller import (
     AgentController,
     goal_term,
     on_tick_sense,
-    self_control,
 )
+from vhpf.engine import Runtime, SimConfig
 from vhpf.interaction import (
     LINEAR,
     SPRING,
@@ -37,15 +37,23 @@ def body(aid, x):
     return AgentBody(aid, np.asarray(x, float), 1.0, 1.5)
 
 
+def controls(ctrls, bodies):
+    """Composed controls of a group on its current snapshot, as the engine evaluates them."""
+    ws = Workspace((-10.0, -10.0), (10.0, 10.0), h=0.25)
+    rt = Runtime(ws, bodies, ctrls, CASE_PARAMS, CASE_PROFILE, None, None, SimConfig())
+    U, _ = rt.eval_controls(rt.positions())
+    return U
+
+
 def test_spring_control_at_start():
     ctrl = spring_controller(1, (4.0, 0.0))
-    u = self_control(ctrl, body(1, (-4.0, 0.0)), [])
+    u = controls([ctrl], [body(1, (-4.0, 0.0))])[0]
     assert u == pytest.approx([3.2, 0.0], abs=1e-15)
 
 
 def test_spring_control_vanishes_at_goal():
     ctrl = spring_controller(1, (4.0, 0.0))
-    u = self_control(ctrl, body(1, (4.0, 0.0)), [])
+    u = controls([ctrl], [body(1, (4.0, 0.0))])[0]
     assert np.array_equal(u, np.zeros(2))
 
 
@@ -53,23 +61,24 @@ def test_drift_control_far_from_everything():
     ctrl = AgentController(agent_id=5, goal_kind=CONSTANT_DRIFT,
                            drift=np.array([1.0, 0.0]),
                            params=CASE_PARAMS, profile=CASE_PROFILE)
-    u = self_control(ctrl, body(5, (-5.0, 1.3)), [])
+    u = controls([ctrl], [body(5, (-5.0, 1.3))])[0]
     assert np.array_equal(u, [1.0, 0.0])
 
 
 def test_superposition_reduces_to_goal_term():
     ctrl = spring_controller(1, (2.0, 1.0))
     b = body(1, (0.5, -0.5))
-    assert np.array_equal(self_control(ctrl, b, []), goal_term(ctrl, b.x))
+    assert np.array_equal(controls([ctrl], [b])[0], goal_term(ctrl, b.x))
 
 
 def test_interaction_dissipates_out_of_range():
     ctrl = spring_controller(1, (4.0, 0.0))
+    other = spring_controller(2, (-4.0, 0.0))
     me = body(1, (-4.0, 0.0))
     near = body(2, (-1.5, 0.5))
     far = body(2, (4.0, 0.0))
-    assert not np.array_equal(self_control(ctrl, me, [near]), goal_term(ctrl, me.x))
-    assert np.array_equal(self_control(ctrl, me, [far]), goal_term(ctrl, me.x))
+    assert not np.array_equal(controls([ctrl, other], [me, near])[0], goal_term(ctrl, me.x))
+    assert np.array_equal(controls([ctrl, other], [me, far])[0], goal_term(ctrl, me.x))
 
 
 def test_noncooperative_agent_drops_own_pair_forces_only():
@@ -79,11 +88,13 @@ def test_noncooperative_agent_drops_own_pair_forces_only():
     ctrl_b_coop = spring_controller(2, (-4.0, 0.0))
     ctrl_b_rogue = spring_controller(2, (-4.0, 0.0), cooperative=False)
 
-    assert np.array_equal(self_control(ctrl_b_rogue, b, [a]), goal_term(ctrl_b_rogue, b.x))
-    assert not np.array_equal(self_control(ctrl_b_coop, b, [a]), goal_term(ctrl_b_coop, b.x))
+    u_rogue = controls([ctrl_a, ctrl_b_rogue], [a, b])
+    u_coop = controls([ctrl_a, ctrl_b_coop], [a, b])
+    assert np.array_equal(u_rogue[1], goal_term(ctrl_b_rogue, b.x))
+    assert not np.array_equal(u_coop[1], goal_term(ctrl_b_coop, b.x))
     # the rogue flag on b does not change how a computes its own control
-    u_a = self_control(ctrl_a, a, [b])
-    assert not np.array_equal(u_a, goal_term(ctrl_a, a.x))
+    assert not np.array_equal(u_rogue[0], goal_term(ctrl_a, a.x))
+    assert np.array_equal(u_rogue[0], u_coop[0])
 
 
 def test_control_ignores_other_agents_goals():
@@ -91,8 +102,18 @@ def test_control_ignores_other_agents_goals():
     me = body(1, (0.0, 0.0))
     other1 = AgentBody(2, np.array([2.5, 0.0]), 1.0, 1.5, goal=np.array([9.0, 9.0]))
     other2 = AgentBody(2, np.array([2.5, 0.0]), 1.0, 1.5, goal=np.array([-9.0, 3.0]))
-    assert np.array_equal(self_control(ctrl, me, [other1]),
-                          self_control(ctrl, me, [other2]))
+    assert np.array_equal(controls([ctrl, spring_controller(2, other1.goal)], [me, other1])[0],
+                          controls([ctrl, spring_controller(2, other2.goal)], [me, other2])[0])
+
+
+def test_control_does_not_depend_on_agent_order():
+    ctrls = [spring_controller(1, (4.0, 0.0)), spring_controller(2, (-4.0, 0.0)),
+             spring_controller(3, (0.0, 4.0))]
+    bodies = [body(1, (0.0, 0.0)), body(2, (2.5, 0.0)), body(3, (0.5, -2.4))]
+    u = controls(ctrls, bodies)
+    order = [2, 0, 1]
+    u_perm = controls([ctrls[k] for k in order], [bodies[k] for k in order])
+    assert u_perm == pytest.approx(u[order], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

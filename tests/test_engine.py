@@ -16,7 +16,6 @@ from vhpf.engine import (
     collision_audit,
     curvature_profile,
     detect_deadlock,
-    lyapunov_trace,
     run,
     step,
 )
@@ -202,6 +201,36 @@ def test_run_rejects_invalid_scenario():
         run(bad)
 
 
+def assert_events_replay_collision_audit(spec, log, metrics):
+    """The run's collision events and clearance minima are what collision_audit
+    reports on the logged snapshots, each pair or agent at its first overlap."""
+    rt = build_runtime(spec)
+    ids = log.agent_ids
+    expected, seen = [], set()
+    min_pair = min_obstacle = np.inf
+    for t, x in zip(log.times, log.positions):
+        out = collision_audit(x, rt.radii, rt.ws, spec.sim.collision_tol)
+        if out.pair_clearance.size:
+            min_pair = min(min_pair, out.pair_clearance.min())
+        if out.obstacle_clearance is not None:
+            min_obstacle = min(min_obstacle, out.obstacle_clearance.min())
+        for a, b in out.pairs:
+            if ("pair", a, b) not in seen:
+                seen.add(("pair", a, b))
+                expected.append({"t": t, "kind": "collision", "agents": [ids[a], ids[b]]})
+        for i in out.agents:
+            if ("agent", i) not in seen:
+                seen.add(("agent", i))
+                expected.append({"t": t, "kind": "collision_obstacle", "agent": ids[i]})
+    got = [e for e in log.events if e["kind"] in ("collision", "collision_obstacle")]
+    assert got == expected
+    reported = [(e["kind"], str(e.get("agents", e.get("agent")))) for e in got]
+    assert len(set(reported)) == len(reported)
+    assert metrics.min_pair_clearance == min_pair
+    assert metrics.min_obstacle_clearance == min_obstacle
+    return got
+
+
 def test_head_on_without_interaction_flags_collision():
     spec = builtin("case1")
     ghost = dataclasses.replace(spec, crf=InteractionParams(kr=0.0, kt=0.0,
@@ -210,6 +239,8 @@ def test_head_on_without_interaction_flags_collision():
     assert log.outcome == COLLISION
     assert metrics.min_pair_clearance < 0
     assert any(e["kind"] == "collision" for e in log.events)
+    assert [e["kind"] for e in assert_events_replay_collision_audit(ghost, log, metrics)] \
+        == ["collision"]
 
 
 def test_weak_cushion_logs_penetration_and_obstacle_collision():
@@ -235,6 +266,8 @@ def test_weak_cushion_logs_penetration_and_obstacle_collision():
     assert "collision_obstacle" in kinds
     assert log.outcome == COLLISION
     assert metrics.min_obstacle_clearance < 0
+    assert [e["kind"] for e in assert_events_replay_collision_audit(spec, log, metrics)] \
+        == ["collision_obstacle"]
 
 
 def test_short_horizon_times_out():
@@ -258,44 +291,93 @@ def test_symmetric_stalemate_deadlocks():
 # monitors
 # ---------------------------------------------------------------------------
 
+def deadlock_tick(speeds, outside_target, cfg, v_eps):
+    """First tick at which the incremental deadlock rule fires over a speed
+    history (one row per tick), or None."""
+    slow_time = 0.0
+    for k, row in enumerate(speeds):
+        slow_time, deadlocked = detect_deadlock(slow_time, row, outside_target, cfg, v_eps)
+        if deadlocked:
+            return k
+    return None
+
+
 def test_detect_deadlock_parked_is_success_not_deadlock():
     cfg = SimConfig(dt=0.1, t_max=10.0, w_dead=1.0)
-    times = np.arange(0, 2.0, 0.1)
-    speeds = np.full((len(times), 2), 1e-6)
-    assert not detect_deadlock(times, speeds, np.array([False, False]), cfg, 1e-3)
-    assert detect_deadlock(times, speeds, np.array([True, False]), cfg, 1e-3)
+    speeds = np.full((20, 2), 1e-6)
+    assert deadlock_tick(speeds, np.array([False, False]), cfg, 1e-3) is None
+    assert deadlock_tick(speeds, np.array([True, False]), cfg, 1e-3) is not None
 
 
 def test_detect_deadlock_requires_slow_window():
     cfg = SimConfig(dt=0.1, t_max=10.0, w_dead=1.0)
-    times = np.arange(0, 2.0, 0.1)
-    speeds = np.full((len(times), 2), 1e-2)
-    assert not detect_deadlock(times, speeds, np.array([True, True]), cfg, 1e-3)
-    short = times[:5]
-    assert not detect_deadlock(short, speeds[:5] * 0, np.array([True]), cfg, 1e-3)
+    speeds = np.full((20, 2), 1e-2)
+    assert deadlock_tick(speeds, np.array([True, True]), cfg, 1e-3) is None
+    short = np.zeros((5, 1))
+    assert deadlock_tick(short, np.array([True]), cfg, 1e-3) is None
+
+
+def test_detect_deadlock_window_restarts_on_a_fast_tick():
+    cfg = SimConfig(dt=0.25, t_max=10.0, w_dead=1.0)
+    speeds = np.full((12, 1), 1e-6)
+    assert deadlock_tick(speeds, np.array([True]), cfg, 1e-3) == 3
+    speeds[2] = 1.0
+    assert deadlock_tick(speeds, np.array([True]), cfg, 1e-3) == 6
+
+
+@pytest.mark.parametrize("name", ["dt", "t_max", "w_dead", "collision_tol", "v_eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_sim_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ConfigError, match=name):
+        SimConfig(**{name: value})
+
+
+def test_in_target_is_false_for_nan_and_goal_free_agents():
+    rt = build_runtime(builtin("case1"))
+    inside = rt.in_target(np.array([[4.0, 0.5], [np.nan, 0.0]]))
+    assert inside.tolist() == [True, False]
+    lanes = build_runtime(builtin("case5_lanes"))
+    assert not lanes.in_target(lanes.positions()).any()
 
 
 def test_collision_audit_reports_overlaps():
     ws = Workspace((-5, -5), (5, 5), [scenarios.Box((2.0, -1.0), (4.0, 1.0))], h=0.25)
-    bodies = [
-        AgentBody(1, np.array([0.0, 0.0]), 1.0, 0.5),
-        AgentBody(2, np.array([1.5, 0.0]), 1.0, 0.5),
-        AgentBody(3, np.array([2.0, 0.0]), 1.0, 0.5),
-    ]
-    out = collision_audit(bodies, ws, collision_tol=1e-3)
-    kinds = {(v["kind"], tuple(v["agents"])) for v in out}
-    assert ("pair", (1, 2)) in kinds
-    assert ("pair", (2, 3)) in kinds
-    assert ("obstacle", (3,)) in kinds
+    positions = np.array([[0.0, 0.0], [1.5, 0.0], [2.0, 0.0]])
+    radii = np.ones(3)
+    out = collision_audit(positions, radii, ws, collision_tol=1e-3)
+    assert out.pairs.tolist() == [[0, 1], [1, 2]]
+    assert out.agents.tolist() == [1, 2]
+    assert out.pair_clearance == pytest.approx([-0.5, 0.0, -1.5])
+    assert out.obstacle_clearance == pytest.approx([1.0, -0.5, -1.0])
+
+
+def test_collision_audit_matches_pairwise_loop():
+    rng = np.random.default_rng(3)
+    ws = Workspace((-6, -6), (6, 6), [scenarios.Ball((1.0, 1.0), 1.5)], h=0.25)
+    positions = rng.uniform(-5, 5, size=(12, 2))
+    radii = rng.uniform(0.3, 1.0, size=12)
+    out = collision_audit(positions, radii, ws, collision_tol=1e-3)
+    pairs, clearance = [], []
+    for i in range(12):
+        for j in range(i + 1, 12):
+            c = np.hypot(*(positions[i] - positions[j])) - radii[i] - radii[j]
+            clearance.append(c)
+            if c < -1e-3:
+                pairs.append([i, j])
+    agents = [i for i in range(12)
+              if np.hypot(*(positions[i] - (1.0, 1.0))) - 1.5 - radii[i] < -1e-3]
+    assert out.pair_clearance == pytest.approx(clearance, abs=1e-12)
+    assert out.pairs.tolist() == pairs and pairs
+    assert out.agents.tolist() == agents and agents
 
 
 def test_collision_audit_clean_for_case1_layout():
     ws = Workspace((-10, -10), (10, 10), h=0.25)
-    bodies = [
-        AgentBody(1, np.array([-4.0, 0.0]), 1.0, 1.5),
-        AgentBody(2, np.array([4.0, 0.0]), 1.0, 1.5),
-    ]
-    assert collision_audit(bodies, ws, 1e-3) == []
+    positions = np.array([[-4.0, 0.0], [4.0, 0.0]])
+    out = collision_audit(positions, np.ones(2), ws, 1e-3)
+    assert out.pairs.size == 0 and out.agents.size == 0
+    assert out.pair_clearance.tolist() == [6.0]
+    assert out.obstacle_clearance is None
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +494,18 @@ def test_case1_trace_decays_three_orders():
 def test_lyapunov_trace_matches_online_series_for_springs():
     spec = builtin("case1")
     log, metrics = run(spec)
-    rt = build_runtime(spec)
-    trace = lyapunov_trace(log, rt.controllers)
-    assert trace == pytest.approx(np.asarray(metrics.potential_trace), abs=1e-12)
+    goals = np.array([a.goal for a in spec.agents])
+    gains = np.array([a.control.gain for a in spec.agents])
+    r2 = ((log.position_array() - goals) ** 2).sum(axis=2)
+    expected = (0.5 * gains * r2).sum(axis=1)
+    assert expected == pytest.approx(np.asarray(metrics.potential_trace), abs=1e-12)
 
 
 def test_lyapunov_trace_unavailable_for_drift():
     spec = builtin("case5_lanes")
-    rt = build_runtime(spec)
-    log = TrajectoryLog([a.id for a in spec.agents], 2)
-    assert lyapunov_trace(log, rt.controllers) is None
+    short = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, t_max=0.05))
+    _, metrics = run(short)
+    assert metrics.potential_trace is None and metrics.potential_rate is None
 
 
 # ---------------------------------------------------------------------------

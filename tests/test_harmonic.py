@@ -12,7 +12,6 @@ from vhpf.harmonic import (
     ConfigError,
     FieldQueryError,
     SolverError,
-    dump_field_csv,
     field_stats,
     gradient_at,
     resolve_incremental,
@@ -250,12 +249,3 @@ def test_grid_refinement_consistency():
     d2 = np.abs(vals[2] - vals[1]).max()
     assert d2 < d1
 
-
-def test_field_csv_dump(tmp_path):
-    f = strip_field()
-    path = tmp_path / "field.csv"
-    dump_field_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cell,class,value"
-    assert len(lines) == 1 + 5
-    assert lines[1].startswith("0,goal,")

@@ -3,6 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from helpers import (
+    CoincidentCentersError,
+    neighbors,
+    pair_force,
+    radial_direction,
+    tangential_direction,
+    weight,
+)
+from vhpf.controller import SPRING_GOAL, AgentController, goal_term
+from vhpf.engine import Runtime, SimConfig
 from vhpf.harmonic import FieldStats
 from vhpf.interaction import (
     CCW,
@@ -13,7 +23,6 @@ from vhpf.interaction import (
     SPRING,
     SPRING_MODE,
     UNIT_MODE,
-    CoincidentCentersError,
     InteractionParams,
     KnownBoundaryIndex,
     ObstacleRepulsionParams,
@@ -21,15 +30,10 @@ from vhpf.interaction import (
     circulation_bound_check,
     crf_forces,
     interaction_weights,
-    obstacle_repulsion,
-    pair_force,
-    radial_direction,
     repulsion_batch,
-    tangential_direction,
-    weight,
     weight_can_jump,
 )
-from vhpf.world import AgentBody, ConfigError, GridSpec
+from vhpf.world import AgentBody, Box, ConfigError, GridSpec, KnowledgeMap, Workspace
 
 
 def body(aid, x, radius=1.0, ring=1.5):
@@ -230,10 +234,30 @@ def test_crf_batch_matches_pairwise_sum():
     batch = crf_forces(pos, radii, params, profile, reach=reach)
     for i, a in enumerate(bodies):
         expected = np.zeros(2)
-        for j, other in enumerate(bodies):
-            if i == j or np.linalg.norm(a.x - other.x) > a.reach + other.radius:
-                continue
+        for other in neighbors(a, bodies):
             expected += pair_force(a, other, params, profile)
+        assert batch[i] == pytest.approx(expected, abs=1e-12)
+
+
+def test_coincident_pair_adds_nothing_to_either_agent():
+    # linear weights stay at 1 below contact, so only the missing direction
+    # can make the coincident pair's force vanish
+    params = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
+    profile = WeightProfile(LINEAR, delta=1.5)
+    bodies = [body(1, (0.0, 0.0)), body(2, (0.0, 0.0)), body(3, (2.5, 0.0))]
+    pos = np.array([b.x for b in bodies])
+    radii = np.ones(3)
+    batch = crf_forces(pos, radii, params, profile)
+    assert np.array_equal(pair_force(bodies[0], bodies[1], params, profile), np.zeros(2))
+    assert np.array_equal(pair_force(bodies[1], bodies[0], params, profile), np.zeros(2))
+    alone = crf_forces(pos[[0, 2]], radii[:2], params, profile)
+    assert np.array_equal(batch[0], alone[0]) and np.array_equal(batch[1], alone[0])
+    assert np.linalg.norm(batch[0]) > 0
+    for i, a in enumerate(bodies):
+        expected = np.zeros(2)
+        for other in bodies:
+            if other is not a:
+                expected += pair_force(a, other, params, profile)
         assert batch[i] == pytest.approx(expected, abs=1e-12)
 
 
@@ -325,17 +349,23 @@ def wall_index():
     return grid, KnownBoundaryIndex(grid, wall)
 
 
+def cushion(x, radius, index, params):
+    """Wall cushion for one body alone: (force vector, penetrated flag)."""
+    F, pen = repulsion_batch(np.asarray(x, float)[None, :], np.array([radius]), index, params)
+    return F[0], bool(pen[0])
+
+
 def test_repulsion_zero_beyond_influence():
     grid, index = wall_index()
     params = ObstacleRepulsionParams(strength=6.0, influence=0.25)
-    f, pen = obstacle_repulsion((0.0, 0.0), 0.5, index, params)
+    f, pen = cushion((0.0, 0.0), 0.5, index, params)
     assert np.array_equal(f, np.zeros(2)) and not pen
 
 
 def test_repulsion_pushes_away_from_wall():
     grid, index = wall_index()
     params = ObstacleRepulsionParams(strength=6.0, influence=0.5)
-    f, pen = obstacle_repulsion((0.0, -1.2), 0.5, index, params)
+    f, pen = cushion((0.0, -1.2), 0.5, index, params)
     assert f[1] > 0 and abs(f[0]) < 1e-9 and not pen
 
 
@@ -344,7 +374,7 @@ def test_repulsion_quadratic_magnitude():
     eps = 0.5
     params = ObstacleRepulsionParams(strength=8.0, influence=eps)
     # body surface clearance = eps/2 -> quarter of the peak
-    f, pen = obstacle_repulsion((0.0, -2.0 + 0.5 + eps / 2.0), 0.5, index, params)
+    f, pen = cushion((0.0, -2.0 + 0.5 + eps / 2.0), 0.5, index, params)
     assert np.linalg.norm(f) == pytest.approx(8.0 / 4.0, rel=1e-9)
     assert not pen
 
@@ -352,14 +382,24 @@ def test_repulsion_quadratic_magnitude():
 def test_repulsion_penetration_flag_and_peak():
     grid, index = wall_index()
     params = ObstacleRepulsionParams(strength=6.0, influence=0.25)
-    f, pen = obstacle_repulsion((0.0, -1.8), 0.5, index, params)
+    f, pen = cushion((0.0, -1.8), 0.5, index, params)
     assert pen and np.linalg.norm(f) == pytest.approx(6.0)
 
 
 def test_repulsion_without_knowledge_is_zero():
-    params = ObstacleRepulsionParams()
-    f, pen = obstacle_repulsion((0.0, 0.0), 0.5, None, params)
-    assert np.array_equal(f, np.zeros(2)) and not pen
+    # an agent right against a wall it has not discovered feels no cushion
+    ws = Workspace((-4.0, -4.0), (4.0, 4.0), [Box((1.0, -4.0), (4.0, 4.0))], h=0.25)
+    me = AgentBody(1, np.array([0.45, 0.0]), 0.5, 0.5)
+    ctrl = AgentController(agent_id=1, goal_kind=SPRING_GOAL, goal=np.array([-3.0, 0.0]),
+                           knowledge=KnowledgeMap(1), repulsion=ObstacleRepulsionParams())
+    rt = Runtime(ws, [me], [ctrl], ctrl.params, ctrl.profile, ObstacleRepulsionParams(),
+                 None, SimConfig())
+    U, pen = rt.eval_controls(rt.positions())
+    assert np.array_equal(U[0], goal_term(ctrl, me.x)) and not pen[0]
+    # the same wall, once known, pushes back
+    ctrl.boundary_index = KnownBoundaryIndex(ws.grid, ws.boundary_cells)
+    U, _ = rt.eval_controls(rt.positions())
+    assert U[0][0] < goal_term(ctrl, me.x)[0]
 
 
 def test_repulsion_batch_matches_scalar():
@@ -369,7 +409,7 @@ def test_repulsion_batch_matches_scalar():
     radii = np.array([0.5, 0.5, 0.5])
     F, pen = repulsion_batch(pts, radii, index, params)
     for k in range(3):
-        f, p = obstacle_repulsion(pts[k], radii[k], index, params)
+        f, p = cushion(pts[k], radii[k], index, params)
         assert F[k] == pytest.approx(f, abs=1e-12)
         assert pen[k] == p
 

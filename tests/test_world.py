@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+from helpers import neighbors
 from vhpf.world import (
     AgentBody,
     Ball,
@@ -9,7 +10,6 @@ from vhpf.world import (
     ConfigError,
     KnowledgeMap,
     Workspace,
-    neighbors,
     passage_width_audit,
     sense_obstacles,
     update_knowledge,
