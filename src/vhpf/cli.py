@@ -102,7 +102,8 @@ def _write_outputs(spec, log, metrics, out_dir: Path, want_plot: bool):
 
 
 def _plot_from_log(spec, log, out_path):
-    trajectories = {aid: log.agent_positions(aid) for aid in log.agent_ids}
+    positions = log.position_array()
+    trajectories = {aid: positions[:, i, :] for i, aid in enumerate(log.agent_ids)}
     bodies = {
         a.id: {"radius": a.radius, "start": a.start, "goal": a.goal}
         for a in spec.agents

@@ -486,9 +486,12 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
         runtime.sync_bodies(positions)
         for c, b in zip(runtime.controllers, runtime.bodies):
             if c.goal_kind == ctl.HARMONIC_GOAL:
+                iterations = c.field.iterations
                 n_new = ctl.on_tick_sense(c, b, runtime.ws)
                 if n_new:
-                    log.add_event(t, "discovery", agent=c.agent_id, new_cells=n_new)
+                    log.add_event(t, "discovery", agent=c.agent_id, new_cells=n_new,
+                                  solver_iterations=c.field.iterations - iterations,
+                                  residual=c.field.residual)
 
         try:
             U, pen = runtime.eval_controls(positions)

@@ -1,15 +1,14 @@
 """Discrete harmonic potential on an occupancy grid.
 
 The potential is pinned to 0 at the goal cell and to 1 on known obstacle cells
-and the outer rim, and relaxed until every free cell equals the mean of its
-axis neighbors to within tolerance. Relaxation is red-black Gauss-Seidel with
-over-relaxation, so sweep results do not depend on traversal order.
+and the outer rim, and solved until every free cell equals the mean of its
+axis neighbors to within tolerance: matrix-free conjugate gradients on that
+linear system, in any dimension, warm-started from the field's values.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ DEFAULT_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
-    """Relaxation failed to reach the residual tolerance within the sweep cap."""
+    """The solve hit its iteration cap, a non-finite residual or a breakdown."""
 
 
 class FieldQueryError(ValueError):
@@ -88,57 +87,56 @@ def _neighbor_sum(v, out=None):
     return out
 
 
-def _over_relaxation(shape):
-    """Near-optimal over-relaxation factor for a rectangular grid Laplacian."""
-    rho = float(np.mean([math.cos(math.pi / max(n, 3)) for n in shape]))
-    return min(1.95, 2.0 / (1.0 + math.sqrt(max(1.0 - rho * rho, 0.0))))
-
-
-def _parity_masks(shape):
-    grids = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
-    parity = np.zeros(shape, dtype=int)
-    for g in grids:
-        parity += g
-    even = parity % 2 == 0
-    return even, ~even
+def _dot(a, b):
+    """Inner product in einsum's own loop: unlike BLAS, it sums in one fixed order."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
-    """Run SOR sweeps until the free-cell residual drops below tol."""
+    """Conjugate gradients on the free-cell mean-value system, warm-started
+    from the current values, until the free-cell residual drops below tol.
+
+    A p = 2*dim*p - (neighbor sum of p) on the free cells is symmetric positive
+    definite. Directions are 0 off the free cells, so pinned values never
+    change. `max_sweeps` caps the iterations.
+    """
     v = field.values
     free = field.cell_class == FREE
-    if not np.any(free):
-        field.residual = 0.0
-        return
-    dim = v.ndim
-    even, odd = _parity_masks(v.shape)
-    colors = (free & even, free & odd)
-    inv = 1.0 / (2 * dim)
-    factor = _over_relaxation(v.shape)
+    two_dim = 2.0 * v.ndim
+    neg_free = np.where(free, -1.0, 0.0)
     if max_sweeps is None:
         max_sweeps = 100 * int(np.sum(v.shape))
-    buf = np.zeros_like(v)
-    s = _neighbor_sum(v, buf)
-    residual = float(np.max(np.abs(s[free] * inv - v[free])))
-    if residual < tol:
-        field.residual = residual
-        return
-    for sweep in range(1, max_sweeps + 1):
-        for color in colors:
-            s = _neighbor_sum(v, buf)
-            v[color] += factor * (s[color] * inv - v[color])
-        s = _neighbor_sum(v, buf)
-        residual = float(np.max(np.abs(s[free] * inv - v[free])))
-        field.iterations += 1
-        if residual < tol:
-            field.residual = residual
-            field._invalidate()
-            return
-    field.residual = residual
     field._invalidate()
-    raise SolverError(
-        f"relaxation stalled at residual {residual:.3e} after {max_sweeps} sweeps (tol {tol:.1e})"
-    )
+    r, ap, start = None, np.empty_like(v), field.iterations
+    while True:
+        if r is None:  # (re)start from b - A v, computed from v itself
+            r = np.where(free, _neighbor_sum(v) - two_dim * v, 0.0)
+            p, rr, exact = r.copy(), _dot(r, r), True
+        field.residual = float(np.max(np.abs(r))) / two_dim
+        if not np.isfinite(field.residual):
+            raise SolverError(f"residual {field.residual} is not finite")
+        if field.residual < tol:
+            if exact:
+                return
+            r = None  # the updated r drifts from b - A v by rounding: confirm on v
+            continue
+        if field.iterations - start == max_sweeps:
+            raise SolverError(f"conjugate gradients stalled at residual {field.residual:.3e} "
+                              f"after {max_sweeps} iterations (tol {tol:.1e})")
+        _neighbor_sum(p, ap)
+        ap -= two_dim * p
+        ap *= neg_free
+        pap = _dot(p, ap)
+        if not (np.isfinite(pap) and pap > 0.0):
+            raise SolverError(f"conjugate gradients broke down (p.Ap = {pap:.3e})")
+        alpha = rr / pap
+        v += alpha * p
+        r -= alpha * ap
+        rr, rr_old = _dot(r, r), rr
+        p *= rr / rr_old
+        p += r
+        exact = False
+        field.iterations += 1
 
 
 def _inflate_mask(mask, grid: GridSpec, radius: float):
@@ -206,11 +204,12 @@ def solve_dirichlet(grid: GridSpec, known_cells, goal, tol=DEFAULT_TOL,
 
 
 def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGridField:
-    """Pin newly discovered cells to 1 and re-relax from the current values.
+    """Pin newly discovered cells to 1 and re-solve from the current values.
 
-    Warm-started: the previous solution seeds the sweeps, so small discoveries
-    re-equilibrate in a few passes. The result matches a cold solve with the
-    enlarged boundary set to within the solve tolerance. Mutates the field.
+    Warm-started: the previous solution is the first iterate, so small
+    discoveries re-equilibrate in fewer iterations than a cold solve. The
+    result matches a cold solve with the enlarged boundary set to within the
+    solve tolerance. Mutates the field; `field.iterations` keeps counting.
     """
     tol = field.tol if tol is None else tol
     fresh = [c for c in new_cells if not field.known_mask[tuple(c)]]

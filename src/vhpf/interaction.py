@@ -197,9 +197,13 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
         tan = np.stack([-rel[..., 1], rel[..., 0]], axis=-1)
     else:
         tan = np.cross(np.asarray(params.axis, float), rel)
-        bad = (np.linalg.norm(tan, axis=2) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
-        if np.any(bad):
-            tan[bad] = np.cross(np.array([1.0, 0.0, 0.0]), rel[bad])
+        # rel parallel to the axis: cross with x instead, and with y if rel
+        # is parallel to x as well
+        for fallback in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+            bad = (np.linalg.norm(tan, axis=2) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
+            if not np.any(bad):
+                break
+            tan[bad] = np.cross(np.array(fallback), rel[bad])
     if params.circulation == CW:
         tan = -tan
 

@@ -552,9 +552,13 @@ def save(spec: ScenarioSpec, path):
 
 def load(path) -> ScenarioSpec:
     """Parse, default-fill, and validate a scenario file."""
+    def reject_constant(literal):
+        # json accepts the bare literals NaN, Infinity and -Infinity
+        raise ConfigError(f"{path}: non-finite number {literal} is not allowed")
+
     try:
         with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = json.load(f, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     spec = from_dict(raw)

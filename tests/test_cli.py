@@ -71,7 +71,7 @@ def test_nan_time_step_is_config_error(tmp_path):
 def test_nan_gain_never_reads_as_converged(tmp_path):
     path = _case1_file(tmp_path, lambda d: d["agents"][0]["control"].update(gain=float("nan")))
     code = run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")])
-    assert code != 0
+    assert code == 5
 
 
 def test_sweep_single_cell_matches_direct_run(tmp_path):

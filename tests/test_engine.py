@@ -538,3 +538,15 @@ def test_log_csv_and_events_roundtrip(tmp_path):
     loaded = json.loads(metrics_path.read_text())
     assert "kappa_max" in loaded and "min_pair_clearance" in loaded
     assert loaded["corner_angle_max"] == {"1": 0.0}
+
+
+def test_discovery_events_carry_converged_resolves():
+    spec = builtin("case7_unknown")
+    spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, t_max=2.7))
+    tol = build_runtime(spec).controllers[0].field.tol
+    log, _ = run(spec)
+    found = [e for e in log.events if e["kind"] == "discovery"]
+    assert len(found) == 2
+    for e in found:
+        assert e["solver_iterations"] > 0
+        assert e["residual"] < tol

@@ -4,6 +4,7 @@ import pytest
 from helpers import component as _component
 from helpers import dense_solve, random_workspace
 
+from vhpf import scenarios
 from vhpf.harmonic import (
     FREE,
     GOAL_BC,
@@ -12,6 +13,7 @@ from vhpf.harmonic import (
     ConfigError,
     FieldQueryError,
     SolverError,
+    _neighbor_sum,
     field_stats,
     gradient_at,
     resolve_incremental,
@@ -116,6 +118,35 @@ def test_sweep_cap_raises_solver_error():
     grid = GridSpec((0.0, 0.0), 1.0, (16, 16))
     with pytest.raises(SolverError):
         solve_dirichlet(grid, set(), (8.0, 8.0), tol=1e-12, max_sweeps=3)
+
+
+def test_non_finite_value_raises_at_once():
+    f = square_field()
+    f.values[1, 2] = np.nan
+    before = f.iterations
+    with pytest.raises(SolverError, match="not finite"):
+        resolve_incremental(f, set())
+    assert f.iterations - before < 5  # the cap is 100 * (5 + 5) iterations
+
+
+# conjugate-gradient iterations of the case7 cold solve below when this guard
+# was set; a solver that silently slows down takes more than 1.5x as many
+CASE7_COLD_ITERATIONS = 499
+
+
+def test_case7_cold_solve_iteration_count():
+    spec = scenarios.builtin("case7_unknown")
+    grid = scenarios.build_workspace(spec).grid
+    assert grid.shape == (160, 96)
+    agent = spec.agents[0]
+    f = solve_dirichlet(grid, set(), np.asarray(agent.goal, float), tol=1e-12,
+                        inflate=agent.radius)
+    assert f.iterations <= 1.5 * CASE7_COLD_ITERATIONS
+    # the stopping residual is recomputed from the values, not taken from the
+    # conjugate-gradient recurrence, which drifts from it by rounding
+    free = f.cell_class == FREE
+    exact = np.max(np.abs(_neighbor_sum(f.values) - 4.0 * f.values)[free]) / 4.0
+    assert f.residual == exact < 1e-12
 
 
 def test_query_inside_known_obstacle_rejected():
@@ -234,6 +265,24 @@ def test_three_dimensional_solve_matches_oracle():
     assert g.shape == (3,)
     v_mid = value_at(f, (3.5, 3.5, 3.0))
     assert 0.0 < v_mid < 1.0
+
+
+def test_three_dimensional_warm_resolve_matches_cold():
+    grid = GridSpec((0.0, 0.0, 0.0), 1.0, (7, 7, 7))
+    wall = [(3, j, k) for j in range(1, 6) for k in range(2, 5)]
+    goal = (1.5, 3.5, 3.5)
+    f = solve_dirichlet(grid, set(wall[:5]), goal, tol=TOL)
+    resolve_incremental(f, set(wall[5:]))
+    cold = solve_dirichlet(grid, set(wall), goal, tol=TOL)
+    assert np.max(np.abs(f.values - cold.values)) < 10 * TOL
+    assert np.max(np.abs(f.values - dense_solve(f))) < 10 * TOL
+
+
+def test_inflated_obstacles_match_dense_oracle():
+    ws = Workspace((0, 0), (6, 6), [Box((2.0, 1.0), (3.0, 4.0))], h=0.25)
+    f = solve_dirichlet(ws.grid, ws.boundary_cells, (5.0, 5.0), tol=TOL, inflate=0.5)
+    assert np.sum(f.cell_class == OBSTACLE_BC) > np.sum(f.known_mask)
+    assert np.max(np.abs(f.values - dense_solve(f))) < 10 * TOL
 
 
 def test_grid_refinement_consistency():

@@ -261,6 +261,17 @@ def test_coincident_pair_adds_nothing_to_either_agent():
         assert batch[i] == pytest.approx(expected, abs=1e-12)
 
 
+def test_crf_3d_falls_back_to_y_when_rel_is_parallel_to_axis_and_x():
+    params = InteractionParams(kr=2.0, kt=1.0, mode=UNIT_MODE, axis=(1.0, 0.0, 0.0))
+    profile = WeightProfile(LINEAR, delta=1.5)
+    a, b = body(0, (0.0, 0.0, 0.0)), body(1, (2.5, 0.0, 0.0))
+    out = crf_forces(np.array([a.x, b.x]), np.ones(2), params, profile)
+    expected = pair_force(a, b, params, profile)
+    assert expected == pytest.approx([-4.0 / 3.0, 0.0, 2.0 / 3.0], abs=1e-12)
+    assert out[0] == pytest.approx(expected, abs=1e-12)
+    assert out[1] == pytest.approx(pair_force(b, a, params, profile), abs=1e-12)
+
+
 def test_crf_batch_suppressed_rows_are_zero():
     params = InteractionParams(kr=1.0, kt=1.0, mode=UNIT_MODE)
     profile = WeightProfile(LINEAR, delta=1.0)

@@ -167,6 +167,16 @@ def test_loader_reports_json_errors_with_line(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_loader_rejects_non_finite_literals(tmp_path, value):
+    raw = to_dict(builtin("case1"))
+    raw["agents"][0]["radius"] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(raw))   # written as the bare NaN/Infinity/-Infinity
+    with pytest.raises(ConfigError, match="non-finite number"):
+        load(path)
+
+
 def test_loader_reports_missing_fields(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text(json.dumps({"name": "x"}))
