@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonic, interaction, world
-from .world import AgentBody, ConfigError, KnowledgeMap, Workspace
+from .world import AgentBody, ConfigError, KnowledgeMap, Workspace, require_finite
 
 SPRING_GOAL = "spring"
 CONSTANT_DRIFT = "drift"
@@ -53,6 +53,8 @@ class AgentController:
     def __post_init__(self):
         if self.goal_kind not in GOAL_KINDS:
             raise ConfigError(f"unknown goal-control kind {self.goal_kind!r}")
+        require_finite(f"agent {self.agent_id} control", gain=self.gain, cruise=self.cruise,
+                       drift=self.drift, slow_radius=self.slow_radius)
         if self.goal_kind == CONSTANT_DRIFT and self.drift is None:
             raise ConfigError("drift control needs a drift vector")
         if self.goal_kind == HARMONIC_GOAL and self.field is None:
@@ -63,11 +65,17 @@ class AgentController:
             self.goal = np.asarray(self.goal, float)
 
 
+def spring_term(gain, goal, x):
+    """The spring goal term gain * (goal - x), for one agent or for stacked
+    agents (gain (n, 1), goal and x (n, dim)) with the same bits per row."""
+    return gain * (goal - x)
+
+
 def goal_term(ctrl: AgentController, x) -> np.ndarray:
     """The goal-seeking component of the control at position x."""
     x = np.asarray(x, float)
     if ctrl.goal_kind == SPRING_GOAL:
-        return ctrl.gain * (ctrl.goal - x)
+        return spring_term(ctrl.gain, ctrl.goal, x)
     if ctrl.goal_kind == CONSTANT_DRIFT:
         return ctrl.drift.copy()
     if ctrl.drive == UNIT_DRIVE:

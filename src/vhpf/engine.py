@@ -8,9 +8,7 @@ frozen, so integration stages see a fixed control law.
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -18,7 +16,7 @@ import numpy as np
 
 from . import controller as ctl
 from . import harmonic, interaction, world
-from .world import ConfigError, Workspace
+from .world import ConfigError, Workspace, require_finite
 
 EULER = "euler"
 RK4 = "rk4"
@@ -30,7 +28,13 @@ COLLISION = "collision"
 
 
 class SimulationError(RuntimeError):
-    """Control evaluation failed mid-run; the log carries a diagnostic event."""
+    """The run failed mid-way: control evaluation failed or the state turned
+    non-finite. `log` holds the run up to the failure and ends with an
+    `error` event."""
+
+    def __init__(self, message, log=None):
+        super().__init__(message)
+        self.log = log
 
 
 @dataclass
@@ -43,10 +47,8 @@ class SimConfig:
     collision_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("dt", "t_max", "w_dead", "collision_tol", "v_eps"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        require_finite("sim", dt=self.dt, t_max=self.t_max, w_dead=self.w_dead,
+                       collision_tol=self.collision_tol, v_eps=self.v_eps)
         if self.dt <= 0:
             raise ConfigError(f"time step must be positive, got {self.dt}")
         if self.t_max <= self.dt:
@@ -103,13 +105,14 @@ class TrajectoryLog:
         cols = ["t", "agent_id"] + [a for a in axes] + [f"u{a}" for a in axes] + ["sigma_activity"]
         with open(path, "w", encoding="utf-8") as f:
             f.write(",".join(cols) + "\n")
-            for k, t in enumerate(self.times):
-                for i, aid in enumerate(self.agent_ids):
-                    row = [repr(float(t)), str(aid)]
-                    row += [repr(float(v)) for v in self.positions[k][i]]
-                    row += [repr(float(v)) for v in self.controls[k][i]]
-                    row.append(repr(float(self.sigma_activity[k][i])))
-                    f.write(",".join(row) + "\n")
+            for t, x, u, sigma in zip(self.times, self.positions, self.controls,
+                                      self.sigma_activity):
+                # one tick's rows as lists of Python floats: the repr of such
+                # a list is "[[a, b], [c, d]]", each number the repr of its float
+                rows = np.concatenate([x, u, sigma[:, None]], axis=1, dtype=float).tolist()
+                values = repr(rows)[2:-2].replace(", ", ",").split("],[")
+                stamp = repr(float(t))
+                f.write("".join(f"{stamp},{aid},{v}\n" for aid, v in zip(self.agent_ids, values)))
 
     def write_events(self, path):
         with open(path, "w", encoding="utf-8") as f:
@@ -172,10 +175,27 @@ class Runtime:
             if b.goal is not None:
                 self.goals[i] = b.goal
                 self.r_target[i] = b.r_target
+        # the goal terms, array-at-a-time: springs and drifts as one array
+        # expression each, harmonic agents one by one. Like the bodies' radii,
+        # the controllers' gains, goals and flags are read once, here.
+        kinds = [c.goal_kind for c in self.controllers]
+        springs = [c for c in self.controllers if c.goal_kind == ctl.SPRING_GOAL]
+        drifts = [c for c in self.controllers if c.goal_kind == ctl.CONSTANT_DRIFT]
+        self._spring_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.SPRING_GOAL], int)
+        self._spring_gain = np.array([c.gain for c in springs], float).reshape(-1, 1)
+        self._spring_goal = np.array([c.goal for c in springs], float).reshape(-1, self.dim)
+        self._drift_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.CONSTANT_DRIFT], int)
+        self._drift = np.array([c.drift for c in drifts], float).reshape(-1, self.dim)
+        self._harmonic = [(i, c) for i, c in enumerate(self.controllers)
+                          if c.goal_kind == ctl.HARMONIC_GOAL]
+        # agents whose own pair-force sum is dropped
+        self._suppressed = [i for i, c in enumerate(self.controllers)
+                            if not (c.crf_enabled and c.cooperative)]
         self.tracks_switches = interaction.weight_can_jump(profile, self.radii, self.reach)
         self._last_key = None       # switch key of the latest control evaluation
         self._step_key = None       # switch key at the start of the current step
         self._switched = np.zeros(len(self.bodies), dtype=bool)
+        self._snapshot = None       # (positions bytes, near pairs) of the latest pass
 
     @property
     def n_agents(self):
@@ -185,8 +205,9 @@ class Runtime:
         return np.array([b.x for b in self.bodies]) if self.bodies else np.empty((0, self.dim))
 
     def sync_bodies(self, positions):
-        for b, x in zip(self.bodies, positions):
-            b.x = np.array(x)
+        # each body gets its row of one private copy
+        for b, x in zip(self.bodies, np.array(positions)):
+            b.x = x
 
     def eval_controls(self, positions):
         """Controls for all agents on one snapshot. Returns (U, penetration mask).
@@ -197,17 +218,16 @@ class Runtime:
         reacts only to the agent's own discovered boundary cells.
         """
         L = self.n_agents
-        U = np.zeros((L, self.dim))
+        positions = np.asarray(positions, float)
+        U = self.goal_terms(positions)
         pen = np.zeros(L, dtype=bool)
-        for i, c in enumerate(self.controllers):
-            U[i] = ctl.goal_term(c, positions[i])
         if L >= 2:
-            suppressed = [i for i, c in enumerate(self.controllers)
-                          if not (c.crf_enabled and c.cooperative)]
+            suppressed = self._suppressed
             if len(suppressed) < L:
                 F = interaction.crf_forces(positions, self.radii, self.params,
                                            self.profile, suppressed=suppressed,
-                                           reach=self.reach, switch_key=self.tracks_switches)
+                                           reach=self.reach, switch_key=self.tracks_switches,
+                                           pairs=self._near_pairs(positions))
                 if self.tracks_switches:
                     F, key = F
                     # comparing bytes is the cheap exact test; find rows only on a change
@@ -221,6 +241,31 @@ class Runtime:
             U[rows] += F
             pen[rows] |= p
         return U, pen
+
+    def goal_terms(self, positions):
+        """The goal term of every agent on one snapshot, each row the same
+        bits as `controller.goal_term` of that agent."""
+        U = np.zeros((self.n_agents, self.dim))
+        if len(self._spring_rows):
+            U[self._spring_rows] = ctl.spring_term(self._spring_gain, self._spring_goal,
+                                                   positions[self._spring_rows])
+        if len(self._drift_rows):
+            U[self._drift_rows] = self._drift
+        for i, c in self._harmonic:
+            U[i] = ctl.goal_term(c, positions[i])
+        return U
+
+    def goal_potentials(self, positions) -> list:
+        """Every agent's goal potential (`agent_potential`) on one snapshot,
+        as floats in agent order; None for a drift agent."""
+        out = [None] * self.n_agents
+        springs = spring_potential(self._spring_gain[:, 0], self._spring_goal,
+                                   positions[self._spring_rows])
+        for i, v in zip(self._spring_rows.tolist(), springs.tolist()):
+            out[i] = v
+        for i, c in self._harmonic:
+            out[i] = agent_potential(c, positions[i])
+        return out
 
     def begin_step(self):
         """Start a step at the snapshot evaluated last. Returns per-agent
@@ -251,15 +296,17 @@ class Runtime:
 
     def sigma_activity(self, positions):
         """Per-agent sum of interaction weights against all other agents."""
-        L = self.n_agents
-        if L < 2:
-            return np.zeros(L)
-        rel = positions[:, None, :] - positions[None, :, :]
-        dist = np.linalg.norm(rel, axis=2)
-        contact = np.add.outer(self.radii, self.radii)
-        w = interaction.interaction_weights(dist, contact, self.profile)
-        np.fill_diagonal(w, 0.0)
-        return w.sum(axis=1)
+        return interaction.sigma_activity(positions, self.radii, self.profile,
+                                          pairs=self._near_pairs(positions))
+
+    def _near_pairs(self, positions):
+        """The cut-off pair pass of a snapshot, made once per snapshot: the
+        tick's first control evaluation and its sigma_activity share it."""
+        positions = np.asarray(positions, float)
+        key = positions.tobytes()
+        if self._snapshot is None or self._snapshot[0] != key:
+            self._snapshot = (key, interaction.near_pairs(positions, self.radii, self.profile))
+        return self._snapshot[1]
 
 
 def step(runtime: Runtime, positions, cfg: SimConfig, k1=None):
@@ -300,23 +347,12 @@ class CollisionAudit(NamedTuple):
     agents: np.ndarray                      # (m,) agents penetrating an obstacle, ascending
 
 
-@functools.lru_cache(maxsize=8)
-def _pair_index(n: int) -> np.ndarray:
-    """(n (n - 1) / 2, 2) read-only array of the pairs i < j in np.triu_indices
-    order. Cached: building it costs more than a small group's whole audit."""
-    pairs = np.stack(np.triu_indices(n, k=1), axis=1)
-    pairs.flags.writeable = False
-    return pairs
-
-
 def collision_audit(positions, radii, ws: Workspace, collision_tol: float) -> CollisionAudit:
     """Surface clearances of every body pair and of every body to the
     obstacles, and which of them overlap beyond the numerical slack."""
-    index = _pair_index(len(radii))
-    i, j = index[:, 0], index[:, 1]
-    rel = positions[i] - positions[j]
-    pair_clearance = np.sqrt((rel * rel).sum(axis=1)) - (radii[i] + radii[j])
-    pairs = index[pair_clearance < -collision_tol]
+    positions = np.asarray(positions, float)
+    *_, pair_clearance = interaction.pair_gaps(positions, np.asarray(radii, float))
+    pairs = interaction.pair_index(len(radii))[:, pair_clearance < -collision_tol].T
     obstacle_clearance = None
     agents = np.empty(0, dtype=int)
     if ws.obstacles:
@@ -398,11 +434,17 @@ def _turning_angle(a, b) -> float:
     return float(2.0 * np.arctan2(np.linalg.norm(ua - ub), np.linalg.norm(ua + ub)))
 
 
+def spring_potential(gain, goal, x):
+    """0.5 * gain * |x - goal|^2, for one agent or for stacked agents (gain
+    (n,), goal and x (n, dim)) with the same bits per row."""
+    r = world.row_norms(np.asarray(x, float) - goal)
+    return 0.5 * gain * r * r
+
+
 def agent_potential(c: ctl.AgentController, x) -> float | None:
     """Goal potential whose negative gradient is the agent's goal control."""
     if c.goal_kind == ctl.SPRING_GOAL:
-        r = float(np.linalg.norm(np.asarray(x, float) - c.goal))
-        return 0.5 * c.gain * r * r
+        return float(spring_potential(c.gain, c.goal, x))
     if c.goal_kind == ctl.HARMONIC_GOAL:
         return harmonic.value_at(c.field, x)
     return None
@@ -415,11 +457,28 @@ def agent_potential(c: ctl.AgentController, x) -> float | None:
 def _auto_v_eps(runtime: Runtime) -> float:
     mags = []
     for c, b in zip(runtime.controllers, runtime.bodies):
-        m = float(np.linalg.norm(ctl.goal_term(c, b.x)))
+        with _quiet_overflow():
+            m = float(np.linalg.norm(ctl.goal_term(c, b.x)))
         if m > 1e-12:
             mags.append(m)
     typical = float(np.mean(mags)) if mags else 1.0
     return 1e-3 * typical
+
+
+def _quiet_overflow():
+    """Overflow and invalid operations in the integration surface as a
+    non-finite control or position (`_non_finite`), not as warnings."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, bad) -> SimulationError:
+    """Log an `error` event naming the agents whose `what` is not finite, and
+    return the error that ends the run: a NaN state must never run on to a
+    timeout whose clearances read as safe."""
+    agents = [runtime.bodies[i].id for i in np.flatnonzero(bad)]
+    message = f"non-finite {what} of agents {agents}"
+    log.add_event(t, "error", message=message, agents=agents)
+    return SimulationError(f"{message} at t={t:g}", log)
 
 
 def _horizon_success(runtime: Runtime, start_positions, positions) -> bool:
@@ -482,74 +541,83 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
     trace = [] if all(c.goal_kind != ctl.CONSTANT_DRIFT for c in runtime.controllers) else None
     outcome = None
 
-    while True:
-        runtime.sync_bodies(positions)
-        for c, b in zip(runtime.controllers, runtime.bodies):
-            if c.goal_kind == ctl.HARMONIC_GOAL:
-                iterations = c.field.iterations
-                n_new = ctl.on_tick_sense(c, b, runtime.ws)
-                if n_new:
-                    log.add_event(t, "discovery", agent=c.agent_id, new_cells=n_new,
-                                  solver_iterations=c.field.iterations - iterations,
-                                  residual=c.field.residual)
+    with _quiet_overflow():
+        while True:
+            bad = ~np.isfinite(positions).all(axis=1)
+            if bad.any():
+                raise _non_finite(log, t, "position", runtime, bad)
+            runtime.sync_bodies(positions)
+            for c, b in zip(runtime.controllers, runtime.bodies):
+                if c.goal_kind == ctl.HARMONIC_GOAL:
+                    iterations = c.field.iterations
+                    n_new = ctl.on_tick_sense(c, b, runtime.ws)
+                    if n_new:
+                        log.add_event(t, "discovery", agent=c.agent_id, new_cells=n_new,
+                                      solver_iterations=c.field.iterations - iterations,
+                                      residual=c.field.residual)
 
-        try:
-            U, pen = runtime.eval_controls(positions)
-        except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
-            log.add_event(t, "error", message=str(exc))
-            raise SimulationError(f"control evaluation failed at t={t:g}: {exc}") from exc
+            try:
+                U, pen = runtime.eval_controls(positions)
+            except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
+                log.add_event(t, "error", message=str(exc))
+                raise SimulationError(f"control evaluation failed at t={t:g}: {exc}", log) from exc
+            bad = ~np.isfinite(U).all(axis=1)
+            if bad.any():
+                raise _non_finite(log, t, "control", runtime, bad)
 
-        switched = runtime.begin_step()
-        if switched is not None:
-            log.switches.append((log.n_ticks - 1, switched))
-        log.append(t, positions, U, runtime.sigma_activity(positions))
-        for i in np.flatnonzero(pen):
-            log.add_event(t, "penetration", agent=runtime.bodies[i].id)
+            switched = runtime.begin_step()
+            if switched is not None:
+                log.switches.append((log.n_ticks - 1, switched))
+            log.append(t, positions, U, runtime.sigma_activity(positions))
+            for i in np.flatnonzero(pen):
+                log.add_event(t, "penetration", agent=runtime.bodies[i].id)
 
-        hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol)
-        if hits.pair_clearance.size:
-            min_pair = min(min_pair, float(hits.pair_clearance.min()))
-        if hits.obstacle_clearance is not None and hits.obstacle_clearance.size:
-            min_obstacle = min(min_obstacle, float(hits.obstacle_clearance.min()))
-        # each pair or agent is reported once, at its first overlapping tick
-        if len(hits.pairs):
-            new_pairs = hits.pairs[~pair_reported[hits.pairs[:, 0], hits.pairs[:, 1]]]
-            pair_reported[new_pairs[:, 0], new_pairs[:, 1]] = True
-            for a, b_ in new_pairs:
-                log.add_event(t, "collision", agents=[runtime.bodies[a].id, runtime.bodies[b_].id])
-        if len(hits.agents):
-            new_agents = hits.agents[~obstacle_reported[hits.agents]]
-            obstacle_reported[new_agents] = True
-            for i in new_agents:
-                log.add_event(t, "collision_obstacle", agent=runtime.bodies[i].id)
+            hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol)
+            if hits.pair_clearance.size:
+                min_pair = min(min_pair, float(hits.pair_clearance.min()))
+            if hits.obstacle_clearance is not None and hits.obstacle_clearance.size:
+                min_obstacle = min(min_obstacle, float(hits.obstacle_clearance.min()))
+            # each pair or agent is reported once, at its first overlapping tick
+            if len(hits.pairs):
+                new_pairs = hits.pairs[~pair_reported[hits.pairs[:, 0], hits.pairs[:, 1]]]
+                pair_reported[new_pairs[:, 0], new_pairs[:, 1]] = True
+                for a, b_ in new_pairs:
+                    log.add_event(t, "collision",
+                                  agents=[runtime.bodies[a].id, runtime.bodies[b_].id])
+            if len(hits.agents):
+                new_agents = hits.agents[~obstacle_reported[hits.agents]]
+                obstacle_reported[new_agents] = True
+                for i in new_agents:
+                    log.add_event(t, "collision_obstacle", agent=runtime.bodies[i].id)
 
-        if trace is not None:
-            trace.append(sum(agent_potential(c, positions[i])
-                             for i, c in enumerate(runtime.controllers)))
+            if trace is not None:
+                trace.append(sum(runtime.goal_potentials(positions)))
 
-        speeds = np.linalg.norm(U, axis=1)
-        inside = runtime.in_target(positions)
-        if success_kind == "converge" and ((inside & (speeds < v_eps)) | ~runtime.has_goal).all():
-            outcome = CONVERGED
-            break
-        slow_time, deadlocked = detect_deadlock(slow_time, speeds, ~inside, config, v_eps)
-        if deadlocked:
-            outcome = DEADLOCK
-            log.add_event(t, "deadlock")
-            break
-        if t >= config.t_max - 0.5 * config.dt:
-            if success_kind == "horizon" and _horizon_success(runtime, start_positions, positions):
+            speeds = np.linalg.norm(U, axis=1)
+            inside = runtime.in_target(positions)
+            if (success_kind == "converge"
+                    and ((inside & (speeds < v_eps)) | ~runtime.has_goal).all()):
                 outcome = CONVERGED
-            else:
-                outcome = TIMEOUT
-            break
+                break
+            slow_time, deadlocked = detect_deadlock(slow_time, speeds, ~inside, config, v_eps)
+            if deadlocked:
+                outcome = DEADLOCK
+                log.add_event(t, "deadlock")
+                break
+            if t >= config.t_max - 0.5 * config.dt:
+                if (success_kind == "horizon"
+                        and _horizon_success(runtime, start_positions, positions)):
+                    outcome = CONVERGED
+                else:
+                    outcome = TIMEOUT
+                break
 
-        try:
-            positions = step(runtime, positions, config, k1=U)
-        except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
-            log.add_event(t, "error", message=str(exc))
-            raise SimulationError(f"integration failed at t={t:g}: {exc}") from exc
-        t += config.dt
+            try:
+                positions = step(runtime, positions, config, k1=U)
+            except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
+                log.add_event(t, "error", message=str(exc))
+                raise SimulationError(f"integration failed at t={t:g}: {exc}", log) from exc
+            t += config.dt
 
     log.outcome = COLLISION if pair_reported.any() or obstacle_reported.any() else outcome
 

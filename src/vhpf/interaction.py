@@ -8,13 +8,15 @@ circulates the same way, which is what lets jams unwind instead of locking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .world import ConfigError, GridSpec
+from .world import ConfigError, GridSpec, axis_norms, require_finite
 
 LINEAR = "linear"
 SINUSOIDAL = "sinusoidal"
@@ -28,6 +30,10 @@ SPRING_MODE = "spring"
 CCW = "ccw"
 CW = "cw"
 
+# rel turned by 90 degrees: rel[::-1] times these is (-y, x) for ccw, (y, -x) for cw
+_CCW_TURN = np.array([-1.0, 1.0])
+_CW_TURN = np.array([1.0, -1.0])
+
 
 @dataclass(frozen=True)
 class WeightProfile:
@@ -40,6 +46,7 @@ class WeightProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ConfigError(f"unknown weight profile kind {self.kind!r}")
+        require_finite("weight profile", delta=self.delta, beta=self.beta)
         if self.delta <= 0:
             raise ConfigError(f"profile width must be positive, got {self.delta}")
         if self.kind == EXPONENTIAL and not 0 < self.beta < 1:
@@ -57,6 +64,7 @@ class InteractionParams:
     axis: tuple = (0.0, 0.0, 1.0)  # circulation axis, 3-D only
 
     def __post_init__(self):
+        require_finite("interaction", kr=self.kr, kt=self.kt, axis=self.axis)
         if self.kr < 0 or self.kt < 0:
             raise ConfigError("interaction gains must be non-negative")
         if self.mode not in (UNIT_MODE, SPRING_MODE):
@@ -73,6 +81,7 @@ class ObstacleRepulsionParams:
     influence: float = 0.25
 
     def __post_init__(self):
+        require_finite("obstacle repulsion", strength=self.strength, influence=self.influence)
         if self.influence <= 0:
             raise ConfigError(f"repulsion influence distance must be positive, got {self.influence}")
         if self.strength < 0:
@@ -97,8 +106,11 @@ def interaction_weights(r, contact, profile: WeightProfile):
     its literal step factors and vanishes there instead, which is a second
     jump, at contact.
     """
-    r = np.asarray(r, float)
-    s = r - contact
+    return gap_weights(np.asarray(r, float) - contact, profile)
+
+
+def gap_weights(s, profile: WeightProfile):
+    """`interaction_weights` of the surface gap s = r - contact."""
     d = profile.delta
     if profile.kind == SPRING:
         w = np.where((s >= 0) & (s < d), 1.0 - s / d, 0.0)
@@ -134,19 +146,19 @@ def weight_can_jump(profile: WeightProfile, radii, reach=None) -> bool:
     return narrow is not None and bool(np.any(narrow))
 
 
-def _jump_inner(w, dist, contact, profile: WeightProfile, radii, reach):
-    """(L, L) mask of the pairs on the inner side of a boundary where their
-    weight jumps: it changes between two snapshots exactly when a pair
-    crosses such a boundary."""
+def _jump_inner(w, gap, profile: WeightProfile, narrow_rows):
+    """Flags of the directed pairs on the inner side of a boundary where their
+    weight jumps: a flag changes between two snapshots exactly when its pair
+    crosses such a boundary. `narrow_rows` flags each pair whose agent has a
+    narrow ring (None when no agent has one)."""
     if profile.kind == EXPONENTIAL:
         return w > 0                # the edge, and any narrower ring, cut a positive weight
     if profile.kind == SPRING:
-        inner = dist < contact      # the contact step; the outer edge is continuous
+        inner = gap < 0             # the contact step; the outer edge is continuous
     else:
         inner = np.zeros(w.shape, dtype=bool)
-    narrow = _narrow_rings(radii, reach, profile)
-    if narrow is not None and narrow.any():
-        inner[narrow] = w[narrow] > 0
+    if narrow_rows is not None:
+        inner = np.where(narrow_rows, w > 0, inner)
     return inner
 
 
@@ -154,8 +166,103 @@ def _jump_inner(w, dist, contact, profile: WeightProfile, radii, reach):
 # Pair force
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def pair_index(n: int) -> np.ndarray:
+    """(2, n (n - 1) / 2) read-only array of the pairs i < j (first row i,
+    second row j) in np.triu_indices order. Cached: building it costs more
+    than a small group's whole pair pass."""
+    pairs = np.array(np.triu_indices(n, k=1))
+    pairs.flags.writeable = False
+    return pairs
+
+
+class NearPairs(NamedTuple):
+    """The pairs of one snapshot whose surface gap is at most delta, each in
+    both directions: the first half acts on j of each pair i < j, the second
+    half on its i, both halves in pair-table order."""
+
+    rows: np.ndarray        # the agent acted on
+    cols: np.ndarray        # its partner
+    rel: np.ndarray         # (2 n, dim): x_row - x_col
+    dist: np.ndarray
+    gap: np.ndarray         # dist - (radius_row + radius_col)
+    weight: np.ndarray      # gap_weights(gap), before any ring cut
+
+
+def pair_gaps(positions, radii):
+    """One pass over the pair table: (i, j, rel, dist, gap) for every pair
+    i < j in pair-table order, with rel = x_i - x_j, dist = |rel| and the
+    surface gap dist - (radius_i + radius_j). Distances are the same
+    floating-point sums as a dense `np.linalg.norm(rel, axis=-1)`: squares
+    added left to right."""
+    index = pair_index(len(positions))
+    i, j = index[0], index[1]
+    rel = positions.take(i, axis=0) - positions.take(j, axis=0)
+    dist = axis_norms(rel)
+    return i, j, rel, dist, dist - (radii.take(i) + radii.take(j))
+
+
+def near_pairs(positions, radii, profile: WeightProfile) -> NearPairs:
+    """The pairs of a snapshot whose gap dist - contact is at most the
+    profile width delta, with their weights.
+
+    Every weight profile is exactly zero at a larger gap (`gap_weights`), so
+    the pairs left out carry no weight, no force and no switch: the cut-off
+    is exact, not an approximation.
+    """
+    i, j, rel, dist, gap = pair_gaps(positions, radii)
+    near = np.flatnonzero(gap <= profile.delta)
+    if not len(near):
+        none = dist[:0]
+        return NearPairs(i[:0], j[:0], rel[:0], none, none, none)
+    if len(near) < len(gap):
+        rel = rel.take(near, axis=0)
+        dist = dist.take(near)
+        gap = gap.take(near)
+        i, j = i.take(near), j.take(near)
+    gap = np.concatenate([gap, gap])
+    # x_j - x_i is the exact negation of x_i - x_j
+    return NearPairs(np.concatenate([j, i]), np.concatenate([i, j]), np.concatenate([-rel, rel]),
+                     np.concatenate([dist, dist]), gap, gap_weights(gap, profile))
+
+
+def _row_sums(rows, cols, values, n: int) -> np.ndarray:
+    """Row sums of the (n, n) matrix holding `values` at (rows, cols) and
+    zeros elsewhere, bit for bit equal to its dense `.sum(axis=1)`.
+
+    NumPy sums a contiguous row pairwise, not left to right, which matters
+    once a row holds three or more non-zero terms; those rows are summed as
+    dense rows of their own. Up to two, every order gives the same sum.
+    """
+    total = np.bincount(rows, values, minlength=n)
+    live = values != 0
+    if np.count_nonzero(live) < 3:
+        return total
+    many = np.flatnonzero(np.bincount(rows[live], minlength=n) > 2)
+    if len(many):
+        slot = np.full(n, -1)
+        slot[many] = np.arange(len(many))
+        pick = slot[rows] >= 0
+        dense = np.zeros((len(many), n))
+        dense[slot[rows[pick]], cols[pick]] = values[pick]
+        total[many] = dense.sum(axis=1)
+    return total
+
+
+def sigma_activity(positions, radii, profile: WeightProfile, pairs=None) -> np.ndarray:
+    """Per-agent sum of the interaction weights against all other agents
+    (no sensing-ring cut), summed over the near pairs only: the weight of
+    every other pair is exactly zero. The sums equal those of the dense
+    (L, L) weight matrix bit for bit (see `_row_sums`). `pairs` is the
+    snapshot's `near_pairs` when the caller already has them."""
+    pos = np.asarray(positions, float)
+    if pairs is None:
+        pairs = near_pairs(pos, np.asarray(radii, float), profile)
+    return _row_sums(pairs.rows, pairs.cols, pairs.weight, len(pos))
+
+
 def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,
-               suppressed=None, reach=None, switch_key=False):
+               suppressed=None, reach=None, switch_key=False, pairs=None):
     """Summed pair forces for all agents at once.
 
     The force on agent i from agent j is w * (kr * radial + kt * circ),
@@ -167,67 +274,84 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
 
     positions: (L, dim); radii: (L,). Rows listed in `suppressed` get a zero
     sum (their presence still acts on everyone else). When `reach` is given,
-    row i only feels agents whose bodies intersect its sensing ring.
-    Summation runs in agent index order, so results are reproducible bit for
-    bit. A pair at numerically the same point (an upstream-prevented
-    degenerate case) has no direction and contributes nothing to either agent.
+    row i only feels agents whose bodies intersect its sensing ring. A pair
+    at numerically the same point (an upstream-prevented degenerate case)
+    has no direction and contributes nothing to either agent.
+
+    Only the pairs from `near_pairs` are evaluated: every other weight is
+    exactly zero, so past the one pass that finds them the cost follows the
+    number of pairs in range. Each agent's forces are summed in increasing
+    partner index, the left-to-right order in which NumPy sums the partner
+    axis of a dense (L, L, dim) array, so the result equals that dense sum
+    bit for bit, the sign of a zero sum included.
 
     With `switch_key`, returns (forces, key): key is an (L, L) boolean mask,
     taken from the same weights, of the pairs on the inner side of a
     boundary where their weight jumps (see `weight_can_jump`). Agent i's pair
     force switches discontinuously between two snapshots exactly when row i
     of their keys differs. Suppressed rows never switch.
+
+    `pairs` is the snapshot's `near_pairs` when the caller already has them.
     """
     pos = np.asarray(positions, float)
+    radii = np.asarray(radii, float)
     L, dim = pos.shape
-    if L < 2:
-        zeros = np.zeros_like(pos)
-        return (zeros, np.zeros((L, L), dtype=bool)) if switch_key else zeros
-    rel = pos[:, None, :] - pos[None, :, :]
-    dist = np.linalg.norm(rel, axis=2)
-    contact = np.add.outer(radii, radii)
-    w = interaction_weights(dist, contact, profile)
-    np.fill_diagonal(w, 0.0)
-    w = np.where(dist < 1e-12, 0.0, w)
-    if reach is not None:
-        in_ring = dist <= np.asarray(reach, float)[:, None] + np.asarray(radii, float)[None, :]
-        w = np.where(in_ring, w, 0.0)
+    if pairs is None:
+        pairs = near_pairs(pos, radii, profile)
+    rows, cols, rel, dist, gap, w = pairs
+    total = np.zeros((L, dim))
+    if len(rows):
+        # a coincident pair has no direction; a partner outside the ring is unseen
+        keep = dist >= 1e-12
+        if reach is not None:
+            keep &= dist <= np.asarray(reach, float).take(rows) + radii.take(cols)
+        w = w * keep
+        force = _pair_force_terms(rel, dist, w, params)
+        force *= w[:, None]
+        for a in range(dim):
+            total[:, a] = np.bincount(rows, force[:, a], minlength=L)
+        if suppressed:
+            total[list(suppressed)] = 0.0
+    if not switch_key:
+        return total
 
-    if dim == 2:
-        tan = np.stack([-rel[..., 1], rel[..., 0]], axis=-1)
+    narrow = _narrow_rings(radii, reach, profile)
+    if narrow is not None and not np.count_nonzero(narrow):
+        narrow = None
+    key = np.zeros((L, L), dtype=bool)
+    key[rows, cols] = _jump_inner(w, gap, profile, None if narrow is None else narrow.take(rows))
+    if profile.kind == SPRING:
+        # an agent is at distance 0 < contact from itself: inside the step,
+        # unless its narrow ring cuts the zero self-weight
+        key.flat[::L + 1] = True if narrow is None else ~narrow
+    if suppressed:
+        key[list(suppressed)] = False
+    return total, key
+
+
+def _pair_force_terms(rel, dist, w, params: InteractionParams):
+    """kr * radial + kt * circ for each directed pair; w > 0 marks the pairs
+    whose 3-D circulating direction must not vanish."""
+    if rel.shape[1] == 2:
+        tan = rel[:, ::-1] * (_CW_TURN if params.circulation == CW else _CCW_TURN)
     else:
         tan = np.cross(np.asarray(params.axis, float), rel)
         # rel parallel to the axis: cross with x instead, and with y if rel
         # is parallel to x as well
         for fallback in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-            bad = (np.linalg.norm(tan, axis=2) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
-            if not np.any(bad):
+            bad = (np.linalg.norm(tan, axis=1) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
+            if not np.count_nonzero(bad):
                 break
             tan[bad] = np.cross(np.array(fallback), rel[bad])
-    if params.circulation == CW:
-        tan = -tan
-
+        if params.circulation == CW:
+            tan = -tan
     if params.mode == UNIT_MODE:
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = np.where(dist > 0, 1.0 / dist, 0.0)
-            tnorm = np.linalg.norm(tan, axis=2)
+            tnorm = np.linalg.norm(tan, axis=1)
             tinv = np.where(tnorm > 0, 1.0 / tnorm, 0.0)
-        radial = rel * inv[..., None]
-        circ = tan * tinv[..., None]
-    else:
-        radial = rel
-        circ = tan
-
-    force = w[..., None] * (params.kr * radial + params.kt * circ)
-    total = force.sum(axis=1)
-    if suppressed:
-        total[list(suppressed)] = 0.0
-    if not switch_key:
-        return total
-    key = _jump_inner(w, dist, contact, profile, radii, reach)
-    if suppressed:
-        key[list(suppressed)] = False
-    return total, key
+        return params.kr * (rel * inv[:, None]) + params.kt * (tan * tinv[:, None])
+    return params.kr * rel + params.kt * tan
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +370,9 @@ class KnownBoundaryIndex:
         idx = np.array(sorted(cells), dtype=float).reshape(-1, grid.dim)
         self.centers = np.asarray(grid.origin) + (idx + 0.5) * grid.h
         self.half = grid.h / 2.0
+        # each cell box's lower and upper corner
+        self.box_lo = self.centers - self.half
+        self.box_hi = self.centers + self.half
         self.tree = cKDTree(self.centers) if len(self.centers) else None
 
     def __len__(self):
@@ -260,18 +387,19 @@ class KnownBoundaryIndex:
         k = min(4, len(self.centers))
         _, ii = self.tree.query(X, k=k)
         ii = ii.reshape(L, k)
-        cand = self.centers[ii]  # (L, k, dim)
-        near = np.clip(X[:, None, :], cand - self.half, cand + self.half)
-        vec = X[:, None, :] - near
-        d = np.linalg.norm(vec, axis=2)
-        best = np.argmin(d, axis=1)
+        # each point's offset from its nearest spot on each candidate box (L, k, dim)
+        Xk = X[:, None, :]
+        vec = Xk - np.minimum(np.maximum(Xk, self.box_lo.take(ii, axis=0)),
+                             self.box_hi.take(ii, axis=0))
+        d = axis_norms(vec)
+        best = d.argmin(axis=1)
         rows = np.arange(L)
         dist = d[rows, best]
         normal = vec[rows, best]
         inside = dist < 1e-12
-        if np.any(inside):
+        if inside.any():
             # point sits inside the cell box: fall back to the center direction
-            centers = cand[rows, best]
+            centers = self.centers[ii[rows, best]]
             alt = X - centers
             alt_n = np.linalg.norm(alt, axis=1)
             for i in np.where(inside)[0]:
@@ -280,8 +408,7 @@ class KnownBoundaryIndex:
                 else:
                     normal[i] = np.eye(X.shape[1])[0]
             dist[inside] = 0.0
-        ok = ~inside & (dist > 0)
-        normal[ok] = normal[ok] / dist[ok, None]
+        np.divide(normal, dist[:, None], out=normal, where=dist[:, None] > 0)
         return dist, normal
 
 
@@ -298,7 +425,7 @@ def repulsion_batch(points, radii, index: KnownBoundaryIndex,
     dist, normal = index.clearance_normal(X)
     d = dist - np.asarray(radii, float)
     active = d < params.influence
-    mag = np.where(active, params.strength * (1.0 - np.clip(d, 0.0, None) / params.influence) ** 2, 0.0)
+    mag = np.where(active, params.strength * (1.0 - np.maximum(d, 0.0) / params.influence) ** 2, 0.0)
     return mag[:, None] * normal, d < 0
 
 

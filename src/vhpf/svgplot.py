@@ -32,9 +32,10 @@ class _Mapper:
         self.height = span[1] * self.scale + 2 * _MARGIN
 
     def to_px(self, p):
-        p = np.asarray(p, float)[:2]
-        x = _MARGIN + (p[0] - self.lo[0]) * self.scale
-        y = self.height - _MARGIN - (p[1] - self.lo[1]) * self.scale
+        """Pixel coordinates (x, y) of a point, or arrays of them for (T, dim) points."""
+        p = np.asarray(p, float)
+        x = _MARGIN + (p[..., 0] - self.lo[0]) * self.scale
+        y = self.height - _MARGIN - (p[..., 1] - self.lo[1]) * self.scale
         return x, y
 
 
@@ -81,7 +82,10 @@ def render(ws_lo, ws_hi, obstacles, trajectories, bodies, out_path):
         color = color_for(aid)
         pts = np.asarray(trajectories[aid], float)
         if len(pts):
-            coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (m.to_px(p) for p in pts))
+            xs, ys = m.to_px(pts)
+            # one %-format over all points; "%.3f" formats like _fmt
+            flat = np.column_stack([xs, ys]).ravel().tolist()
+            coords = " ".join(["%.3f,%.3f"] * len(pts)) % tuple(flat)
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"/>'
             )

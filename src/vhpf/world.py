@@ -8,7 +8,7 @@ the raster that touch free space along a grid axis.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +17,26 @@ from scipy.spatial import cKDTree
 
 class ConfigError(ValueError):
     """Invalid workspace, agent, or scenario configuration."""
+
+
+def require_finite(owner: str, **values) -> None:
+    """Raise ConfigError unless every given value (a number or a sequence of
+    numbers; None is skipped) is finite. An overflowing literal such as 1e999
+    parses to infinity, which no comparison-based range check rejects."""
+    for name, value in values.items():
+        if value is None:
+            continue
+        try:
+            if isinstance(value, np.ndarray):
+                finite = all(map(math.isfinite, value.ravel().tolist()))
+            elif isinstance(value, (tuple, list)):
+                finite = all(map(math.isfinite, value))
+            else:
+                finite = math.isfinite(value)
+        except TypeError:
+            raise ConfigError(f"{owner}: {name} must be numeric, got {value!r}") from None
+        if not finite:
+            raise ConfigError(f"{owner}: {name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -35,17 +55,22 @@ class Box:
             raise ConfigError("box corners must have equal dimension")
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ConfigError(f"degenerate box {self.lo}..{self.hi}")
+        # the corners as arrays, made once: every audited tick measures against them
+        corners = (np.asarray(self.lo, float), np.asarray(self.hi, float))
+        for c in corners:
+            c.flags.writeable = False
+        object.__setattr__(self, "_corners", corners)
 
     @property
     def bbox(self):
-        return np.asarray(self.lo, float), np.asarray(self.hi, float)
+        return self._corners[0].copy(), self._corners[1].copy()
 
     def signed_distance(self, points):
         """Signed distance from points (..., dim); negative inside."""
         p = np.asarray(points, float)
-        lo, hi = self.bbox
+        lo, hi = self._corners
         q = np.maximum(lo - p, p - hi)
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+        outside = axis_norms(np.maximum(q, 0.0))
         inside = np.minimum(q.max(axis=-1), 0.0)
         return outside + inside
 
@@ -198,7 +223,9 @@ class Workspace:
         p = np.asarray(points, float)
         if not self.obstacles:
             return np.full(p.shape[:-1], np.inf) if p.ndim > 1 else np.inf
-        d = np.min([ob.signed_distance(p) for ob in self.obstacles], axis=0)
+        d = self.obstacles[0].signed_distance(p)
+        for ob in self.obstacles[1:]:
+            d = np.minimum(d, ob.signed_distance(p))
         return d
 
     def bounds_clearance(self, points):
@@ -229,6 +256,8 @@ class AgentBody:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, float).copy()
+        require_finite(f"agent {self.id}", x=self.x, radius=self.radius,
+                       ring_width=self.ring_width, goal=self.goal, r_target=self.r_target)
         if self.radius <= 0:
             raise ConfigError(f"agent {self.id}: body radius must be positive")
         if self.ring_width <= 0:
@@ -318,10 +347,39 @@ def validate_scenario(ws: Workspace, agents) -> list:
                 violations.append(f"agent {a.id}: unattainable target (outside bounds)")
             if ws.obstacles and ws.obstacle_clearance(a.goal) < a.r_target - tol:
                 violations.append(f"agent {a.id}: unattainable target (inside an obstacle)")
-    for a, b in itertools.combinations(agents, 2):
-        if np.linalg.norm(a.x - b.x) < a.radius + b.radius - tol:
+    if len(agents) < 2:
+        return violations
+    # every pair at once; an agent without a goal gets NaN, which conflicts with nothing
+    i, j = np.triu_indices(len(agents), k=1)
+    x = np.array([a.x for a in agents])
+    radius = np.array([a.radius for a in agents])
+    goal = np.array([np.full(x.shape[1], np.nan) if a.goal is None else a.goal for a in agents])
+    r_target = np.array([np.nan if a.goal is None else a.r_target for a in agents])
+    overlap = row_norms(x[i] - x[j]) < radius[i] + radius[j] - tol
+    conflict = row_norms(goal[i] - goal[j]) < r_target[i] + r_target[j] - tol
+    for k in np.flatnonzero(overlap | conflict):
+        a, b = agents[i[k]], agents[j[k]]
+        if overlap[k]:
             violations.append(f"agents {a.id},{b.id}: bodies overlap at start")
-        if a.goal is not None and b.goal is not None:
-            if np.linalg.norm(a.goal - b.goal) < a.r_target + b.r_target - tol:
-                violations.append(f"agents {a.id},{b.id}: conflicting targets")
+        if conflict[k]:
+            violations.append(f"agents {a.id},{b.id}: conflicting targets")
     return violations
+
+
+def axis_norms(v):
+    """Euclidean length along the last axis of v (dim 2 or more), with the
+    bits of `np.linalg.norm(v, axis=-1)`: the squares added left to right,
+    without the wrapper's cost."""
+    sq = v * v
+    s = sq[..., 0] + sq[..., 1]
+    for a in range(2, sq.shape[-1]):
+        s += sq[..., a]
+    return np.sqrt(s)
+
+
+def row_norms(d):
+    """Euclidean length of each row of d, (..., dim) -> (...), with the bits
+    of the 1-D `np.linalg.norm` of that row: the square root of a matrix
+    product. Summing the squares along an axis can differ in the last bit."""
+    d = np.asarray(d, float)
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])

@@ -1,5 +1,6 @@
 """Shared oracles for the test-suite: dense linear solves, random workspaces,
-and a scalar, one-pair-at-a-time evaluation of the pair force."""
+a scalar, one-pair-at-a-time evaluation of the pair force, and the dense
+all-pairs evaluation of the pair forces and weight sums."""
 
 import itertools
 
@@ -7,7 +8,15 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from vhpf.harmonic import FREE, ScalarGridField
-from vhpf.interaction import CW, UNIT_MODE, InteractionParams, WeightProfile, interaction_weights
+from vhpf.interaction import (
+    CW,
+    EXPONENTIAL,
+    SPRING,
+    UNIT_MODE,
+    InteractionParams,
+    WeightProfile,
+    interaction_weights,
+)
 from vhpf.world import AgentBody, Ball, Box, ConfigError, Workspace
 
 
@@ -184,3 +193,93 @@ def neighbors(agent: AgentBody, bodies) -> list:
         if np.linalg.norm(agent.x - other.x) <= agent.reach + other.radius:
             out.append(other)
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense all-pairs oracle for interaction.crf_forces and sigma_activity
+# ---------------------------------------------------------------------------
+
+def _dense_jump_inner(w, dist, contact, profile: WeightProfile, radii, reach):
+    """(L, L) mask of the pairs on the inner side of a boundary where their
+    weight jumps."""
+    if profile.kind == EXPONENTIAL:
+        return w > 0
+    if profile.kind == SPRING:
+        inner = dist < contact
+    else:
+        inner = np.zeros(w.shape, dtype=bool)
+    if reach is not None:
+        narrow = np.asarray(reach, float) < np.asarray(radii, float) + profile.delta
+        if narrow.any():
+            inner[narrow] = w[narrow] > 0
+    return inner
+
+
+def dense_crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,
+                     suppressed=None, reach=None, switch_key=False):
+    """The pair forces from dense (L, L, dim) arrays: every ordered pair is
+    evaluated and each row is summed over all partners in index order.
+    Returns what `crf_forces` returns, bit for bit."""
+    pos = np.asarray(positions, float)
+    L, dim = pos.shape
+    if L < 2:
+        zeros = np.zeros_like(pos)
+        return (zeros, np.zeros((L, L), dtype=bool)) if switch_key else zeros
+    rel = pos[:, None, :] - pos[None, :, :]
+    dist = np.linalg.norm(rel, axis=2)
+    contact = np.add.outer(radii, radii)
+    w = interaction_weights(dist, contact, profile)
+    np.fill_diagonal(w, 0.0)
+    w = np.where(dist < 1e-12, 0.0, w)
+    if reach is not None:
+        in_ring = dist <= np.asarray(reach, float)[:, None] + np.asarray(radii, float)[None, :]
+        w = np.where(in_ring, w, 0.0)
+
+    if dim == 2:
+        tan = np.stack([-rel[..., 1], rel[..., 0]], axis=-1)
+    else:
+        tan = np.cross(np.asarray(params.axis, float), rel)
+        for fallback in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+            bad = (np.linalg.norm(tan, axis=2) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
+            if not np.any(bad):
+                break
+            tan[bad] = np.cross(np.array(fallback), rel[bad])
+    if params.circulation == CW:
+        tan = -tan
+
+    if params.mode == UNIT_MODE:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(dist > 0, 1.0 / dist, 0.0)
+            tnorm = np.linalg.norm(tan, axis=2)
+            tinv = np.where(tnorm > 0, 1.0 / tnorm, 0.0)
+        radial = rel * inv[..., None]
+        circ = tan * tinv[..., None]
+    else:
+        radial = rel
+        circ = tan
+
+    force = w[..., None] * (params.kr * radial + params.kt * circ)
+    total = force.sum(axis=1)
+    if suppressed:
+        total[list(suppressed)] = 0.0
+    if not switch_key:
+        return total
+    key = _dense_jump_inner(w, dist, contact, profile, radii, reach)
+    if suppressed:
+        key[list(suppressed)] = False
+    return total, key
+
+
+def dense_sigma_activity(positions, radii, profile: WeightProfile) -> np.ndarray:
+    """Per-agent sum of the interaction weights against all other agents,
+    from the dense (L, L) weight matrix."""
+    positions = np.asarray(positions, float)
+    L = len(positions)
+    if L < 2:
+        return np.zeros(L)
+    rel = positions[:, None, :] - positions[None, :, :]
+    dist = np.linalg.norm(rel, axis=2)
+    contact = np.add.outer(radii, radii)
+    w = interaction_weights(dist, contact, profile)
+    np.fill_diagonal(w, 0.0)
+    return w.sum(axis=1)

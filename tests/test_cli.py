@@ -74,6 +74,26 @@ def test_nan_gain_never_reads_as_converged(tmp_path):
     assert code == 5
 
 
+SENTINEL = 123456.789
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["crf"].update(kr=SENTINEL),
+    lambda d: d["agents"][0]["control"].update(gain=SENTINEL),
+    lambda d: d["profile"].update(delta=SENTINEL),
+], ids=["kr", "gain", "delta"])
+def test_overflowing_number_is_config_error(tmp_path, edit):
+    path = _case1_file(tmp_path, edit)
+    # json parses 1e999 as infinity without calling parse_constant
+    path.write_text(path.read_text().replace(repr(SENTINEL), "1e999"))
+    assert run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")]) == 5
+
+
+def test_overflowing_state_exits_one(tmp_path):
+    path = _case1_file(tmp_path, lambda d: d["agents"][0]["control"].update(gain=1e300))
+    assert run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")]) == 1
+
+
 def test_sweep_single_cell_matches_direct_run(tmp_path):
     out_csv = tmp_path / "sweep.csv"
     assert run_cli(["sweep-delta", "case1", "--deltas", "1.5",

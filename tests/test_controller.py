@@ -206,3 +206,12 @@ def test_controller_validation():
         AgentController(agent_id=1, goal_kind=CONSTANT_DRIFT)
     with pytest.raises(ConfigError):
         AgentController(agent_id=1, goal_kind=HARMONIC_GOAL)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["gain", "cruise", "drift", "slow_radius"])
+def test_controller_rejects_non_finite_numbers(field, value):
+    args = {"gain": 1.0, "cruise": 1.0, "drift": np.array([1.0, 0.0]), "slow_radius": 0.5}
+    args[field] = np.array([value, 0.0]) if field == "drift" else value
+    with pytest.raises(ConfigError, match=field):
+        AgentController(agent_id=1, goal_kind=CONSTANT_DRIFT, **args)

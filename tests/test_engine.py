@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from vhpf import engine, scenarios
-from vhpf.controller import SPRING_GOAL
+from vhpf import engine, scenarios, svgplot
+from vhpf.controller import SPRING_GOAL, goal_term
 from vhpf.engine import (
     COLLISION,
     CONVERGED,
     DEADLOCK,
     TIMEOUT,
+    Runtime,
     SimConfig,
+    SimulationError,
     TrajectoryLog,
     collision_audit,
     curvature_profile,
@@ -477,6 +480,19 @@ def test_potential_zero_when_parked_at_goals():
     assert engine.agent_potential(rt.controllers[0], np.array([4.0, 0.0])) == 0.0
 
 
+@pytest.mark.parametrize("name", ["case4_malfunction", "case5_lanes", "case7_unknown"])
+def test_group_goal_terms_and_potentials_match_each_agent(name):
+    rt = build_runtime(builtin(name))
+    rng = np.random.default_rng(5)
+    pos = rt.positions() + rng.uniform(-0.5, 0.5, size=(rt.n_agents, rt.dim))
+    U = rt.goal_terms(pos)
+    potentials = rt.goal_potentials(pos)
+    for i, c in enumerate(rt.controllers):
+        assert U[i].tobytes() == goal_term(c, pos[i]).tobytes()
+        want = engine.agent_potential(c, pos[i])
+        assert potentials[i] == want and type(potentials[i]) is type(want)
+
+
 def test_single_agent_descent_is_monotone():
     log, metrics = run(single_agent_spec())
     trace = np.asarray(metrics.potential_trace)
@@ -517,6 +533,63 @@ def test_log_rejects_nonincreasing_time():
     log.append(0.0, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1))
     with pytest.raises(ValueError):
         log.append(0.0, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1))
+
+
+def test_csv_rows_are_the_reprs_of_the_logged_values(tmp_path):
+    log, _ = run(builtin("case4_malfunction"), SimConfig(dt=0.01, t_max=0.3))
+    csv_path = tmp_path / "traj.csv"
+    log.write_csv(csv_path)
+    want = []
+    for k, t in enumerate(log.times):
+        for i, aid in enumerate(log.agent_ids):
+            row = [repr(float(t)), str(aid)]
+            row += [repr(float(v)) for v in log.positions[k][i]]
+            row += [repr(float(v)) for v in log.controls[k][i]]
+            row.append(repr(float(log.sigma_activity[k][i])))
+            want.append(",".join(row))
+    assert csv_path.read_text().splitlines()[1:] == want
+
+
+def test_svg_tracks_map_each_point_like_a_single_point(tmp_path):
+    rng = np.random.default_rng(2)
+    track = rng.uniform(-10.0, 10.0, size=(50, 2))
+    out = tmp_path / "plot.svg"
+    svgplot.render((-10.0, -10.0), (10.0, 10.0), [], {1: track}, {}, out)
+    mapper = svgplot._Mapper((-10.0, -10.0), (10.0, 10.0))
+    points = " ".join(f"{svgplot._fmt(x)},{svgplot._fmt(y)}"
+                      for x, y in (mapper.to_px(p) for p in track))
+    assert f'<polyline points="{points}"' in out.read_text()
+
+
+def test_non_finite_control_is_an_error_not_a_timeout(monkeypatch):
+    build = scenarios.build_runtime
+
+    def with_inf_gain(spec):
+        rt = build(spec)
+        rt.controllers[0].gain = math.inf   # set past the controller's own check
+        return Runtime(rt.ws, rt.bodies, rt.controllers, rt.params, rt.profile,
+                       rt.repulsion, rt.success, rt.config)
+
+    monkeypatch.setattr(scenarios, "build_runtime", with_inf_gain)
+    with pytest.raises(SimulationError) as err:
+        run(builtin("case1"), SimConfig(dt=0.01, t_max=0.5))
+    event = err.value.log.events[-1]
+    assert event["kind"] == "error" and event["agents"] == [1] and event["t"] == 0.0
+    assert "non-finite control" in event["message"]
+    assert err.value.log.outcome is None
+
+
+def test_overflowing_state_is_an_error_not_a_timeout():
+    spec = builtin("case1")
+    first = spec.agents[0]
+    huge = dataclasses.replace(first, control=dataclasses.replace(first.control, gain=1e300))
+    spec = dataclasses.replace(spec, agents=(huge,) + spec.agents[1:],
+                               sim=SimConfig(dt=0.01, t_max=0.5))
+    with pytest.raises(SimulationError) as err:
+        run(spec)
+    event = err.value.log.events[-1]
+    assert event["kind"] == "error" and "non-finite position" in event["message"]
+    assert np.isfinite(err.value.log.position_array()).all()
 
 
 def test_log_csv_and_events_roundtrip(tmp_path):

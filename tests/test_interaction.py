@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CoincidentCentersError,
+    dense_crf_forces,
+    dense_sigma_activity,
     neighbors,
     pair_force,
     radial_direction,
@@ -31,6 +35,7 @@ from vhpf.interaction import (
     crf_forces,
     interaction_weights,
     repulsion_batch,
+    sigma_activity,
     weight_can_jump,
 )
 from vhpf.world import AgentBody, Box, ConfigError, GridSpec, KnowledgeMap, Workspace
@@ -329,6 +334,94 @@ def test_switch_key_leaves_forces_unchanged():
                              switch_key=True)
     assert np.array_equal(plain, forces)
     assert key.shape == (6, 6) and key.any() and not key[2].any()
+
+
+@st.composite
+def pair_layouts(draw):
+    """Crowded layouts that hit every branch of the pair pass: lattice
+    coordinates (so pairs line up with the circulation axis and with x),
+    coincident and exactly touching pairs, narrow and wide rings, mixed radii
+    and suppressed rows."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 40))
+    side = draw(st.sampled_from([2, 6, 16]))
+    cells = draw(st.lists(st.lists(st.integers(-side, side), min_size=dim, max_size=dim),
+                          min_size=n, max_size=n))
+    pos = np.array(cells, float) * 0.5
+    if draw(st.booleans()):
+        pos += np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n * dim,
+                                      max_size=n * dim))).reshape(n, dim)
+    radii = np.array(draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n)))
+    # place agent a relative to agent b: on top of it, touching it, or a
+    # lattice step away, along one coordinate axis
+    for a, b, place, k in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1),
+            st.sampled_from(["coincident", "touching", "aligned"]), st.integers(0, dim - 1)),
+            min_size=1, max_size=6)):
+        pos[a] = pos[b]
+        if a != b and place == "touching":
+            pos[a, k] += radii[a] + radii[b]
+        elif a != b and place == "aligned":
+            pos[a, k] += draw(st.sampled_from([0.5, 1.5, 2.5]))
+    ring = np.array(draw(st.lists(st.sampled_from([0.4, 1.5, 3.0]), min_size=n, max_size=n)))
+    reach = None if draw(st.booleans()) else radii + ring
+    suppressed = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    profile = WeightProfile(draw(st.sampled_from([LINEAR, SINUSOIDAL, EXPONENTIAL, SPRING])),
+                            delta=draw(st.sampled_from([0.5, 1.5, 2.5])),
+                            beta=draw(st.sampled_from([0.05, 0.3])))
+    params = InteractionParams(kr=draw(st.sampled_from([0.0, 2.0, 0.7])),
+                               kt=draw(st.sampled_from([0.0, 1.0, 1.3])),
+                               mode=draw(st.sampled_from([UNIT_MODE, SPRING_MODE])),
+                               circulation=draw(st.sampled_from([CCW, CW])),
+                               axis=draw(st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                                                          (0.0, 1.0, 0.0), (0.6, 0.0, 0.8)])))
+    return pos, radii, reach, suppressed, profile, params
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pair_layouts())
+def test_pair_pass_is_bit_identical_to_dense_oracle(layout):
+    pos, radii, reach, suppressed, profile, params = layout
+    forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
+                             switch_key=True)
+    want_forces, want_key = dense_crf_forces(pos, radii, params, profile,
+                                             suppressed=suppressed, reach=reach, switch_key=True)
+    assert forces.tobytes() == want_forces.tobytes()
+    assert key.tobytes() == want_key.tobytes()
+    plain = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach)
+    assert plain.tobytes() == want_forces.tobytes()
+    sigma = sigma_activity(pos, radii, profile)
+    assert sigma.tobytes() == dense_sigma_activity(pos, radii, profile).tobytes()
+
+
+def test_weight_sums_of_crowded_rows_match_dense_pairwise_sums():
+    # five partners in range of agent 0: NumPy sums a dense row pairwise, so
+    # a left-to-right sum of these weights can differ in the last bit
+    angles = np.linspace(0.0, 2.0 * np.pi, 6)[:-1]
+    pos = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)]) * 2.6])
+    pos[1:] += np.arange(5)[:, None] * 1e-3
+    radii = np.ones(6)
+    for kind in (LINEAR, SINUSOIDAL, EXPONENTIAL, SPRING):
+        profile = WeightProfile(kind, delta=1.5)
+        got = sigma_activity(pos, radii, profile)
+        assert got.tobytes() == dense_sigma_activity(pos, radii, profile).tobytes()
+        assert got[0] > 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda v: WeightProfile(LINEAR, delta=v),
+    lambda v: WeightProfile(EXPONENTIAL, beta=v),
+    lambda v: InteractionParams(kr=v),
+    lambda v: InteractionParams(kt=v),
+    lambda v: InteractionParams(axis=(0.0, v, 1.0)),
+    lambda v: ObstacleRepulsionParams(strength=v),
+    lambda v: ObstacleRepulsionParams(influence=v),
+], ids=["profile.delta", "profile.beta", "crf.kr", "crf.kt", "crf.axis",
+        "repulsion.strength", "repulsion.influence"])
+def test_interaction_settings_reject_non_finite_numbers(make, value):
+    with pytest.raises(ConfigError, match="finite"):
+        make(value)
 
 
 def test_pair_force_strictly_local():

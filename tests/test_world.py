@@ -10,6 +10,7 @@ from vhpf.world import (
     ConfigError,
     KnowledgeMap,
     Workspace,
+    axis_norms,
     passage_width_audit,
     sense_obstacles,
     update_knowledge,
@@ -36,6 +37,14 @@ def test_ball_signed_distance():
     s = Ball((1.0, 1.0), 0.5)
     assert s.signed_distance((1.0, 2.5)) == pytest.approx(1.0)
     assert s.signed_distance((1.0, 1.0)) == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_axis_norms_has_the_bits_of_linalg_norm(dim):
+    scale = 10.0 ** np.arange(-3, 4)[:, None]
+    v = np.random.default_rng(dim).normal(size=(5, 7, dim)) * scale
+    assert axis_norms(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+    assert axis_norms(v[0, 0]).tobytes() == np.linalg.norm(v[0, 0], axis=-1).tobytes()
 
 
 def test_workspace_boundary_cells_touch_free_space():
@@ -271,6 +280,27 @@ def test_validate_flags_overlapping_bodies():
     assert any("bodies overlap" in v for v in out)
 
 
+def test_validate_pair_checks_match_a_pairwise_loop():
+    rng = np.random.default_rng(11)
+    ws = Workspace((-10, -10), (10, 10), h=0.25)
+    for _ in range(20):
+        agents = []
+        for k in range(int(rng.integers(2, 12))):
+            goal = rng.uniform(-5, 5, size=2) if rng.random() < 0.7 else None
+            agents.append(make_agent(k + 1, rng.uniform(-5, 5, size=2),
+                                     radius=float(rng.choice([0.5, 1.0])), goal=goal))
+        want = []
+        for i, a in enumerate(agents):
+            for b in agents[i + 1:]:
+                if np.linalg.norm(a.x - b.x) < a.radius + b.radius - 1e-9:
+                    want.append(f"agents {a.id},{b.id}: bodies overlap at start")
+                if a.goal is not None and b.goal is not None:
+                    if np.linalg.norm(a.goal - b.goal) < a.r_target + b.r_target - 1e-9:
+                        want.append(f"agents {a.id},{b.id}: conflicting targets")
+        got = [v for v in validate_scenario(ws, agents) if v.startswith("agents ")]
+        assert got == want
+
+
 def test_agent_invariants_enforced():
     with pytest.raises(ConfigError):
         make_agent(1, (0, 0), radius=1.0, goal=np.array([1.0, 0.0]), r_target=0.5)
@@ -278,3 +308,13 @@ def test_agent_invariants_enforced():
         AgentBody(1, np.zeros(2), 1.0, 0.0)
     with pytest.raises(ConfigError):
         AgentBody(1, np.zeros(2), -1.0, 0.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["x", "radius", "ring_width", "goal", "r_target"])
+def test_agent_body_rejects_non_finite_numbers(field, value):
+    args = {"x": np.zeros(2), "radius": 1.0, "ring_width": 1.5,
+            "goal": np.array([4.0, 0.0]), "r_target": 1.0}
+    args[field] = np.array([0.0, value]) if field in ("x", "goal") else value
+    with pytest.raises(ConfigError, match=field):
+        AgentBody(1, **args)
