@@ -97,20 +97,18 @@ def _write_outputs(spec, log, metrics, out_dir: Path, want_plot: bool):
     svg = None
     if want_plot:
         svg = out_dir / "trajectories.svg"
-        _plot_from_log(spec, log, svg)
+        positions = log.position_array()
+        _render(spec, {aid: positions[:, i, :] for i, aid in enumerate(log.agent_ids)}, svg)
     return traj, events, metrics_path, svg
 
 
-def _plot_from_log(spec, log, out_path):
-    positions = log.position_array()
-    trajectories = {aid: positions[:, i, :] for i, aid in enumerate(log.agent_ids)}
-    bodies = {
-        a.id: {"radius": a.radius, "start": a.start, "goal": a.goal}
-        for a in spec.agents
-    }
-    obstacles = [scenarios._shape_to_dict(s) for s in spec.workspace.obstacles]
-    svgplot.render(spec.workspace.lo, spec.workspace.hi, obstacles, trajectories,
-                   bodies, out_path)
+def _render(spec, trajectories, out_path):
+    """Draw the scenario's workspace, obstacles and agents with the given
+    trajectories ({agent_id: (T, dim) array}) to an SVG file."""
+    bodies = {a.id: {"radius": a.radius, "start": a.start, "goal": a.goal}
+              for a in spec.agents}
+    svgplot.render(spec.workspace.lo, spec.workspace.hi, spec.workspace.obstacles,
+                   trajectories, bodies, out_path)
 
 
 def cmd_run(args) -> int:
@@ -176,12 +174,7 @@ def cmd_plot(args) -> int:
         for row in reader:
             aid = int(row["agent_id"])
             trajectories.setdefault(aid, []).append([float(row[a]) for a in axes])
-    trajectories = {k: np.asarray(v) for k, v in trajectories.items()}
-    bodies = {a.id: {"radius": a.radius, "start": a.start, "goal": a.goal}
-              for a in spec.agents}
-    obstacles = [scenarios._shape_to_dict(s) for s in spec.workspace.obstacles]
-    svgplot.render(spec.workspace.lo, spec.workspace.hi, obstacles, trajectories,
-                   bodies, Path(args.out))
+    _render(spec, {k: np.asarray(v) for k, v in trajectories.items()}, Path(args.out))
     print(f"plot -> {args.out}")
     return EXIT_OK
 

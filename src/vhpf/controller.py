@@ -4,12 +4,12 @@
 the goal term. Each agent's control uses only its own position, its own
 discovered map, and the positions of agents inside its sensing ring. Nothing
 reads another agent's goal or knowledge, which is what keeps the group
-decentralized.
+decentralized. The pair law, its weight profile and the cushion are the same
+for every agent, so `engine.Runtime` holds them once for the group.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +41,17 @@ class AgentController:
     field: harmonic.ScalarGridField | None = None
     knowledge: KnowledgeMap | None = None
     boundary_index: interaction.KnownBoundaryIndex | None = None
-    params: interaction.InteractionParams = dataclasses.field(
-        default_factory=interaction.InteractionParams)
-    profile: interaction.WeightProfile = dataclasses.field(
-        default_factory=interaction.WeightProfile)
-    repulsion: interaction.ObstacleRepulsionParams | None = None
-    crf_enabled: bool = True
-    uo_enabled: bool = True
-    cooperative: bool = True
+    cooperative: bool = True               # False: the agent's own pair-force sum is dropped
 
     def __post_init__(self):
         if self.goal_kind not in GOAL_KINDS:
             raise ConfigError(f"unknown goal-control kind {self.goal_kind!r}")
         require_finite(f"agent {self.agent_id} control", gain=self.gain, cruise=self.cruise,
                        drift=self.drift, slow_radius=self.slow_radius)
+        if self.gain <= 0 or self.cruise <= 0:
+            raise ConfigError(f"agent {self.agent_id} control: gain and cruise must be positive")
+        if self.goal_kind == SPRING_GOAL and self.goal is None:
+            raise ConfigError(f"agent {self.agent_id}: spring control needs a goal")
         if self.goal_kind == CONSTANT_DRIFT and self.drift is None:
             raise ConfigError("drift control needs a drift vector")
         if self.goal_kind == HARMONIC_GOAL and self.field is None:
@@ -94,16 +91,17 @@ def goal_term(ctrl: AgentController, x) -> np.ndarray:
     return -ctrl.gain * harmonic.gradient_at(ctrl.field, x)
 
 
-def on_tick_sense(ctrl: AgentController, body: AgentBody, ws: Workspace) -> int:
-    """Sense, merge, and re-solve on novelty. Returns the number of new cells (0 = no event)."""
+def on_tick_sense(ctrl: AgentController, body: AgentBody, x, ws: Workspace,
+                  cushion: bool) -> int:
+    """Sense from position x, merge into the agent's map, and re-solve its
+    field on novelty; with `cushion`, also rebuild its wall-cushion index
+    over the grown map. Returns the number of new cells (0 = no event)."""
     if ctrl.goal_kind != HARMONIC_GOAL:
         raise ConfigError("discovery loop only applies to harmonic goal control")
-    sensed = world.sense_obstacles(body, ws)
-    new = sensed - ctrl.knowledge.cells
-    _, novel = world.update_knowledge(ctrl.knowledge, sensed)
-    if not novel:
+    new = world.update_knowledge(ctrl.knowledge, world.sense_obstacles(body, x, ws))
+    if not new:
         return 0
     harmonic.resolve_incremental(ctrl.field, new)
-    if ctrl.uo_enabled and ctrl.repulsion is not None:
+    if cushion:
         ctrl.boundary_index = interaction.KnownBoundaryIndex(ws.grid, ctrl.knowledge.cells)
     return len(new)

@@ -57,6 +57,10 @@ class SimConfig:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.v_eps is not None and self.v_eps <= 0:
             raise ConfigError("deadlock speed threshold must be positive")
+        if self.w_dead <= 0:
+            raise ConfigError("deadlock window must be positive")
+        if self.collision_tol < 0:
+            raise ConfigError("collision tolerance must be non-negative")
 
 
 @dataclass
@@ -95,10 +99,6 @@ class TrajectoryLog:
     def agent_positions(self, agent_id):
         i = self.agent_ids.index(agent_id)
         return self.position_array()[:, i, :]
-
-    def agent_speeds(self, agent_id):
-        i = self.agent_ids.index(agent_id)
-        return np.linalg.norm(self.control_array()[:, i, :], axis=1)
 
     def write_csv(self, path):
         axes = "xyz"[: self.dim]
@@ -152,7 +152,13 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 class Runtime:
-    """A scenario instantiated and ready to integrate."""
+    """A scenario instantiated and ready to integrate.
+
+    The runtime is the one owner of the group's settings: the pair law
+    (`params`), its weight profile and the wall cushion (`repulsion`, None
+    without one). The bodies hold the start positions; the run loop owns the
+    moving ones.
+    """
 
     def __init__(self, ws: Workspace, bodies, controllers, params, profile,
                  repulsion, success, config: SimConfig):
@@ -189,8 +195,7 @@ class Runtime:
         self._harmonic = [(i, c) for i, c in enumerate(self.controllers)
                           if c.goal_kind == ctl.HARMONIC_GOAL]
         # agents whose own pair-force sum is dropped
-        self._suppressed = [i for i, c in enumerate(self.controllers)
-                            if not (c.crf_enabled and c.cooperative)]
+        self._suppressed = [i for i, c in enumerate(self.controllers) if not c.cooperative]
         self.tracks_switches = interaction.weight_can_jump(profile, self.radii, self.reach)
         self._last_key = None       # switch key of the latest control evaluation
         self._step_key = None       # switch key at the start of the current step
@@ -202,12 +207,8 @@ class Runtime:
         return len(self.bodies)
 
     def positions(self):
+        """The start positions, one row per agent."""
         return np.array([b.x for b in self.bodies]) if self.bodies else np.empty((0, self.dim))
-
-    def sync_bodies(self, positions):
-        # each body gets its row of one private copy
-        for b, x in zip(self.bodies, np.array(positions)):
-            b.x = x
 
     def eval_controls(self, positions):
         """Controls for all agents on one snapshot. Returns (U, penetration mask).
@@ -284,7 +285,7 @@ class Runtime:
             return []
         groups = {}
         for i, c in enumerate(self.controllers):
-            if c.uo_enabled and c.boundary_index is not None and len(c.boundary_index):
+            if c.boundary_index is not None and len(c.boundary_index):
                 groups.setdefault(id(c.boundary_index), (c.boundary_index, []))[1].append(i)
         return [(index, np.array(rows)) for index, rows in groups.values()]
 
@@ -455,13 +456,11 @@ def agent_potential(c: ctl.AgentController, x) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _auto_v_eps(runtime: Runtime) -> float:
-    mags = []
-    for c, b in zip(runtime.controllers, runtime.bodies):
-        with _quiet_overflow():
-            m = float(np.linalg.norm(ctl.goal_term(c, b.x)))
-        if m > 1e-12:
-            mags.append(m)
-    typical = float(np.mean(mags)) if mags else 1.0
+    """1e-3 x the mean initial goal-term magnitude of the agents that move."""
+    with _quiet_overflow():
+        mags = world.row_norms(runtime.goal_terms(runtime.positions()))
+    mags = mags[mags > 1e-12]
+    typical = float(np.mean(mags)) if len(mags) else 1.0
     return 1e-3 * typical
 
 
@@ -469,6 +468,13 @@ def _quiet_overflow():
     """Overflow and invalid operations in the integration surface as a
     non-finite control or position (`_non_finite`), not as warnings."""
     return np.errstate(over="ignore", invalid="ignore")
+
+
+def _failed(log: TrajectoryLog, t, phase: str, exc: Exception) -> SimulationError:
+    """Log an `error` event for a phase of the tick that raised, and return
+    the error that ends the run."""
+    log.add_event(t, "error", message=str(exc))
+    return SimulationError(f"{phase} failed at t={t:g}: {exc}", log)
 
 
 def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, bad) -> SimulationError:
@@ -498,13 +504,17 @@ def _horizon_success(runtime: Runtime, start_positions, positions) -> bool:
                 and np.all(right_final > start_positions[left_movers, 0].max()))
 
 
-def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
-    """Integrate a scenario to its outcome. Returns (TrajectoryLog, MetricsReport)."""
+def run(scenario):
+    """Integrate a scenario to its outcome. Returns (TrajectoryLog, MetricsReport).
+
+    The scenario's `sim` is the run's configuration. A tick whose sensing,
+    field re-solve, control evaluation or integration fails, or whose state
+    turns non-finite, ends the run with an `error` event and a
+    `SimulationError` that carries the log so far.
+    """
     from .scenarios import build_runtime  # deferred: scenarios imports SimConfig from here
 
     runtime = build_runtime(scenario)
-    if cfg is not None:
-        runtime.config = cfg
     config = runtime.config
     violations = world.validate_scenario(runtime.ws, runtime.bodies)
     if violations:
@@ -517,7 +527,7 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
     log = TrajectoryLog([b.id for b in runtime.bodies], runtime.dim)
     v_eps = config.v_eps if config.v_eps is not None else _auto_v_eps(runtime)
 
-    if audit and runtime.n_agents >= 2:
+    if runtime.n_agents >= 2:
         reaches = sorted((b.reach for b in runtime.bodies), reverse=True)
         pass_radius = reaches[0] + reaches[1]
         bad = world.passage_width_audit(runtime.ws, pass_radius)
@@ -532,6 +542,7 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
 
     positions = runtime.positions()
     start_positions = positions.copy()
+    cushion = runtime.repulsion is not None   # discoveries rebuild the cushion index
     t = 0.0
     slow_time = 0.0
     pair_reported = np.zeros((runtime.n_agents, runtime.n_agents), dtype=bool)
@@ -546,11 +557,13 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
             bad = ~np.isfinite(positions).all(axis=1)
             if bad.any():
                 raise _non_finite(log, t, "position", runtime, bad)
-            runtime.sync_bodies(positions)
-            for c, b in zip(runtime.controllers, runtime.bodies):
+            for c, b, x in zip(runtime.controllers, runtime.bodies, positions):
                 if c.goal_kind == ctl.HARMONIC_GOAL:
                     iterations = c.field.iterations
-                    n_new = ctl.on_tick_sense(c, b, runtime.ws)
+                    try:
+                        n_new = ctl.on_tick_sense(c, b, x, runtime.ws, cushion)
+                    except (harmonic.FieldQueryError, harmonic.SolverError, ConfigError) as exc:
+                        raise _failed(log, t, "sensing", exc) from exc
                     if n_new:
                         log.add_event(t, "discovery", agent=c.agent_id, new_cells=n_new,
                                       solver_iterations=c.field.iterations - iterations,
@@ -559,8 +572,7 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
             try:
                 U, pen = runtime.eval_controls(positions)
             except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
-                log.add_event(t, "error", message=str(exc))
-                raise SimulationError(f"control evaluation failed at t={t:g}: {exc}", log) from exc
+                raise _failed(log, t, "control evaluation", exc) from exc
             bad = ~np.isfinite(U).all(axis=1)
             if bad.any():
                 raise _non_finite(log, t, "control", runtime, bad)
@@ -615,8 +627,7 @@ def run(scenario, cfg: SimConfig | None = None, audit: bool = True):
             try:
                 positions = step(runtime, positions, config, k1=U)
             except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
-                log.add_event(t, "error", message=str(exc))
-                raise SimulationError(f"integration failed at t={t:g}: {exc}", log) from exc
+                raise _failed(log, t, "integration", exc) from exc
             t += config.dt
 
     log.outcome = COLLISION if pair_reported.any() or obstacle_reported.any() else outcome

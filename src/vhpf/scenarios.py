@@ -26,26 +26,10 @@ PRIOR_FULL = "full"
 
 
 @dataclass(frozen=True)
-class ShapeSpec:
-    kind: str  # "box" | "ball"
-    lo: tuple | None = None
-    hi: tuple | None = None
-    center: tuple | None = None
-    radius: float | None = None
-
-    def build(self):
-        if self.kind == "box":
-            return Box(tuple(self.lo), tuple(self.hi))
-        if self.kind == "ball":
-            return Ball(tuple(self.center), float(self.radius))
-        raise ConfigError(f"unknown obstacle kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class WorkspaceSpec:
     lo: tuple
     hi: tuple
-    obstacles: tuple = ()
+    obstacles: tuple = ()   # world.Box and world.Ball shapes
     grid_h: float | None = None
 
 
@@ -97,8 +81,7 @@ def build_workspace(spec: ScenarioSpec) -> Workspace:
     h = spec.workspace.grid_h
     if h is None:
         h = min(a.radius for a in spec.agents) / 4.0 if spec.agents else 0.25
-    shapes = [s.build() for s in spec.workspace.obstacles]
-    return Workspace(spec.workspace.lo, spec.workspace.hi, shapes, h=h)
+    return Workspace(spec.workspace.lo, spec.workspace.hi, spec.workspace.obstacles, h=h)
 
 
 def build_bodies(spec: ScenarioSpec):
@@ -153,10 +136,6 @@ def build_runtime(spec: ScenarioSpec) -> Runtime:
             field=field,
             knowledge=km,
             boundary_index=index,
-            params=spec.crf,
-            profile=spec.profile,
-            repulsion=repulsion,
-            uo_enabled=repulsion is not None,
             cooperative=a.cooperative,
         ))
     return Runtime(ws, bodies, controllers, spec.crf, spec.profile, repulsion,
@@ -257,8 +236,8 @@ def _case5_lanes():
                                 GoalSpec(kind=ctl.CONSTANT_DRIFT, velocity=vel),
                                 prior_knowledge=PRIOR_FULL))
     rails = (
-        ShapeSpec("box", lo=(-30.0, 3.5), hi=(30.0, 6.0)),
-        ShapeSpec("box", lo=(-30.0, -6.0), hi=(30.0, -3.5)),
+        Box((-30.0, 3.5), (30.0, 6.0)),
+        Box((-30.0, -6.0), (30.0, -3.5)),
     )
     return ScenarioSpec(
         name="case5_lanes",
@@ -301,10 +280,10 @@ def _room_walls(lo, hi, thickness):
     x1, y1 = hi
     t = thickness
     return (
-        ShapeSpec("box", lo=(x0, y1 - t), hi=(x1, y1)),
-        ShapeSpec("box", lo=(x0, y0), hi=(x1, y0 + t)),
-        ShapeSpec("box", lo=(x0, y0), hi=(x0 + t, y1)),
-        ShapeSpec("box", lo=(x1 - t, y0), hi=(x1, y1)),
+        Box((x0, y1 - t), (x1, y1)),
+        Box((x0, y0), (x1, y0 + t)),
+        Box((x0, y0), (x0 + t, y1)),
+        Box((x1 - t, y0), (x1, y1)),
     )
 
 
@@ -312,8 +291,8 @@ def _case7_unknown():
     # a walled room with two blocks between swapped start/goal pairs; nothing
     # is known up front, so the goal fields grow as the walls are discovered
     obstacles = _room_walls((-10.0, -6.0), (10.0, 6.0), 0.5) + (
-        ShapeSpec("box", lo=(-4.0, -1.25), hi=(-2.5, 1.25)),
-        ShapeSpec("box", lo=(2.5, -1.25), hi=(4.0, 1.25)),
+        Box((-4.0, -1.25), (-2.5, 1.25)),
+        Box((2.5, -1.25), (4.0, 1.25)),
     )
     goal_control = GoalSpec(kind=ctl.HARMONIC_GOAL, drive=ctl.UNIT_DRIVE, cruise=0.8)
     agents = (
@@ -335,8 +314,8 @@ def _case8_tight():
     # two rooms joined by a corridor too narrow for two bodies side by side:
     # a head-on meeting inside it has no room to circulate and jams
     obstacles = _room_walls((-10.0, -4.0), (10.0, 4.0), 0.5) + (
-        ShapeSpec("box", lo=(-1.0, 0.75), hi=(1.0, 3.5)),
-        ShapeSpec("box", lo=(-1.0, -3.5), hi=(1.0, -0.75)),
+        Box((-1.0, 0.75), (1.0, 3.5)),
+        Box((-1.0, -3.5), (1.0, -0.75)),
     )
     goal_control = GoalSpec(kind=ctl.HARMONIC_GOAL, drive=ctl.UNIT_DRIVE, cruise=0.8)
     agents = (
@@ -387,8 +366,8 @@ def builtin(name: str) -> ScenarioSpec:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _shape_to_dict(s: ShapeSpec):
-    if s.kind == "box":
+def _shape_to_dict(s):
+    if isinstance(s, Box):
         return {"kind": "box", "lo": list(s.lo), "hi": list(s.hi)}
     return {"kind": "ball", "center": list(s.center), "radius": s.radius}
 
@@ -396,9 +375,9 @@ def _shape_to_dict(s: ShapeSpec):
 def _shape_from_dict(d):
     kind = d.get("kind")
     if kind == "box":
-        return ShapeSpec("box", lo=tuple(d["lo"]), hi=tuple(d["hi"]))
+        return Box(tuple(d["lo"]), tuple(d["hi"]))
     if kind == "ball":
-        return ShapeSpec("ball", center=tuple(d["center"]), radius=float(d["radius"]))
+        return Ball(tuple(d["center"]), float(d["radius"]))
     raise ConfigError(f"workspace.obstacles: unknown kind {kind!r}")
 
 
@@ -528,7 +507,7 @@ def from_dict(d: dict) -> ScenarioSpec:
         success = SuccessSpec(kind=succ_d.get("kind", "converge"), check=succ_d.get("check"))
     except KeyError as exc:
         raise ConfigError(f"scenario field missing: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"malformed scenario field: {exc}") from exc

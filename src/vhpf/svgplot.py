@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .world import Box
+
 PALETTE = (
     "#1f6fb2", "#d1495b", "#2e8b57", "#b8860b",
     "#6a4c93", "#00798c", "#c76b29", "#5b5b5b",
@@ -46,7 +48,7 @@ def color_for(agent_id: int) -> str:
 def render(ws_lo, ws_hi, obstacles, trajectories, bodies, out_path):
     """Write the scene to out_path.
 
-    obstacles: iterable of dicts {kind: box, lo, hi} or {kind: ball, center, radius}.
+    obstacles: iterable of `world.Box` and `world.Ball` shapes.
     trajectories: {agent_id: (T, dim) array}; bodies: {agent_id: {radius, start, goal}}.
     """
     m = _Mapper(ws_lo, ws_hi)
@@ -64,18 +66,18 @@ def render(ws_lo, ws_hi, obstacles, trajectories, bodies, out_path):
         f'fill="none" stroke="#333333" stroke-width="1.5"/>'
     )
     for ob in obstacles:
-        if ob["kind"] == "box":
-            ax, ay = m.to_px(ob["lo"])
-            bx, by = m.to_px(ob["hi"])
+        if isinstance(ob, Box):
+            ax, ay = m.to_px(ob.lo)
+            bx, by = m.to_px(ob.hi)
             parts.append(
                 f'<rect x="{_fmt(min(ax, bx))}" y="{_fmt(min(ay, by))}" '
                 f'width="{_fmt(abs(bx - ax))}" height="{_fmt(abs(by - ay))}" '
                 f'fill="#c8c8c8" stroke="#777777" stroke-width="0.8"/>'
             )
         else:
-            cx, cy = m.to_px(ob["center"])
+            cx, cy = m.to_px(ob.center)
             parts.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ob["radius"] * m.scale)}" '
+                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ob.radius * m.scale)}" '
                 f'fill="#c8c8c8" stroke="#777777" stroke-width="0.8"/>'
             )
     for aid in sorted(trajectories):

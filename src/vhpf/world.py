@@ -53,6 +53,7 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise ConfigError("box corners must have equal dimension")
+        require_finite("box", lo=self.lo, hi=self.hi)
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ConfigError(f"degenerate box {self.lo}..{self.hi}")
         # the corners as arrays, made once: every audited tick measures against them
@@ -83,6 +84,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        require_finite("ball", center=self.center, radius=self.radius)
         if self.radius <= 0:
             raise ConfigError(f"ball radius must be positive, got {self.radius}")
 
@@ -164,6 +166,7 @@ class Workspace:
         self.dim = self.lo.size
         if self.dim not in (2, 3):
             raise ConfigError(f"workspace dimension must be 2 or 3, got {self.dim}")
+        require_finite("workspace", lo=self.lo, hi=self.hi, h=h)
         if self.hi.size != self.dim or np.any(self.hi <= self.lo):
             raise ConfigError("workspace bounds must satisfy lo < hi per axis")
         if h <= 0:
@@ -210,7 +213,6 @@ class Workspace:
         self.boundary_cells = set(map(tuple, idx))
         self._boundary_idx = idx
         self._boundary_centers = self.grid.cell_centers(idx) if len(idx) else np.empty((0, self.dim))
-        self._cell_centers = centers
 
     # -- queries ------------------------------------------------------------
 
@@ -245,7 +247,10 @@ class Workspace:
 
 @dataclass
 class AgentBody:
-    """Spherical agent: current center, body radius, sensing-ring width, goal."""
+    """Spherical agent: start position, body radius, sensing-ring width, goal.
+
+    The body holds no moving state: the run loop owns the positions.
+    """
 
     id: int
     x: np.ndarray
@@ -283,29 +288,26 @@ class KnowledgeMap:
 
     agent_id: int
     cells: set = field(default_factory=set)
-    revision: int = 0
-    novel: bool = False
 
 
-def sense_obstacles(agent: AgentBody, ws: Workspace) -> set:
-    """Boundary cells whose centers fall in the agent's sensing ring."""
-    if not ws.contains_point(agent.x):
-        raise ConfigError(f"agent {agent.id} at {agent.x} is outside the workspace")
+def sense_obstacles(agent: AgentBody, x, ws: Workspace) -> set:
+    """Boundary cells whose centers fall in the sensing ring of the agent
+    centered at position x."""
+    if not ws.contains_point(x):
+        raise ConfigError(f"agent {agent.id} at {x} is outside the workspace")
     if not ws.boundary_cells:
         return set()
-    d = np.linalg.norm(ws._boundary_centers - agent.x, axis=1)
+    d = np.linalg.norm(ws._boundary_centers - x, axis=1)
     hit = (d > agent.radius) & (d <= agent.reach)
     return set(map(tuple, ws._boundary_idx[hit]))
 
 
-def update_knowledge(km: KnowledgeMap, sensed: set):
-    """Merge sensed cells into the map. Returns (map, novel) where novel marks strict growth."""
+def update_knowledge(km: KnowledgeMap, sensed: set) -> set:
+    """Merge sensed cells into the map. Returns the cells that were new;
+    empty means the map did not grow."""
     new = sensed - km.cells
-    km.novel = bool(new)
-    if km.novel:
-        km.cells |= new
-        km.revision += 1
-    return km, km.novel
+    km.cells |= new
+    return new
 
 
 def passage_width_audit(ws: Workspace, radius: float) -> list:

@@ -1,6 +1,7 @@
 """Shared oracles for the test-suite: dense linear solves, random workspaces,
 a scalar, one-pair-at-a-time evaluation of the pair force, and the dense
-all-pairs evaluation of the pair forces and weight sums."""
+all-pairs evaluation of the pair forces and weight sums; and a fault
+injector."""
 
 import itertools
 
@@ -18,6 +19,13 @@ from vhpf.interaction import (
     interaction_weights,
 )
 from vhpf.world import AgentBody, Ball, Box, ConfigError, Workspace
+
+
+def raising(exc):
+    """A stand-in for any function that raises exc when called."""
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
 
 
 def dense_solve(field: ScalarGridField) -> np.ndarray:

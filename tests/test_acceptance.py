@@ -32,11 +32,10 @@ from vhpf.scenarios import (
     AgentSpec,
     GoalSpec,
     ScenarioSpec,
-    ShapeSpec,
     WorkspaceSpec,
     builtin,
 )
-from vhpf.world import AgentBody, GridSpec
+from vhpf.world import AgentBody, Box, GridSpec
 
 
 def report(num, label, ok, detail=""):
@@ -287,7 +286,7 @@ def _harmonic_single():
     return ScenarioSpec(
         name="single_harmonic",
         workspace=WorkspaceSpec((0.0, 0.0), (6.0, 6.0),
-                                obstacles=(ShapeSpec("box", lo=(2.5, 1.0), hi=(3.5, 4.0)),),
+                                obstacles=(Box((2.5, 1.0), (3.5, 4.0)),),
                                 grid_h=0.25),
         agents=(AgentSpec(1, (4.5, 2.0), 0.4, 0.4,
                           GoalSpec("harmonic", drive="raw", gain=1.0),

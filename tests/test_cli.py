@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from vhpf import cli, scenarios
+from helpers import raising
+from vhpf import cli, harmonic, scenarios, world
+from vhpf.world import Ball, ConfigError
 
 
 def run_cli(args):
@@ -81,12 +83,35 @@ SENTINEL = 123456.789
     lambda d: d["crf"].update(kr=SENTINEL),
     lambda d: d["agents"][0]["control"].update(gain=SENTINEL),
     lambda d: d["profile"].update(delta=SENTINEL),
-], ids=["kr", "gain", "delta"])
+    lambda d: d["workspace"].update(hi=[SENTINEL, 10.0]),
+    lambda d: d["workspace"].update(obstacles=[{"kind": "box", "lo": [0.0, 5.0],
+                                                "hi": [SENTINEL, 6.0]}]),
+    lambda d: d["workspace"].update(obstacles=[{"kind": "ball", "center": [0.0, 5.0],
+                                                "radius": SENTINEL}]),
+], ids=["kr", "gain", "delta", "workspace-hi", "box-hi", "ball-radius"])
 def test_overflowing_number_is_config_error(tmp_path, edit):
     path = _case1_file(tmp_path, edit)
     # json parses 1e999 as infinity without calling parse_constant
     path.write_text(path.read_text().replace(repr(SENTINEL), "1e999"))
     assert run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")]) == 5
+
+
+@pytest.mark.parametrize("fault", ["solver", "outside"])
+def test_sense_phase_failure_exits_one(tmp_path, monkeypatch, capsys, fault):
+    # a discovery at t=0 whose re-solve fails, or a sensor that finds its
+    # agent outside the workspace: a failed run, not an invalid file
+    if fault == "solver":
+        monkeypatch.setattr(world, "sense_obstacles",
+                            lambda agent, x, ws: {min(ws.boundary_cells)})
+        monkeypatch.setattr(harmonic, "resolve_incremental",
+                            raising(harmonic.SolverError("no convergence")))
+    else:
+        monkeypatch.setattr(world, "sense_obstacles",
+                            raising(ConfigError("agent 1 is outside the workspace")))
+    out = tmp_path / "out"
+    assert run_cli(["run", "case7_unknown", "--out", str(out)]) == 1
+    assert "sensing failed at t=0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overflowing_state_exits_one(tmp_path):
@@ -169,7 +194,7 @@ def test_plot_renders_ball_obstacles(tmp_path):
         spec,
         workspace=dataclasses.replace(
             spec.workspace,
-            obstacles=(scenarios.ShapeSpec("ball", center=(0.0, 5.0), radius=1.0),),
+            obstacles=(Ball((0.0, 5.0), 1.0),),
         ),
     )
     path = tmp_path / "ball.json"

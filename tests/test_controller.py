@@ -12,15 +12,7 @@ from vhpf.controller import (
     on_tick_sense,
 )
 from vhpf.engine import Runtime, SimConfig
-from vhpf.interaction import (
-    LINEAR,
-    SPRING,
-    SPRING_MODE,
-    UNIT_MODE,
-    InteractionParams,
-    ObstacleRepulsionParams,
-    WeightProfile,
-)
+from vhpf.interaction import SPRING, SPRING_MODE, InteractionParams, WeightProfile
 from vhpf.world import AgentBody, Box, ConfigError, KnowledgeMap, Workspace
 
 CASE_PARAMS = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
@@ -29,8 +21,7 @@ CASE_PROFILE = WeightProfile(SPRING, delta=1.5)
 
 def spring_controller(aid, goal, gain=0.4, **kw):
     return AgentController(agent_id=aid, goal_kind=SPRING_GOAL,
-                           goal=np.asarray(goal, float), gain=gain,
-                           params=CASE_PARAMS, profile=CASE_PROFILE, **kw)
+                           goal=np.asarray(goal, float), gain=gain, **kw)
 
 
 def body(aid, x):
@@ -59,8 +50,7 @@ def test_spring_control_vanishes_at_goal():
 
 def test_drift_control_far_from_everything():
     ctrl = AgentController(agent_id=5, goal_kind=CONSTANT_DRIFT,
-                           drift=np.array([1.0, 0.0]),
-                           params=CASE_PARAMS, profile=CASE_PROFILE)
+                           drift=np.array([1.0, 0.0]))
     u = controls([ctrl], [body(5, (-5.0, 1.3))])[0]
     assert np.array_equal(u, [1.0, 0.0])
 
@@ -129,10 +119,7 @@ def harmonic_controller(ws, aid, goal, radius=0.5):
     field = harmonic.solve_dirichlet(ws.grid, km.cells, goal, tol=1e-10, inflate=radius)
     return AgentController(agent_id=aid, goal_kind=HARMONIC_GOAL,
                            goal=np.asarray(goal, float), field=field, knowledge=km,
-                           drive=UNIT_DRIVE, cruise=0.8, slow_radius=radius,
-                           params=InteractionParams(mode=UNIT_MODE),
-                           profile=WeightProfile(LINEAR, delta=0.5),
-                           repulsion=ObstacleRepulsionParams())
+                           drive=UNIT_DRIVE, cruise=0.8, slow_radius=radius)
 
 
 def test_sense_without_walls_in_range_does_nothing():
@@ -140,7 +127,7 @@ def test_sense_without_walls_in_range_does_nothing():
     ctrl = harmonic_controller(ws, 1, (-3.0, 3.0))
     b = AgentBody(1, np.array([-3.0, -3.0]), 0.5, 0.5)
     before = ctrl.field.values.copy()
-    assert on_tick_sense(ctrl, b, ws) == 0
+    assert on_tick_sense(ctrl, b, b.x, ws, cushion=True) == 0
     assert np.array_equal(ctrl.field.values, before)
 
 
@@ -156,7 +143,7 @@ def test_first_wall_approach_resolves_field():
     probe = np.array([2.625, 0.0])  # first free column right of the inflated wall
     v_before = harmonic.value_at(ctrl.field, probe)
 
-    n_new = on_tick_sense(ctrl, b, ws)
+    n_new = on_tick_sense(ctrl, b, b.x, ws, cushion=True)
     assert n_new > 0
     assert ctrl.knowledge.cells
     # the wall now carries the ceiling value, so the probe next to it climbs
@@ -173,17 +160,30 @@ def test_revisiting_known_wall_is_quiet():
     ws = room()
     ctrl = harmonic_controller(ws, 1, (-3.0, 0.0))
     b = AgentBody(1, np.array([2.7, 0.0]), 0.5, 0.5)
-    assert on_tick_sense(ctrl, b, ws) > 0
+    assert on_tick_sense(ctrl, b, b.x, ws, cushion=True) > 0
     before = ctrl.field.values.copy()
-    assert on_tick_sense(ctrl, b, ws) == 0
+    assert on_tick_sense(ctrl, b, b.x, ws, cushion=True) == 0
     assert np.array_equal(ctrl.field.values, before)
+
+
+@pytest.mark.parametrize("cushion", [True, False])
+def test_discovery_rebuilds_the_cushion_index_only_with_a_cushion(cushion):
+    ws = room()
+    ctrl = harmonic_controller(ws, 1, (-3.0, 0.0))
+    b = AgentBody(1, np.array([-3.0, 0.0]), 0.5, 0.5)
+    # sensing from a position other than the body's start
+    assert on_tick_sense(ctrl, b, np.array([2.7, 0.0]), ws, cushion=cushion) > 0
+    if cushion:
+        assert len(ctrl.boundary_index) == len(ctrl.knowledge.cells)
+    else:
+        assert ctrl.boundary_index is None
 
 
 def test_sense_requires_harmonic_mode():
     ws = room()
     ctrl = spring_controller(1, (0.0, 0.0))
     with pytest.raises(ConfigError):
-        on_tick_sense(ctrl, body(1, (0.0, -3.0)), ws)
+        on_tick_sense(ctrl, body(1, (0.0, -3.0)), (0.0, -3.0), ws, cushion=False)
 
 
 def test_unit_drive_parks_inside_target_zone():
@@ -206,6 +206,11 @@ def test_controller_validation():
         AgentController(agent_id=1, goal_kind=CONSTANT_DRIFT)
     with pytest.raises(ConfigError):
         AgentController(agent_id=1, goal_kind=HARMONIC_GOAL)
+    with pytest.raises(ConfigError, match="needs a goal"):
+        AgentController(agent_id=1, goal_kind=SPRING_GOAL)
+    for bad in ({"gain": 0.0}, {"gain": -1.0}, {"cruise": -0.5}):
+        with pytest.raises(ConfigError, match="must be positive"):
+            AgentController(agent_id=1, goal_kind=CONSTANT_DRIFT, drift=(1.0, 0.0), **bad)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

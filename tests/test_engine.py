@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vhpf import engine, scenarios, svgplot
+from helpers import raising
+from vhpf import engine, harmonic, scenarios, svgplot, world
 from vhpf.controller import SPRING_GOAL, goal_term
 from vhpf.engine import (
     COLLISION,
@@ -32,7 +33,7 @@ from vhpf.scenarios import (
     build_runtime,
     builtin,
 )
-from vhpf.world import AgentBody, ConfigError, Workspace
+from vhpf.world import AgentBody, Box, ConfigError, Workspace
 
 
 def two_agent_spec(**overrides):
@@ -151,8 +152,7 @@ def test_harmonic_navigation_in_three_dimensions():
         name="room3d",
         workspace=WorkspaceSpec(
             (-3.0, -3.0, -3.0), (3.0, 3.0, 3.0),
-            obstacles=(scenarios.ShapeSpec("box", lo=(-0.5, -1.5, -1.5),
-                                           hi=(0.5, 1.5, 1.5)),),
+            obstacles=(Box((-0.5, -1.5, -1.5), (0.5, 1.5, 1.5)),),
             grid_h=0.25,
         ),
         agents=(AgentSpec(1, (-2.0, 0.0, 0.0), 0.4, 0.6,
@@ -251,8 +251,7 @@ def test_weak_cushion_logs_penetration_and_obstacle_collision():
     spec = ScenarioSpec(
         name="ram",
         workspace=WorkspaceSpec((-6.0, -6.0), (6.0, 6.0),
-                                obstacles=(scenarios.ShapeSpec("box", lo=(2.0, -6.0),
-                                                               hi=(6.0, 6.0)),),
+                                obstacles=(Box((2.0, -6.0), (6.0, 6.0)),),
                                 grid_h=0.25),
         agents=(AgentSpec(1, (-2.0, 0.0), 0.5, 0.5,
                           GoalSpec("drift", velocity=(2.0, 0.0)),
@@ -332,6 +331,13 @@ def test_detect_deadlock_window_restarts_on_a_fast_tick():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_sim_config_rejects_non_finite_values(name, value):
     with pytest.raises(ConfigError, match=name):
+        SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("w_dead", 0.0), ("w_dead", -1.0),
+                                         ("collision_tol", -1e-3)])
+def test_sim_config_rejects_out_of_range_values(name, value):
+    with pytest.raises(ConfigError):
         SimConfig(**{name: value})
 
 
@@ -536,7 +542,8 @@ def test_log_rejects_nonincreasing_time():
 
 
 def test_csv_rows_are_the_reprs_of_the_logged_values(tmp_path):
-    log, _ = run(builtin("case4_malfunction"), SimConfig(dt=0.01, t_max=0.3))
+    spec = builtin("case4_malfunction")
+    log, _ = run(dataclasses.replace(spec, sim=SimConfig(dt=0.01, t_max=0.3)))
     csv_path = tmp_path / "traj.csv"
     log.write_csv(csv_path)
     want = []
@@ -572,11 +579,29 @@ def test_non_finite_control_is_an_error_not_a_timeout(monkeypatch):
 
     monkeypatch.setattr(scenarios, "build_runtime", with_inf_gain)
     with pytest.raises(SimulationError) as err:
-        run(builtin("case1"), SimConfig(dt=0.01, t_max=0.5))
+        run(dataclasses.replace(builtin("case1"), sim=SimConfig(dt=0.01, t_max=0.5)))
     event = err.value.log.events[-1]
     assert event["kind"] == "error" and event["agents"] == [1] and event["t"] == 0.0
     assert "non-finite control" in event["message"]
     assert err.value.log.outcome is None
+
+
+@pytest.mark.parametrize("fault", ["solver", "outside"])
+def test_sense_phase_failure_is_an_error_event(monkeypatch, fault):
+    if fault == "solver":
+        # a discovery at t=0 whose re-solve does not converge
+        monkeypatch.setattr(world, "sense_obstacles",
+                            lambda agent, x, ws: {min(ws.boundary_cells)})
+        monkeypatch.setattr(harmonic, "resolve_incremental",
+                            raising(harmonic.SolverError("no convergence")))
+        message = "no convergence"
+    else:
+        message = "agent 1 is outside the workspace"
+        monkeypatch.setattr(world, "sense_obstacles", raising(ConfigError(message)))
+    with pytest.raises(SimulationError, match="sensing failed at t=0") as err:
+        run(builtin("case7_unknown"))
+    assert err.value.log.events[-1] == {"t": 0.0, "kind": "error", "message": message}
+    assert err.value.log.outcome is None and err.value.log.n_ticks == 0
 
 
 def test_overflowing_state_is_an_error_not_a_timeout():

@@ -495,9 +495,9 @@ def test_repulsion_without_knowledge_is_zero():
     ws = Workspace((-4.0, -4.0), (4.0, 4.0), [Box((1.0, -4.0), (4.0, 4.0))], h=0.25)
     me = AgentBody(1, np.array([0.45, 0.0]), 0.5, 0.5)
     ctrl = AgentController(agent_id=1, goal_kind=SPRING_GOAL, goal=np.array([-3.0, 0.0]),
-                           knowledge=KnowledgeMap(1), repulsion=ObstacleRepulsionParams())
-    rt = Runtime(ws, [me], [ctrl], ctrl.params, ctrl.profile, ObstacleRepulsionParams(),
-                 None, SimConfig())
+                           knowledge=KnowledgeMap(1))
+    rt = Runtime(ws, [me], [ctrl], InteractionParams(), WeightProfile(),
+                 ObstacleRepulsionParams(), None, SimConfig())
     U, pen = rt.eval_controls(rt.positions())
     assert np.array_equal(U[0], goal_term(ctrl, me.x)) and not pen[0]
     # the same wall, once known, pushes back

@@ -79,13 +79,31 @@ def test_workspace_rejects_indivisible_resolution():
         Workspace((0, 0), (1.0, 1.0), h=0.3)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: Workspace((v, 0.0), (10.0, 10.0)), "lo"),
+    (lambda v: Workspace((0.0, 0.0), (v, 10.0)), "hi"),
+    (lambda v: Workspace((0.0, 0.0), (10.0, 10.0), h=v), "h"),
+    (lambda v: Box((v, 0.0), (1.0, 1.0)), "lo"),
+    (lambda v: Box((0.0, 0.0), (v, 1.0)), "hi"),
+    (lambda v: Ball((v, 0.0), 1.0), "center"),
+    (lambda v: Ball((0.0, 0.0), v), "radius"),
+], ids=["workspace-lo", "workspace-hi", "workspace-h", "box-lo", "box-hi",
+        "ball-center", "ball-radius"])
+def test_geometry_rejects_non_finite_numbers(make, name, value):
+    # an infinite bound once gave a 3-cell axis, and a NaN radius an
+    # obstacle that rasterized to nothing
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        make(value)
+
+
 # ---------------------------------------------------------------------------
 # sensing
 # ---------------------------------------------------------------------------
 
 def test_sense_empty_workspace_sees_nothing():
     ws = Workspace((-5, -5), (5, 5), h=0.25)
-    assert sense_obstacles(make_agent(1, (0, 0)), ws) == set()
+    assert sense_obstacles(make_agent(1, (0, 0)), (0.0, 0.0), ws) == set()
 
 
 def test_sense_matches_annulus_oracle():
@@ -94,7 +112,7 @@ def test_sense_matches_annulus_oracle():
     for _ in range(25):
         x = rng.uniform(-4, 4, size=2)
         agent = make_agent(1, x, radius=0.6, ring=1.1)
-        got = sense_obstacles(agent, ws)
+        got = sense_obstacles(agent, x, ws)
         expected = set()
         for cell in ws.boundary_cells:
             d = np.linalg.norm(ws.grid.cell_center(cell) - x)
@@ -106,7 +124,7 @@ def test_sense_matches_annulus_oracle():
 def test_sense_near_wall_contains_nearest_cell():
     ws = Workspace((-5, -5), (5, 5), [Box((-5, -5), (5, -3))], h=0.25)
     agent = make_agent(1, (0.0, -3.0 + 1.0 + 0.75), radius=1.0, ring=1.5)
-    sensed = sense_obstacles(agent, ws)
+    sensed = sense_obstacles(agent, agent.x, ws)
     assert sensed
     nearest = min(ws.boundary_cells,
                   key=lambda c: np.linalg.norm(ws.grid.cell_center(c) - agent.x))
@@ -115,20 +133,20 @@ def test_sense_near_wall_contains_nearest_cell():
 
 def test_sense_far_from_walls_sees_nothing():
     ws = Workspace((-5, -5), (5, 5), [Box((-5, -5), (5, -4))], h=0.25)
-    assert sense_obstacles(make_agent(1, (0, 3)), ws) == set()
+    assert sense_obstacles(make_agent(1, (0, 3)), (0.0, 3.0), ws) == set()
 
 
 def test_sense_outside_bounds_is_config_error():
     ws = Workspace((-5, -5), (5, 5), h=0.25)
     with pytest.raises(ConfigError):
-        sense_obstacles(make_agent(1, (6.0, 0.0)), ws)
+        sense_obstacles(make_agent(1, (0.0, 0.0)), (6.0, 0.0), ws)
 
 
 def test_sensed_cells_lie_near_true_boundary():
     ws = Workspace((-5, -5), (5, 5), [Ball((0, 0), 1.5), Box((2, 2), (4, 4))], h=0.25)
     agent = make_agent(1, (0.0, 2.2), radius=0.4, ring=1.2)
     tol = ws.h * np.sqrt(2.0)
-    for cell in sense_obstacles(agent, ws):
+    for cell in sense_obstacles(agent, agent.x, ws):
         center = ws.grid.cell_center(cell)
         assert abs(ws.obstacle_clearance(center)) <= tol
 
@@ -136,13 +154,13 @@ def test_sensed_cells_lie_near_true_boundary():
 def test_sense_in_three_dimensions():
     ws = Workspace((-3, -3, -3), (3, 3, 3), [Ball((0.0, 0.0, 0.0), 1.0)], h=0.5)
     agent = AgentBody(1, np.array([0.0, 0.0, 2.0]), 0.3, 1.2)
-    got = sense_obstacles(agent, ws)
+    got = sense_obstacles(agent, agent.x, ws)
     assert got
     for cell in got:
         d = np.linalg.norm(ws.grid.cell_center(cell) - agent.x)
         assert agent.radius < d <= agent.reach
     far = AgentBody(2, np.array([2.0, 2.0, 2.0]), 0.3, 0.4)
-    assert sense_obstacles(far, ws) == set()
+    assert sense_obstacles(far, far.x, ws) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +169,10 @@ def test_sense_in_three_dimensions():
 
 def test_update_knowledge_growth_and_idempotence():
     km = KnowledgeMap(1)
-    _, novel = update_knowledge(km, {(1, 2)})
-    assert novel and km.cells == {(1, 2)} and km.revision == 1
-    _, novel = update_knowledge(km, {(1, 2)})
-    assert not novel and km.revision == 1
-    _, novel = update_knowledge(km, set())
-    assert not novel and km.cells == {(1, 2)}
+    assert update_knowledge(km, {(1, 2)}) == {(1, 2)} and km.cells == {(1, 2)}
+    assert update_knowledge(km, {(1, 2), (3, 4)}) == {(3, 4)}
+    assert update_knowledge(km, {(1, 2)}) == set()
+    assert update_knowledge(km, set()) == set() and km.cells == {(1, 2), (3, 4)}
 
 
 def test_knowledge_monotone_over_random_sequences():
@@ -166,9 +182,9 @@ def test_knowledge_monotone_over_random_sequences():
     previous = set()
     for _ in range(40):
         batch = {universe[k] for k in rng.integers(0, len(universe), size=4)}
-        _, novel = update_knowledge(km, batch)
+        new = update_knowledge(km, batch)
         assert previous <= km.cells
-        assert novel == (not batch <= previous)
+        assert new == batch - previous and km.cells == previous | batch
         previous = set(km.cells)
 
 
