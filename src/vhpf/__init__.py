@@ -26,13 +26,11 @@ from .interaction import (
     WeightProfile,
     circulation_bound_check,
 )
-from .scenarios import BUILTIN_NAMES, ScenarioSpec, builtin, load, save
+from .scenarios import BUILTIN_NAMES, AgentSpec, GoalSpec, ScenarioSpec, builtin, load, save
 from .world import (
-    AgentBody,
     Ball,
     Box,
     ConfigError,
-    KnowledgeMap,
     Workspace,
     passage_width_audit,
     sense_obstacles,

@@ -105,10 +105,8 @@ def _write_outputs(spec, log, metrics, out_dir: Path, want_plot: bool):
 def _render(spec, trajectories, out_path):
     """Draw the scenario's workspace, obstacles and agents with the given
     trajectories ({agent_id: (T, dim) array}) to an SVG file."""
-    bodies = {a.id: {"radius": a.radius, "start": a.start, "goal": a.goal}
-              for a in spec.agents}
     svgplot.render(spec.workspace.lo, spec.workspace.hi, spec.workspace.obstacles,
-                   trajectories, bodies, out_path)
+                   trajectories, spec.agents, out_path)
 
 
 def cmd_run(args) -> int:

@@ -156,59 +156,61 @@ class Runtime:
 
     The runtime is the one owner of the group's settings: the pair law
     (`params`), its weight profile and the wall cushion (`repulsion`, None
-    without one). The bodies hold the start positions; the run loop owns the
-    moving ones.
+    without one). Each agent is its controller's spec (`agents`); the
+    numbers the tick reads from the specs are stacked into arrays once,
+    here. The run loop owns the moving positions.
     """
 
-    def __init__(self, ws: Workspace, bodies, controllers, params, profile,
+    def __init__(self, ws: Workspace, controllers, params, profile,
                  repulsion, success, config: SimConfig):
         self.ws = ws
-        self.bodies = list(bodies)
         self.controllers = list(controllers)
+        self.agents = [c.spec for c in self.controllers]
         self.params = params
         self.profile = profile
         self.repulsion = repulsion
         self.success = success
         self.config = config
-        self.radii = np.array([b.radius for b in self.bodies], float)
-        self.reach = np.array([b.reach for b in self.bodies], float)
         self.dim = ws.dim
-        self.has_goal = np.array([b.goal is not None for b in self.bodies], dtype=bool)
+        agents = self.agents
+        self.starts = np.array([a.start for a in agents], float).reshape(-1, self.dim)
+        self.radii = np.array([a.radius for a in agents], float)
+        self.reach = np.array([a.reach for a in agents], float)
+        self.has_goal = np.array([a.goal is not None for a in agents], dtype=bool)
         # agents without a goal get a NaN goal, which no position is inside
-        self.goals = np.full((len(self.bodies), self.dim), np.nan)
-        self.r_target = np.full(len(self.bodies), np.nan)
-        for i, b in enumerate(self.bodies):
-            if b.goal is not None:
-                self.goals[i] = b.goal
-                self.r_target[i] = b.r_target
+        self.goals = np.full((len(agents), self.dim), np.nan)
+        self.r_target = np.full(len(agents), np.nan)
+        for i, a in enumerate(agents):
+            if a.goal is not None:
+                self.goals[i] = a.goal
+                self.r_target[i] = a.target_radius
         # the goal terms, array-at-a-time: springs and drifts as one array
-        # expression each, harmonic agents one by one. Like the bodies' radii,
-        # the controllers' gains, goals and flags are read once, here.
-        kinds = [c.goal_kind for c in self.controllers]
-        springs = [c for c in self.controllers if c.goal_kind == ctl.SPRING_GOAL]
-        drifts = [c for c in self.controllers if c.goal_kind == ctl.CONSTANT_DRIFT]
+        # expression each, harmonic agents one by one
+        kinds = [a.control.kind for a in agents]
+        springs = [a for a in agents if a.control.kind == ctl.SPRING_GOAL]
+        drifts = [a for a in agents if a.control.kind == ctl.CONSTANT_DRIFT]
         self._spring_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.SPRING_GOAL], int)
-        self._spring_gain = np.array([c.gain for c in springs], float).reshape(-1, 1)
-        self._spring_goal = np.array([c.goal for c in springs], float).reshape(-1, self.dim)
+        self._spring_gain = np.array([a.control.gain for a in springs], float).reshape(-1, 1)
+        self._spring_goal = np.array([a.goal for a in springs], float).reshape(-1, self.dim)
         self._drift_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.CONSTANT_DRIFT], int)
-        self._drift = np.array([c.drift for c in drifts], float).reshape(-1, self.dim)
+        self._drift = np.array([a.control.velocity for a in drifts], float).reshape(-1, self.dim)
         self._harmonic = [(i, c) for i, c in enumerate(self.controllers)
-                          if c.goal_kind == ctl.HARMONIC_GOAL]
+                          if c.spec.control.kind == ctl.HARMONIC_GOAL]
         # agents whose own pair-force sum is dropped
-        self._suppressed = [i for i, c in enumerate(self.controllers) if not c.cooperative]
+        self._suppressed = [i for i, a in enumerate(agents) if not a.cooperative]
         self.tracks_switches = interaction.weight_can_jump(profile, self.radii, self.reach)
         self._last_key = None       # switch key of the latest control evaluation
         self._step_key = None       # switch key at the start of the current step
-        self._switched = np.zeros(len(self.bodies), dtype=bool)
+        self._switched = np.zeros(len(agents), dtype=bool)
         self._snapshot = None       # (positions bytes, near pairs) of the latest pass
 
     @property
     def n_agents(self):
-        return len(self.bodies)
+        return len(self.agents)
 
     def positions(self):
         """The start positions, one row per agent."""
-        return np.array([b.x for b in self.bodies]) if self.bodies else np.empty((0, self.dim))
+        return self.starts.copy()
 
     def eval_controls(self, positions):
         """Controls for all agents on one snapshot. Returns (U, penetration mask).
@@ -444,9 +446,10 @@ def spring_potential(gain, goal, x):
 
 def agent_potential(c: ctl.AgentController, x) -> float | None:
     """Goal potential whose negative gradient is the agent's goal control."""
-    if c.goal_kind == ctl.SPRING_GOAL:
-        return float(spring_potential(c.gain, c.goal, x))
-    if c.goal_kind == ctl.HARMONIC_GOAL:
+    kind = c.spec.control.kind
+    if kind == ctl.SPRING_GOAL:
+        return float(spring_potential(c.spec.control.gain, c.spec.goal_array, x))
+    if kind == ctl.HARMONIC_GOAL:
         return harmonic.value_at(c.field, x)
     return None
 
@@ -481,18 +484,17 @@ def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, bad) -> Simu
     """Log an `error` event naming the agents whose `what` is not finite, and
     return the error that ends the run: a NaN state must never run on to a
     timeout whose clearances read as safe."""
-    agents = [runtime.bodies[i].id for i in np.flatnonzero(bad)]
+    agents = [runtime.agents[i].id for i in np.flatnonzero(bad)]
     message = f"non-finite {what} of agents {agents}"
     log.add_event(t, "error", message=message, agents=agents)
     return SimulationError(f"{message} at t={t:g}", log)
 
 
 def _horizon_success(runtime: Runtime, start_positions, positions) -> bool:
-    check = getattr(runtime.success, "check", None)
-    if check != "groups_crossed":
+    if runtime.success.check != "groups_crossed":
         return True
     drift_x = np.array([
-        c.drift[0] if c.drift is not None else 0.0 for c in runtime.controllers
+        a.control.velocity[0] if a.control.velocity is not None else 0.0 for a in runtime.agents
     ])
     left_movers = drift_x < 0
     right_movers = drift_x > 0
@@ -516,26 +518,22 @@ def run(scenario):
 
     runtime = build_runtime(scenario)
     config = runtime.config
-    violations = world.validate_scenario(runtime.ws, runtime.bodies)
+    violations = world.validate_scenario(runtime.ws, runtime.agents)
     if violations:
         raise ConfigError("scenario validation failed: " + "; ".join(violations))
-    success_kind = getattr(runtime.success, "kind", "converge")
-    if success_kind == "converge" and runtime.bodies and not runtime.has_goal.any():
-        raise ConfigError("convergence needs at least one agent with a goal; "
-                          "use a horizon success criterion for pure drift runs")
+    success_kind = runtime.success.kind
 
-    log = TrajectoryLog([b.id for b in runtime.bodies], runtime.dim)
+    log = TrajectoryLog([a.id for a in runtime.agents], runtime.dim)
     v_eps = config.v_eps if config.v_eps is not None else _auto_v_eps(runtime)
 
     if runtime.n_agents >= 2:
-        reaches = sorted((b.reach for b in runtime.bodies), reverse=True)
+        reaches = sorted(runtime.reach.tolist(), reverse=True)
         pass_radius = reaches[0] + reaches[1]
         bad = world.passage_width_audit(runtime.ws, pass_radius)
         if bad:
             log.add_event(0.0, "audit_warning", cells=len(bad), radius=pass_radius)
-    harmonic_ctrls = [c for c in runtime.controllers if c.goal_kind == ctl.HARMONIC_GOAL]
-    if harmonic_ctrls and runtime.params.mode == interaction.UNIT_MODE:
-        stats = [harmonic.field_stats(c.field) for c in harmonic_ctrls]
+    if runtime._harmonic and runtime.params.mode == interaction.UNIT_MODE:
+        stats = [harmonic.field_stats(c.field) for _, c in runtime._harmonic]
         warning = interaction.circulation_bound_check(runtime.params.kt, stats)
         if warning:
             log.add_event(0.0, "circulation_warning", message=warning)
@@ -549,7 +547,7 @@ def run(scenario):
     obstacle_reported = np.zeros(runtime.n_agents, dtype=bool)
     min_pair = np.inf
     min_obstacle = np.inf
-    trace = [] if all(c.goal_kind != ctl.CONSTANT_DRIFT for c in runtime.controllers) else None
+    trace = [] if not len(runtime._drift_rows) else None
     outcome = None
 
     with _quiet_overflow():
@@ -557,17 +555,16 @@ def run(scenario):
             bad = ~np.isfinite(positions).all(axis=1)
             if bad.any():
                 raise _non_finite(log, t, "position", runtime, bad)
-            for c, b, x in zip(runtime.controllers, runtime.bodies, positions):
-                if c.goal_kind == ctl.HARMONIC_GOAL:
-                    iterations = c.field.iterations
-                    try:
-                        n_new = ctl.on_tick_sense(c, b, x, runtime.ws, cushion)
-                    except (harmonic.FieldQueryError, harmonic.SolverError, ConfigError) as exc:
-                        raise _failed(log, t, "sensing", exc) from exc
-                    if n_new:
-                        log.add_event(t, "discovery", agent=c.agent_id, new_cells=n_new,
-                                      solver_iterations=c.field.iterations - iterations,
-                                      residual=c.field.residual)
+            for i, c in runtime._harmonic:
+                iterations = c.field.iterations
+                try:
+                    n_new = ctl.on_tick_sense(c, positions[i], runtime.ws, cushion)
+                except (harmonic.FieldQueryError, harmonic.SolverError, ConfigError) as exc:
+                    raise _failed(log, t, "sensing", exc) from exc
+                if n_new:
+                    log.add_event(t, "discovery", agent=c.spec.id, new_cells=n_new,
+                                  solver_iterations=c.field.iterations - iterations,
+                                  residual=c.field.residual)
 
             try:
                 U, pen = runtime.eval_controls(positions)
@@ -582,7 +579,7 @@ def run(scenario):
                 log.switches.append((log.n_ticks - 1, switched))
             log.append(t, positions, U, runtime.sigma_activity(positions))
             for i in np.flatnonzero(pen):
-                log.add_event(t, "penetration", agent=runtime.bodies[i].id)
+                log.add_event(t, "penetration", agent=runtime.agents[i].id)
 
             hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol)
             if hits.pair_clearance.size:
@@ -595,12 +592,12 @@ def run(scenario):
                 pair_reported[new_pairs[:, 0], new_pairs[:, 1]] = True
                 for a, b_ in new_pairs:
                     log.add_event(t, "collision",
-                                  agents=[runtime.bodies[a].id, runtime.bodies[b_].id])
+                                  agents=[runtime.agents[a].id, runtime.agents[b_].id])
             if len(hits.agents):
                 new_agents = hits.agents[~obstacle_reported[hits.agents]]
                 obstacle_reported[new_agents] = True
                 for i in new_agents:
-                    log.add_event(t, "collision_obstacle", agent=runtime.bodies[i].id)
+                    log.add_event(t, "collision_obstacle", agent=runtime.agents[i].id)
 
             if trace is not None:
                 trace.append(sum(runtime.goal_potentials(positions)))
@@ -642,7 +639,7 @@ def run(scenario):
         breaks = np.zeros((log.n_ticks - 1, runtime.n_agents), dtype=bool)
         for k, flags in log.switches:
             breaks[k] = flags
-    for i, b in enumerate(runtime.bodies):
+    for i, b in enumerate(runtime.agents):
         sp = np.linalg.norm(ctl_arr[:, i, :], axis=1)
         _, _, kmax, _, angles = curvature_profile(pos_arr[:, i, :], sp, v_eps,
                                                   None if breaks is None else breaks[:, i])

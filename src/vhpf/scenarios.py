@@ -19,7 +19,7 @@ from . import controller as ctl
 from . import harmonic, interaction, world
 from .engine import Runtime, SimConfig
 from .interaction import InteractionParams, ObstacleRepulsionParams, WeightProfile
-from .world import AgentBody, Ball, Box, ConfigError, KnowledgeMap, Workspace
+from .world import Ball, Box, ConfigError, Workspace, require_finite
 
 PRIOR_NONE = "none"
 PRIOR_FULL = "full"
@@ -35,15 +35,38 @@ class WorkspaceSpec:
 
 @dataclass(frozen=True)
 class GoalSpec:
-    kind: str  # "spring" | "drift" | "harmonic"
-    gain: float = 1.0
-    velocity: tuple | None = None
-    drive: str = ctl.RAW_DRIVE
-    cruise: float = 1.0
+    """An agent's goal-seeking control: its kind, and the settings of that kind."""
+
+    kind: str                       # "spring" | "drift" | "harmonic"
+    gain: float = 1.0               # spring stiffness, or harmonic gradient scale
+    velocity: tuple | None = None   # drift only: the constant control vector
+    drive: str = ctl.RAW_DRIVE      # harmonic only: follow -grad raw or at unit speed
+    cruise: float = 1.0             # harmonic speed when drive == "unit"
+
+    def __post_init__(self):
+        if self.kind not in ctl.GOAL_KINDS:
+            raise ConfigError(f"unknown goal-control kind {self.kind!r}; "
+                              f"choose one of {', '.join(ctl.GOAL_KINDS)}")
+        if self.drive not in ctl.DRIVES:
+            raise ConfigError(f"unknown harmonic drive {self.drive!r}; "
+                              f"choose one of {', '.join(ctl.DRIVES)}")
+        require_finite("control", gain=self.gain, cruise=self.cruise, velocity=self.velocity)
+        if self.gain <= 0 or self.cruise <= 0:
+            raise ConfigError("control: gain and cruise must be positive")
+        if self.kind == ctl.CONSTANT_DRIFT and self.velocity is None:
+            raise ConfigError("drift control needs a velocity")
 
 
 @dataclass(frozen=True)
 class AgentSpec:
+    """One agent, from the scenario file to the tick: its body, its sensing
+    ring, its goal and its control. The run loop owns the moving position.
+
+    `r_target` None means the target zone has the body's radius;
+    `target_radius` applies that rule. `goal_array` is the goal as a
+    read-only float array (None without a goal), made once: the tick reads it.
+    """
+
     id: int
     start: tuple
     radius: float
@@ -51,14 +74,59 @@ class AgentSpec:
     control: GoalSpec
     goal: tuple | None = None
     r_target: float | None = None
-    cooperative: bool = True
+    cooperative: bool = True       # False: the agent's own pair-force sum is dropped
     prior_knowledge: str = PRIOR_NONE
+
+    def __post_init__(self):
+        owner = f"agent {self.id}"
+        require_finite(owner, start=self.start, radius=self.radius,
+                       ring_width=self.ring_width, goal=self.goal, r_target=self.r_target)
+        if self.radius <= 0:
+            raise ConfigError(f"{owner}: body radius must be positive")
+        if self.ring_width <= 0:
+            raise ConfigError(f"{owner}: sensing-ring width must be positive")
+        if self.goal is not None and self.target_radius < self.radius:
+            raise ConfigError(f"{owner}: target-zone radius {self.r_target} "
+                              "smaller than body radius")
+        if self.goal is None and self.control.kind != ctl.CONSTANT_DRIFT:
+            raise ConfigError(f"{owner}: {self.control.kind} control needs a goal")
+        if self.prior_knowledge not in (PRIOR_NONE, PRIOR_FULL):
+            raise ConfigError(f"{owner}: unknown prior_knowledge {self.prior_knowledge!r}")
+        goal = None
+        if self.goal is not None:
+            goal = np.array(self.goal, float)
+            goal.flags.writeable = False
+        object.__setattr__(self, "goal_array", goal)
+
+    @property
+    def reach(self):
+        """Outer radius of the sensing ring."""
+        return self.radius + self.ring_width
+
+    @property
+    def target_radius(self):
+        """Radius of the target zone: `r_target`, or the body radius without one."""
+        return self.radius if self.r_target is None else self.r_target
 
 
 @dataclass(frozen=True)
 class SuccessSpec:
+    """How a run is judged. "converge" succeeds once every agent with a goal
+    parks in its target zone. "horizon" runs to t_max and succeeds there if
+    `check` holds; "groups_crossed" asks that the drift groups passed each
+    other, and None asks nothing more than reaching t_max."""
+
     kind: str = "converge"  # "converge" | "horizon"
     check: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("converge", "horizon"):
+            raise ConfigError(f"unknown success kind {self.kind!r}; choose converge or horizon")
+        if self.check not in (None, "groups_crossed"):
+            raise ConfigError(f"unknown success check {self.check!r}; "
+                              "choose groups_crossed or null")
+        if self.check is not None and self.kind != "horizon":
+            raise ConfigError("a success check applies only to a horizon run")
 
 
 @dataclass(frozen=True)
@@ -72,6 +140,25 @@ class ScenarioSpec:
     sim: SimConfig
     success: SuccessSpec = SuccessSpec()
 
+    def __post_init__(self):
+        dim = len(self.workspace.lo)
+        for a in self.agents:
+            for what, point in (("start", a.start), ("goal", a.goal),
+                                ("control velocity", a.control.velocity)):
+                if point is not None and len(point) != dim:
+                    raise ConfigError(f"agent {a.id}: {what} needs {dim} coordinates, "
+                                      f"got {len(point)}")
+        if dim == 3 and len(self.crf.axis) != 3:
+            raise ConfigError(f"crf axis needs 3 coordinates, got {len(self.crf.axis)}")
+        ids = [a.id for a in self.agents]
+        if len(set(ids)) != len(ids):
+            twice = sorted({i for i in ids if ids.count(i) > 1})
+            raise ConfigError(f"agent ids must be unique; repeated: {twice}")
+        if (self.success.kind == "converge" and self.agents
+                and all(a.goal is None for a in self.agents)):
+            raise ConfigError("convergence needs at least one agent with a goal; "
+                              "use a horizon success criterion for pure drift runs")
+
 
 # ---------------------------------------------------------------------------
 # Runtime assembly
@@ -84,61 +171,27 @@ def build_workspace(spec: ScenarioSpec) -> Workspace:
     return Workspace(spec.workspace.lo, spec.workspace.hi, spec.workspace.obstacles, h=h)
 
 
-def build_bodies(spec: ScenarioSpec):
-    return [
-        AgentBody(a.id, np.asarray(a.start, float), a.radius, a.ring_width,
-                  goal=None if a.goal is None else np.asarray(a.goal, float),
-                  r_target=a.r_target)
-        for a in spec.agents
-    ]
-
-
 def build_runtime(spec: ScenarioSpec) -> Runtime:
     ws = build_workspace(spec)
-    bodies = build_bodies(spec)
     repulsion = spec.obstacle_repulsion
     shared_full_index = None
     controllers = []
-    for a, body in zip(spec.agents, bodies):
-        km = KnowledgeMap(a.id)
-        if a.prior_knowledge == PRIOR_FULL:
-            km.cells = set(ws.boundary_cells)
-        elif a.prior_knowledge != PRIOR_NONE:
-            raise ConfigError(f"agent {a.id}: unknown prior_knowledge {a.prior_knowledge!r}")
-
+    for a in spec.agents:
+        known = set(ws.boundary_cells) if a.prior_knowledge == PRIOR_FULL else set()
         field = None
         if a.control.kind == ctl.HARMONIC_GOAL:
-            if a.goal is None:
-                raise ConfigError(f"agent {a.id}: harmonic control needs a goal")
             # tight tolerance: behind narrow passages the potential varies by
             # less than 1e-8, and the drive direction must outrank residual noise
-            field = harmonic.solve_dirichlet(ws.grid, km.cells, np.asarray(a.goal, float),
+            field = harmonic.solve_dirichlet(ws.grid, known, a.goal_array,
                                              tol=1e-12, inflate=a.radius)
-
         index = None
-        if repulsion is not None and km.cells:
-            if a.prior_knowledge == PRIOR_FULL:
-                if shared_full_index is None:
-                    shared_full_index = interaction.KnownBoundaryIndex(ws.grid, km.cells)
-                index = shared_full_index
-            else:
-                index = interaction.KnownBoundaryIndex(ws.grid, km.cells)
-
-        controllers.append(ctl.AgentController(
-            agent_id=a.id,
-            goal_kind=a.control.kind,
-            goal=None if a.goal is None else np.asarray(a.goal, float),
-            gain=a.control.gain,
-            drift=None if a.control.velocity is None else np.asarray(a.control.velocity, float),
-            drive=a.control.drive,
-            cruise=a.control.cruise,
-            slow_radius=0.0 if body.r_target is None else body.r_target,
-            field=field,
-            knowledge=km,
-            boundary_index=index,
-            cooperative=a.cooperative,
-        ))
-    return Runtime(ws, bodies, controllers, spec.crf, spec.profile, repulsion,
+        if repulsion is not None and known:
+            # only agents with full prior knowledge start knowing cells; they share one index
+            if shared_full_index is None:
+                shared_full_index = interaction.KnownBoundaryIndex(ws.grid, known)
+            index = shared_full_index
+        controllers.append(ctl.AgentController(a, known, field, index))
+    return Runtime(ws, controllers, spec.crf, spec.profile, repulsion,
                    spec.success, dataclasses.replace(spec.sim))
 
 
@@ -541,9 +594,7 @@ def load(path) -> ScenarioSpec:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     spec = from_dict(raw)
-    ws = build_workspace(spec)
-    bodies = build_bodies(spec)
-    violations = world.validate_scenario(ws, bodies)
+    violations = world.validate_scenario(build_workspace(spec), spec.agents)
     if violations:
         raise ConfigError(f"{path}: " + "; ".join(violations))
     return spec

@@ -45,12 +45,15 @@ def color_for(agent_id: int) -> str:
     return PALETTE[agent_id % len(PALETTE)]
 
 
-def render(ws_lo, ws_hi, obstacles, trajectories, bodies, out_path):
+def render(ws_lo, ws_hi, obstacles, trajectories, agents, out_path):
     """Write the scene to out_path.
 
     obstacles: iterable of `world.Box` and `world.Ball` shapes.
-    trajectories: {agent_id: (T, dim) array}; bodies: {agent_id: {radius, start, goal}}.
+    trajectories: {agent_id: (T, dim) array}; agents: `scenarios.AgentSpec`s,
+    whose start, goal and body radius are marked. A track whose id has no
+    agent starts at its first point and gets no goal or body mark.
     """
+    by_id = {a.id: a for a in agents}
     m = _Mapper(ws_lo, ws_hi)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -91,14 +94,12 @@ def render(ws_lo, ws_hi, obstacles, trajectories, bodies, out_path):
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"/>'
             )
-        info = bodies.get(aid, {})
-        start = info.get("start")
-        if start is None and len(pts):
-            start = pts[0]
+        agent = by_id.get(aid)
+        start = agent.start if agent is not None else (pts[0] if len(pts) else None)
         if start is not None:
             sx, sy = m.to_px(start)
             parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>')
-        goal = info.get("goal")
+        goal = agent.goal if agent is not None else None
         if goal is not None:
             gx, gy = m.to_px(goal)
             parts.append(
@@ -106,11 +107,10 @@ def render(ws_lo, ws_hi, obstacles, trajectories, bodies, out_path):
                 f'M {_fmt(gx)} {_fmt(gy - 5)} V {_fmt(gy + 5)}" '
                 f'stroke="{color}" stroke-width="1.5" fill="none"/>'
             )
-        radius = info.get("radius")
-        if radius is not None and len(pts):
+        if agent is not None and len(pts):
             fx, fy = m.to_px(pts[-1])
             parts.append(
-                f'<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" r="{_fmt(radius * m.scale)}" '
+                f'<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" r="{_fmt(agent.radius * m.scale)}" '
                 f'fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
     parts.append(

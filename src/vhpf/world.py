@@ -1,4 +1,4 @@
-"""Static environment, agent geometry, local sensing, and discovery bookkeeping.
+"""Static environment, local sensing, discovery bookkeeping and placement checks.
 
 The workspace keeps two views of the obstacle set: the exact primitive shapes
 (used for collision checks and clearance queries) and a rasterized occupancy
@@ -9,7 +9,7 @@ the raster that touch free space along a grid axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -242,57 +242,12 @@ class Workspace:
 
 
 # ---------------------------------------------------------------------------
-# Agents and knowledge
+# Sensing and knowledge
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AgentBody:
-    """Spherical agent: start position, body radius, sensing-ring width, goal.
-
-    The body holds no moving state: the run loop owns the positions.
-    """
-
-    id: int
-    x: np.ndarray
-    radius: float
-    ring_width: float
-    goal: np.ndarray | None = None
-    r_target: float | None = None
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, float).copy()
-        require_finite(f"agent {self.id}", x=self.x, radius=self.radius,
-                       ring_width=self.ring_width, goal=self.goal, r_target=self.r_target)
-        if self.radius <= 0:
-            raise ConfigError(f"agent {self.id}: body radius must be positive")
-        if self.ring_width <= 0:
-            raise ConfigError(f"agent {self.id}: sensing-ring width must be positive")
-        if self.goal is not None:
-            self.goal = np.asarray(self.goal, float).copy()
-            if self.r_target is None:
-                self.r_target = self.radius
-            if self.r_target < self.radius:
-                raise ConfigError(
-                    f"agent {self.id}: target-zone radius {self.r_target} smaller than body radius"
-                )
-
-    @property
-    def reach(self):
-        """Outer radius of the sensing ring."""
-        return self.radius + self.ring_width
-
-
-@dataclass
-class KnowledgeMap:
-    """An agent's private record of discovered boundary cells."""
-
-    agent_id: int
-    cells: set = field(default_factory=set)
-
-
-def sense_obstacles(agent: AgentBody, x, ws: Workspace) -> set:
-    """Boundary cells whose centers fall in the sensing ring of the agent
-    centered at position x."""
+def sense_obstacles(agent, x, ws: Workspace) -> set:
+    """Boundary cells whose centers fall in the sensing ring of the agent (a
+    `scenarios.AgentSpec`: its radius and reach) centered at position x."""
     if not ws.contains_point(x):
         raise ConfigError(f"agent {agent.id} at {x} is outside the workspace")
     if not ws.boundary_cells:
@@ -302,11 +257,11 @@ def sense_obstacles(agent: AgentBody, x, ws: Workspace) -> set:
     return set(map(tuple, ws._boundary_idx[hit]))
 
 
-def update_knowledge(km: KnowledgeMap, sensed: set) -> set:
-    """Merge sensed cells into the map. Returns the cells that were new;
-    empty means the map did not grow."""
-    new = sensed - km.cells
-    km.cells |= new
+def update_knowledge(known: set, sensed: set) -> set:
+    """Merge sensed cells into an agent's set of known cells. Returns the
+    cells that were new; empty means the set did not grow."""
+    new = sensed - known
+    known |= new
     return new
 
 
@@ -336,27 +291,30 @@ def passage_width_audit(ws: Workspace, radius: float) -> list:
 
 
 def validate_scenario(ws: Workspace, agents) -> list:
-    """All start/goal placement violations, as human-readable strings. Empty means ok."""
+    """All start/goal placement violations of the agents (`scenarios.AgentSpec`s)
+    in the workspace, as human-readable strings. Empty means ok."""
     violations = []
     tol = 1e-9
     for a in agents:
-        if ws.bounds_clearance(a.x) < a.radius - tol:
+        start = np.asarray(a.start, float)
+        if ws.bounds_clearance(start) < a.radius - tol:
             violations.append(f"agent {a.id}: body extends outside workspace bounds")
-        if ws.obstacles and ws.obstacle_clearance(a.x) < a.radius - tol:
+        if ws.obstacles and ws.obstacle_clearance(start) < a.radius - tol:
             violations.append(f"agent {a.id}: body overlaps an obstacle")
         if a.goal is not None:
-            if ws.bounds_clearance(a.goal) < a.r_target - tol:
+            if ws.bounds_clearance(a.goal_array) < a.target_radius - tol:
                 violations.append(f"agent {a.id}: unattainable target (outside bounds)")
-            if ws.obstacles and ws.obstacle_clearance(a.goal) < a.r_target - tol:
+            if ws.obstacles and ws.obstacle_clearance(a.goal_array) < a.target_radius - tol:
                 violations.append(f"agent {a.id}: unattainable target (inside an obstacle)")
     if len(agents) < 2:
         return violations
     # every pair at once; an agent without a goal gets NaN, which conflicts with nothing
     i, j = np.triu_indices(len(agents), k=1)
-    x = np.array([a.x for a in agents])
+    x = np.array([a.start for a in agents], float)
     radius = np.array([a.radius for a in agents])
-    goal = np.array([np.full(x.shape[1], np.nan) if a.goal is None else a.goal for a in agents])
-    r_target = np.array([np.nan if a.goal is None else a.r_target for a in agents])
+    goal = np.array([np.full(x.shape[1], np.nan) if a.goal is None else a.goal_array
+                     for a in agents])
+    r_target = np.array([np.nan if a.goal is None else a.target_radius for a in agents])
     overlap = row_norms(x[i] - x[j]) < radius[i] + radius[j] - tol
     conflict = row_norms(goal[i] - goal[j]) < r_target[i] + r_target[j] - tol
     for k in np.flatnonzero(overlap | conflict):

@@ -1,12 +1,13 @@
 """Shared oracles for the test-suite: dense linear solves, random workspaces,
 a scalar, one-pair-at-a-time evaluation of the pair force, and the dense
-all-pairs evaluation of the pair forces and weight sums; and a fault
-injector."""
+all-pairs evaluation of the pair forces and weight sums; a fault injector,
+a short-hand agent record and a strategy for valid scenario files."""
 
 import itertools
 
 import numpy as np
 import scipy.ndimage as ndi
+from hypothesis import strategies as st
 
 from vhpf.harmonic import FREE, ScalarGridField
 from vhpf.interaction import (
@@ -18,7 +19,18 @@ from vhpf.interaction import (
     WeightProfile,
     interaction_weights,
 )
-from vhpf.world import AgentBody, Ball, Box, ConfigError, Workspace
+from vhpf.scenarios import AgentSpec, GoalSpec
+from vhpf.world import Ball, Box, ConfigError, Workspace
+
+
+def agent(aid, x, radius=1.0, ring=1.5, goal=None, r_target=None, **kw) -> AgentSpec:
+    """An agent starting at x: spring control toward its goal, or a zero
+    drift without one."""
+    x = tuple(map(float, x))
+    if goal is not None:
+        goal = tuple(map(float, goal))
+    control = GoalSpec("spring") if goal is not None else GoalSpec("drift", velocity=(0.0,) * len(x))
+    return AgentSpec(aid, x, radius, ring, control, goal=goal, r_target=r_target, **kw)
 
 
 def raising(exc):
@@ -169,7 +181,7 @@ def tangential_direction(rel, params: InteractionParams) -> np.ndarray:
 
 
 def pair_force(agent_i, agent_j, params: InteractionParams, profile: WeightProfile) -> np.ndarray:
-    """Force exerted on agent i by the presence of agent j.
+    """Force exerted on agent i by the presence of agent j, both at their starts.
 
     Zero whenever the weight is zero, which keeps the interaction strictly
     local, and for a pair at numerically the same point, which has no
@@ -178,7 +190,7 @@ def pair_force(agent_i, agent_j, params: InteractionParams, profile: WeightProfi
     """
     if agent_i.id == agent_j.id:
         raise ConfigError("pair force requires two distinct agents")
-    rel = np.asarray(agent_i.x, float) - np.asarray(agent_j.x, float)
+    rel = np.asarray(agent_i.start, float) - np.asarray(agent_j.start, float)
     r = float(np.linalg.norm(rel))
     w = weight(r, agent_i.radius + agent_j.radius, profile)
     if w == 0.0 or r < 1e-12:
@@ -192,13 +204,14 @@ def pair_force(agent_i, agent_j, params: InteractionParams, profile: WeightProfi
     return w * (params.kr * rad + params.kt * tan)
 
 
-def neighbors(agent: AgentBody, bodies) -> list:
-    """Every other agent whose body intersects this agent's sensing ring region."""
+def neighbors(agent: AgentSpec, agents) -> list:
+    """Every other agent whose body, at its start, intersects this agent's
+    sensing ring region."""
     out = []
-    for other in bodies:
+    for other in agents:
         if other.id == agent.id:
             continue
-        if np.linalg.norm(agent.x - other.x) <= agent.reach + other.radius:
+        if np.linalg.norm(np.subtract(agent.start, other.start)) <= agent.reach + other.radius:
             out.append(other)
     return out
 
@@ -291,3 +304,82 @@ def dense_sigma_activity(positions, radii, profile: WeightProfile) -> np.ndarray
     w = interaction_weights(dist, contact, profile)
     np.fill_diagonal(w, 0.0)
     return w.sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# valid scenario files, for property tests of the format and the engine
+# ---------------------------------------------------------------------------
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Valid 2-D scenario dicts in the file format, every field written out.
+
+    Agent k starts at (2 + 4k, 2) and aims at (2 + 4k, 8) of a 4n x 10
+    workspace (shifted by an offset); obstacles stay in the band 4 <= y <= 6
+    between the starts and the targets, so every layout passes validation.
+    """
+    n = draw(st.integers(1, 3))
+    ox, oy = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+    width = 4.0 * n
+    obstacles = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            x0, y0 = draw(_num(0.0, width - 1.0)), draw(_num(4.0, 5.0))
+            obstacles.append({"kind": "box", "lo": [ox + x0, oy + y0],
+                              "hi": [ox + x0 + draw(_num(0.1, 1.0)),
+                                     oy + y0 + draw(_num(0.1, 1.0))]})
+        else:
+            obstacles.append({"kind": "ball", "center": [ox + draw(_num(1.0, width - 1.0)),
+                                                         oy + 5.0],
+                              "radius": draw(_num(0.1, 0.9))})
+    agents = []
+    for k in range(n):
+        radius = draw(_num(0.2, 1.0))
+        has_goal = draw(st.booleans())
+        kind = draw(st.sampled_from(["spring", "drift", "harmonic"]) if has_goal
+                    else st.just("drift"))
+        if kind == "spring":
+            control = {"kind": kind, "gain": draw(_num(0.1, 2.0))}
+        elif kind == "drift":
+            control = {"kind": kind, "velocity": [draw(_num(-1.0, 1.0)), draw(_num(-1.0, 1.0))]}
+        else:
+            control = {"kind": kind, "drive": draw(st.sampled_from(["raw", "unit"])),
+                       "cruise": draw(_num(0.1, 2.0)), "gain": draw(_num(0.1, 2.0))}
+        agents.append({
+            "id": k + 1,
+            "start": [ox + 2.0 + 4 * k, oy + 2.0],
+            "radius": radius,
+            "ring_width": draw(_num(0.1, 2.0)),
+            "goal": [ox + 2.0 + 4 * k, oy + 8.0] if has_goal else None,
+            "r_target": draw(st.none() | _num(radius, 1.5)) if has_goal else None,
+            "control": control,
+            "cooperative": draw(st.booleans()),
+            "prior_knowledge": draw(st.sampled_from(["none", "full"])),
+        })
+    dt = draw(_num(0.005, 0.05))
+    with_goal = any(a["goal"] is not None for a in agents)
+    success = draw(st.sampled_from(["converge", "horizon"])) if with_goal else "horizon"
+    check = draw(st.sampled_from([None, "groups_crossed"])) if success == "horizon" else None
+    return {
+        "name": "generated",
+        "workspace": {"lo": [float(ox), float(oy)], "hi": [ox + width, oy + 10.0],
+                      "obstacles": obstacles, "grid_h": draw(st.sampled_from([0.25, 0.5]))},
+        "agents": agents,
+        "crf": {"kr": draw(_num(0.0, 5.0)), "kt": draw(_num(0.0, 5.0)),
+                "mode": draw(st.sampled_from(["spring", "unit"])),
+                "circulation": draw(st.sampled_from(["ccw", "cw"])), "axis": [0.0, 0.0, 1.0]},
+        "profile": {"kind": draw(st.sampled_from(["linear", "sinusoidal", "exponential",
+                                                  "spring"])),
+                    "delta": draw(_num(0.1, 2.0)), "beta": draw(_num(0.01, 0.5))},
+        "obstacle_repulsion": draw(st.none() | st.fixed_dictionaries(
+            {"strength": _num(0.0, 10.0), "influence": _num(0.05, 1.0)})),
+        "sim": {"dt": dt, "t_max": draw(_num(2 * dt, 0.5)),
+                "integrator": draw(st.sampled_from(["euler", "rk4"])),
+                "v_eps": draw(st.none() | _num(1e-4, 1e-2)), "w_dead": draw(_num(0.1, 10.0)),
+                "collision_tol": draw(_num(0.0, 1e-2))},
+        "success": {"kind": success, "check": check},
+    }

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import component, dense_solve, pair_force, random_workspace
+from helpers import agent, component, dense_solve, pair_force, random_workspace
 from vhpf import engine, harmonic, scenarios
 from vhpf.engine import CONVERGED, DEADLOCK, TIMEOUT, SimConfig, run
 from vhpf.harmonic import FREE, GOAL_BC, resolve_incremental, solve_dirichlet
@@ -35,7 +35,7 @@ from vhpf.scenarios import (
     WorkspaceSpec,
     builtin,
 )
-from vhpf.world import AgentBody, Box, GridSpec
+from vhpf.world import Box, GridSpec
 
 
 def report(num, label, ok, detail=""):
@@ -338,8 +338,8 @@ def test_criterion_12_oracle_equivalence():
         step = (1.0 if r - 2.0 >= 0 else 0.0) * (1.0 if 1.5 + 2.0 - r >= 0 else 0.0)
         sigma = (1.0 + (2.0 - r) / 1.5) * step
         expected = sigma * np.array([2.0 * rel[0] - rel[1], 2.0 * rel[1] + rel[0]])
-        a = AgentBody(1, rel, 1.0, 1.5)
-        b = AgentBody(2, np.zeros(2), 1.0, 1.5)
+        a = agent(1, rel)
+        b = agent(2, (0.0, 0.0))
         worst = max(worst, float(np.max(np.abs(pair_force(a, b, params, profile) - expected))))
     force_ok = worst <= 1e-12
 

@@ -56,8 +56,8 @@ def test_run_accepts_scenario_file(tmp_path):
     assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
-def _case1_file(tmp_path, edit):
-    d = scenarios.to_dict(scenarios.builtin("case1"))
+def _edited_file(tmp_path, edit, name="case1"):
+    d = scenarios.to_dict(scenarios.builtin(name))
     edit(d)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(d))   # json writes NaN as the bare literal NaN
@@ -66,12 +66,12 @@ def _case1_file(tmp_path, edit):
 
 def test_nan_time_step_is_config_error(tmp_path):
     assert run_cli(["run", "case1", "--dt", "nan", "--out", str(tmp_path / "a")]) == 5
-    path = _case1_file(tmp_path, lambda d: d["sim"].update(dt=float("nan")))
+    path = _edited_file(tmp_path, lambda d: d["sim"].update(dt=float("nan")))
     assert run_cli(["run", str(path), "--out", str(tmp_path / "b")]) == 5
 
 
 def test_nan_gain_never_reads_as_converged(tmp_path):
-    path = _case1_file(tmp_path, lambda d: d["agents"][0]["control"].update(gain=float("nan")))
+    path = _edited_file(tmp_path, lambda d: d["agents"][0]["control"].update(gain=float("nan")))
     code = run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")])
     assert code == 5
 
@@ -90,10 +90,42 @@ SENTINEL = 123456.789
                                                 "radius": SENTINEL}]),
 ], ids=["kr", "gain", "delta", "workspace-hi", "box-hi", "ball-radius"])
 def test_overflowing_number_is_config_error(tmp_path, edit):
-    path = _case1_file(tmp_path, edit)
+    path = _edited_file(tmp_path, edit)
     # json parses 1e999 as infinity without calling parse_constant
     path.write_text(path.read_text().replace(repr(SENTINEL), "1e999"))
     assert run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")]) == 5
+
+
+@pytest.mark.parametrize("name, edit, misspelled", [
+    ("case1", lambda d: d["success"].update(kind="horizon", check="grops_crossed"),
+     "grops_crossed"),
+    ("case1", lambda d: d["success"].update(kind="converg"), "converg"),
+    ("case7_unknown", lambda d: d["agents"][0]["control"].update(drive="unti"), "unti"),
+], ids=["success-check", "success-kind", "drive"])
+def test_misspelled_enum_value_is_config_error(tmp_path, capsys, name, edit, misspelled):
+    # each once ran: a false "converged", a run to timeout, a silent raw drive
+    path = _edited_file(tmp_path, edit, name)
+    assert run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")]) == 5
+    assert repr(misspelled) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("case1", lambda d: d["agents"][0].update(start=[-4.0, 0.0, 0.0]),
+     "agent 1: start needs 2 coordinates, got 3"),
+    ("case1", lambda d: d["agents"][0].update(start=[-4.0]),
+     "agent 1: start needs 2 coordinates, got 1"),
+    ("case1", lambda d: d["agents"][1].update(goal=[-4.0, 0.0, 0.0]),
+     "agent 2: goal needs 2 coordinates, got 3"),
+    ("case5_lanes", lambda d: d["agents"][0]["control"].update(velocity=[-1.0, 0.0, 0.0]),
+     "agent 1: control velocity needs 2 coordinates, got 3"),
+    ("case3_3d", lambda d: d["crf"].update(axis=[0.0, 1.0]),
+     "crf axis needs 3 coordinates, got 2"),
+    ("case1", lambda d: d["agents"][1].update(id=1), "agent ids must be unique; repeated: [1]"),
+], ids=["start-3", "start-1", "goal-3", "velocity-3", "axis-2", "repeated-id"])
+def test_coordinate_count_and_unique_ids_are_checked(tmp_path, capsys, name, edit, message):
+    path = _edited_file(tmp_path, edit, name)
+    assert run_cli(["run", str(path), "--tmax", "0.3", "--out", str(tmp_path / "out")]) == 5
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault", ["solver", "outside"])
@@ -115,7 +147,7 @@ def test_sense_phase_failure_exits_one(tmp_path, monkeypatch, capsys, fault):
 
 
 def test_overflowing_state_exits_one(tmp_path):
-    path = _case1_file(tmp_path, lambda d: d["agents"][0]["control"].update(gain=1e300))
+    path = _edited_file(tmp_path, lambda d: d["agents"][0]["control"].update(gain=1e300))
     assert run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")]) == 1
 
 

@@ -13,96 +13,91 @@ from vhpf.controller import (
 )
 from vhpf.engine import Runtime, SimConfig
 from vhpf.interaction import SPRING, SPRING_MODE, InteractionParams, WeightProfile
-from vhpf.world import AgentBody, Box, ConfigError, KnowledgeMap, Workspace
+from vhpf.scenarios import AgentSpec, GoalSpec
+from vhpf.world import Box, ConfigError, Workspace
 
 CASE_PARAMS = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
 CASE_PROFILE = WeightProfile(SPRING, delta=1.5)
 
 
-def spring_controller(aid, goal, gain=0.4, **kw):
-    return AgentController(agent_id=aid, goal_kind=SPRING_GOAL,
-                           goal=np.asarray(goal, float), gain=gain, **kw)
+def spring_controller(aid, x, goal, gain=0.4, **kw):
+    """A case1 agent at x with a spring toward goal."""
+    spec = AgentSpec(aid, tuple(x), 1.0, 1.5, GoalSpec(SPRING_GOAL, gain=gain),
+                     goal=tuple(goal), **kw)
+    return AgentController(spec, set())
 
 
-def body(aid, x):
-    return AgentBody(aid, np.asarray(x, float), 1.0, 1.5)
+def at(x):
+    return np.asarray(x, float)
 
 
-def controls(ctrls, bodies):
-    """Composed controls of a group on its current snapshot, as the engine evaluates them."""
+def controls(ctrls):
+    """Composed controls of a group at its start positions, as the engine evaluates them."""
     ws = Workspace((-10.0, -10.0), (10.0, 10.0), h=0.25)
-    rt = Runtime(ws, bodies, ctrls, CASE_PARAMS, CASE_PROFILE, None, None, SimConfig())
+    rt = Runtime(ws, ctrls, CASE_PARAMS, CASE_PROFILE, None, None, SimConfig())
     U, _ = rt.eval_controls(rt.positions())
     return U
 
 
 def test_spring_control_at_start():
-    ctrl = spring_controller(1, (4.0, 0.0))
-    u = controls([ctrl], [body(1, (-4.0, 0.0))])[0]
+    u = controls([spring_controller(1, (-4.0, 0.0), (4.0, 0.0))])[0]
     assert u == pytest.approx([3.2, 0.0], abs=1e-15)
 
 
 def test_spring_control_vanishes_at_goal():
-    ctrl = spring_controller(1, (4.0, 0.0))
-    u = controls([ctrl], [body(1, (4.0, 0.0))])[0]
+    u = controls([spring_controller(1, (4.0, 0.0), (4.0, 0.0))])[0]
     assert np.array_equal(u, np.zeros(2))
 
 
 def test_drift_control_far_from_everything():
-    ctrl = AgentController(agent_id=5, goal_kind=CONSTANT_DRIFT,
-                           drift=np.array([1.0, 0.0]))
-    u = controls([ctrl], [body(5, (-5.0, 1.3))])[0]
+    spec = AgentSpec(5, (-5.0, 1.3), 1.0, 1.5, GoalSpec(CONSTANT_DRIFT, velocity=(1.0, 0.0)))
+    u = controls([AgentController(spec, set())])[0]
     assert np.array_equal(u, [1.0, 0.0])
 
 
 def test_superposition_reduces_to_goal_term():
-    ctrl = spring_controller(1, (2.0, 1.0))
-    b = body(1, (0.5, -0.5))
-    assert np.array_equal(controls([ctrl], [b])[0], goal_term(ctrl, b.x))
+    ctrl = spring_controller(1, (0.5, -0.5), (2.0, 1.0))
+    assert np.array_equal(controls([ctrl])[0], goal_term(ctrl, at((0.5, -0.5))))
 
 
 def test_interaction_dissipates_out_of_range():
-    ctrl = spring_controller(1, (4.0, 0.0))
-    other = spring_controller(2, (-4.0, 0.0))
-    me = body(1, (-4.0, 0.0))
-    near = body(2, (-1.5, 0.5))
-    far = body(2, (4.0, 0.0))
-    assert not np.array_equal(controls([ctrl, other], [me, near])[0], goal_term(ctrl, me.x))
-    assert np.array_equal(controls([ctrl, other], [me, far])[0], goal_term(ctrl, me.x))
+    me = spring_controller(1, (-4.0, 0.0), (4.0, 0.0))
+    near = spring_controller(2, (-1.5, 0.5), (-4.0, 0.0))
+    far = spring_controller(2, (4.0, 0.0), (-4.0, 0.0))
+    alone = goal_term(me, at((-4.0, 0.0)))
+    assert not np.array_equal(controls([me, near])[0], alone)
+    assert np.array_equal(controls([me, far])[0], alone)
 
 
 def test_noncooperative_agent_drops_own_pair_forces_only():
-    a = body(1, (0.0, 0.0))
-    b = body(2, (2.5, 0.0))
-    ctrl_a = spring_controller(1, (4.0, 0.0))
-    ctrl_b_coop = spring_controller(2, (-4.0, 0.0))
-    ctrl_b_rogue = spring_controller(2, (-4.0, 0.0), cooperative=False)
+    a, b = at((0.0, 0.0)), at((2.5, 0.0))
+    ctrl_a = spring_controller(1, a, (4.0, 0.0))
+    ctrl_b_coop = spring_controller(2, b, (-4.0, 0.0))
+    ctrl_b_rogue = spring_controller(2, b, (-4.0, 0.0), cooperative=False)
 
-    u_rogue = controls([ctrl_a, ctrl_b_rogue], [a, b])
-    u_coop = controls([ctrl_a, ctrl_b_coop], [a, b])
-    assert np.array_equal(u_rogue[1], goal_term(ctrl_b_rogue, b.x))
-    assert not np.array_equal(u_coop[1], goal_term(ctrl_b_coop, b.x))
+    u_rogue = controls([ctrl_a, ctrl_b_rogue])
+    u_coop = controls([ctrl_a, ctrl_b_coop])
+    assert np.array_equal(u_rogue[1], goal_term(ctrl_b_rogue, b))
+    assert not np.array_equal(u_coop[1], goal_term(ctrl_b_coop, b))
     # the rogue flag on b does not change how a computes its own control
-    assert not np.array_equal(u_rogue[0], goal_term(ctrl_a, a.x))
+    assert not np.array_equal(u_rogue[0], goal_term(ctrl_a, a))
     assert np.array_equal(u_rogue[0], u_coop[0])
 
 
 def test_control_ignores_other_agents_goals():
-    ctrl = spring_controller(1, (4.0, 0.0))
-    me = body(1, (0.0, 0.0))
-    other1 = AgentBody(2, np.array([2.5, 0.0]), 1.0, 1.5, goal=np.array([9.0, 9.0]))
-    other2 = AgentBody(2, np.array([2.5, 0.0]), 1.0, 1.5, goal=np.array([-9.0, 3.0]))
-    assert np.array_equal(controls([ctrl, spring_controller(2, other1.goal)], [me, other1])[0],
-                          controls([ctrl, spring_controller(2, other2.goal)], [me, other2])[0])
+    me = spring_controller(1, (0.0, 0.0), (4.0, 0.0))
+    other1 = spring_controller(2, (2.5, 0.0), (9.0, 9.0))
+    other2 = spring_controller(2, (2.5, 0.0), (-9.0, 3.0))
+    assert np.array_equal(controls([me, other1])[0], controls([me, other2])[0])
 
 
 def test_control_does_not_depend_on_agent_order():
-    ctrls = [spring_controller(1, (4.0, 0.0)), spring_controller(2, (-4.0, 0.0)),
-             spring_controller(3, (0.0, 4.0))]
-    bodies = [body(1, (0.0, 0.0)), body(2, (2.5, 0.0)), body(3, (0.5, -2.4))]
-    u = controls(ctrls, bodies)
+    ctrls = [spring_controller(1, (0.0, 0.0), (4.0, 0.0)),
+             spring_controller(2, (2.5, 0.0), (-4.0, 0.0)),
+             spring_controller(3, (0.5, -2.4), (0.0, 4.0))]
+    u = controls(ctrls)
     order = [2, 0, 1]
-    u_perm = controls([ctrls[k] for k in order], [bodies[k] for k in order])
+    u_perm = controls([ctrls[k] for k in order])
     assert u_perm == pytest.approx(u[order], abs=1e-12)
 
 
@@ -114,20 +109,19 @@ def room():
     return Workspace((-4, -4), (4, 4), [Box((1.0, -2.0), (2.0, 2.0))], h=0.25)
 
 
-def harmonic_controller(ws, aid, goal, radius=0.5):
-    km = KnowledgeMap(aid)
-    field = harmonic.solve_dirichlet(ws.grid, km.cells, goal, tol=1e-10, inflate=radius)
-    return AgentController(agent_id=aid, goal_kind=HARMONIC_GOAL,
-                           goal=np.asarray(goal, float), field=field, knowledge=km,
-                           drive=UNIT_DRIVE, cruise=0.8, slow_radius=radius)
+def harmonic_controller(ws, aid, goal, start=(-3.0, -3.0), radius=0.5):
+    """A case7-like agent: radius 0.5, ring 0.5, unit drive at cruise 0.8."""
+    spec = AgentSpec(aid, start, radius, 0.5,
+                     GoalSpec(HARMONIC_GOAL, drive=UNIT_DRIVE, cruise=0.8), goal=goal)
+    field = harmonic.solve_dirichlet(ws.grid, set(), goal, tol=1e-10, inflate=radius)
+    return AgentController(spec, set(), field)
 
 
 def test_sense_without_walls_in_range_does_nothing():
     ws = room()
     ctrl = harmonic_controller(ws, 1, (-3.0, 3.0))
-    b = AgentBody(1, np.array([-3.0, -3.0]), 0.5, 0.5)
     before = ctrl.field.values.copy()
-    assert on_tick_sense(ctrl, b, b.x, ws, cushion=True) == 0
+    assert on_tick_sense(ctrl, at((-3.0, -3.0)), ws, cushion=True) == 0
     assert np.array_equal(ctrl.field.values, before)
 
 
@@ -136,22 +130,22 @@ def test_first_wall_approach_resolves_field():
     ctrl = harmonic_controller(ws, 1, (-3.0, 0.0))
     # agent to the right of the block, goal on the left: before discovery the
     # descent direction -grad(V) points straight through the unknown block
-    b = AgentBody(1, np.array([2.7, 0.0]), 0.5, 0.5)
-    g_before = harmonic.gradient_at(ctrl.field, b.x)
+    x = at((2.7, 0.0))
+    g_before = harmonic.gradient_at(ctrl.field, x)
     assert g_before[0] > 0  # V rises to the right, so descent points left
 
     probe = np.array([2.625, 0.0])  # first free column right of the inflated wall
     v_before = harmonic.value_at(ctrl.field, probe)
 
-    n_new = on_tick_sense(ctrl, b, b.x, ws, cushion=True)
+    n_new = on_tick_sense(ctrl, x, ws, cushion=True)
     assert n_new > 0
-    assert ctrl.knowledge.cells
+    assert ctrl.known
     # the wall now carries the ceiling value, so the probe next to it climbs
     # most of the way to it
     v_after = harmonic.value_at(ctrl.field, probe)
     assert 1.0 - v_after < 0.5 * (1.0 - v_before)
 
-    cold = harmonic.solve_dirichlet(ws.grid, ctrl.knowledge.cells, (-3.0, 0.0),
+    cold = harmonic.solve_dirichlet(ws.grid, ctrl.known, (-3.0, 0.0),
                                     tol=1e-10, inflate=0.5)
     assert np.max(np.abs(cold.values - ctrl.field.values)) < 1e-9
 
@@ -159,31 +153,30 @@ def test_first_wall_approach_resolves_field():
 def test_revisiting_known_wall_is_quiet():
     ws = room()
     ctrl = harmonic_controller(ws, 1, (-3.0, 0.0))
-    b = AgentBody(1, np.array([2.7, 0.0]), 0.5, 0.5)
-    assert on_tick_sense(ctrl, b, b.x, ws, cushion=True) > 0
+    x = at((2.7, 0.0))
+    assert on_tick_sense(ctrl, x, ws, cushion=True) > 0
     before = ctrl.field.values.copy()
-    assert on_tick_sense(ctrl, b, b.x, ws, cushion=True) == 0
+    assert on_tick_sense(ctrl, x, ws, cushion=True) == 0
     assert np.array_equal(ctrl.field.values, before)
 
 
 @pytest.mark.parametrize("cushion", [True, False])
 def test_discovery_rebuilds_the_cushion_index_only_with_a_cushion(cushion):
     ws = room()
-    ctrl = harmonic_controller(ws, 1, (-3.0, 0.0))
-    b = AgentBody(1, np.array([-3.0, 0.0]), 0.5, 0.5)
-    # sensing from a position other than the body's start
-    assert on_tick_sense(ctrl, b, np.array([2.7, 0.0]), ws, cushion=cushion) > 0
+    ctrl = harmonic_controller(ws, 1, (-3.0, 0.0), start=(-3.0, 0.0))
+    # sensing from a position other than the agent's start
+    assert on_tick_sense(ctrl, at((2.7, 0.0)), ws, cushion=cushion) > 0
     if cushion:
-        assert len(ctrl.boundary_index) == len(ctrl.knowledge.cells)
+        assert len(ctrl.boundary_index) == len(ctrl.known)
     else:
         assert ctrl.boundary_index is None
 
 
 def test_sense_requires_harmonic_mode():
     ws = room()
-    ctrl = spring_controller(1, (0.0, 0.0))
+    ctrl = spring_controller(1, (0.0, -3.0), (0.0, 0.0))
     with pytest.raises(ConfigError):
-        on_tick_sense(ctrl, body(1, (0.0, -3.0)), (0.0, -3.0), ws, cushion=False)
+        on_tick_sense(ctrl, at((0.0, -3.0)), ws, cushion=False)
 
 
 def test_unit_drive_parks_inside_target_zone():
@@ -200,23 +193,35 @@ def test_unit_drive_parks_inside_target_zone():
 
 
 def test_controller_validation():
-    with pytest.raises(ConfigError):
-        AgentController(agent_id=1, goal_kind="teleport")
-    with pytest.raises(ConfigError):
-        AgentController(agent_id=1, goal_kind=CONSTANT_DRIFT)
-    with pytest.raises(ConfigError):
-        AgentController(agent_id=1, goal_kind=HARMONIC_GOAL)
-    with pytest.raises(ConfigError, match="needs a goal"):
-        AgentController(agent_id=1, goal_kind=SPRING_GOAL)
+    # the control settings are checked where they are read, in the agent's spec
+    with pytest.raises(ConfigError, match="teleport"):
+        GoalSpec("teleport")
+    with pytest.raises(ConfigError, match="needs a velocity"):
+        GoalSpec(CONSTANT_DRIFT)
+    with pytest.raises(ConfigError, match="unti"):
+        GoalSpec(HARMONIC_GOAL, drive="unti")
+    for kind in (SPRING_GOAL, HARMONIC_GOAL):
+        with pytest.raises(ConfigError, match="needs a goal"):
+            AgentSpec(1, (0.0, 0.0), 1.0, 1.5, GoalSpec(kind))
     for bad in ({"gain": 0.0}, {"gain": -1.0}, {"cruise": -0.5}):
         with pytest.raises(ConfigError, match="must be positive"):
-            AgentController(agent_id=1, goal_kind=CONSTANT_DRIFT, drift=(1.0, 0.0), **bad)
+            GoalSpec(CONSTANT_DRIFT, velocity=(1.0, 0.0), **bad)
+    # the controller holds what the agent learns: a harmonic agent needs its field
+    spec = AgentSpec(1, (0.0, 0.0), 1.0, 1.5, GoalSpec(HARMONIC_GOAL), goal=(3.0, 0.0))
+    with pytest.raises(ConfigError, match="solved field"):
+        AgentController(spec, set())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("field", ["gain", "cruise", "drift", "slow_radius"])
+@pytest.mark.parametrize("field", ["gain", "cruise", "drift", "r_target"])
 def test_controller_rejects_non_finite_numbers(field, value):
-    args = {"gain": 1.0, "cruise": 1.0, "drift": np.array([1.0, 0.0]), "slow_radius": 0.5}
-    args[field] = np.array([value, 0.0]) if field == "drift" else value
-    with pytest.raises(ConfigError, match=field):
-        AgentController(agent_id=1, goal_kind=CONSTANT_DRIFT, **args)
+    # a drift agent's control vector is its velocity; its target zone, r_target
+    control = {"gain": 1.0, "cruise": 1.0, "velocity": (1.0, 0.0)}
+    r_target = value if field == "r_target" else 1.0
+    if field == "drift":
+        control["velocity"] = (value, 0.0)
+    elif field != "r_target":
+        control[field] = value
+    with pytest.raises(ConfigError, match="velocity" if field == "drift" else field):
+        AgentSpec(1, (0.0, 0.0), 1.0, 1.5, GoalSpec(CONSTANT_DRIFT, **control),
+                  r_target=r_target)

@@ -1,19 +1,21 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import raising
-from vhpf import engine, harmonic, scenarios, svgplot, world
+from helpers import raising, scenario_dicts
+from vhpf import cli, engine, harmonic, scenarios, svgplot, world
 from vhpf.controller import SPRING_GOAL, goal_term
 from vhpf.engine import (
     COLLISION,
     CONVERGED,
     DEADLOCK,
     TIMEOUT,
-    Runtime,
     SimConfig,
     SimulationError,
     TrajectoryLog,
@@ -33,7 +35,7 @@ from vhpf.scenarios import (
     build_runtime,
     builtin,
 )
-from vhpf.world import AgentBody, Box, ConfigError, Workspace
+from vhpf.world import Box, ConfigError, Workspace
 
 
 def two_agent_spec(**overrides):
@@ -187,10 +189,9 @@ def test_empty_agent_list_converges_immediately():
 
 
 def test_goal_free_run_needs_horizon_success():
-    spec = builtin("case5_lanes")
-    bad = dataclasses.replace(spec, success=SuccessSpec(kind="converge"))
+    # the spec rejects it at construction, before any run
     with pytest.raises(ConfigError, match="horizon"):
-        run(bad)
+        dataclasses.replace(builtin("case5_lanes"), success=SuccessSpec(kind="converge"))
 
 
 def test_run_rejects_invalid_scenario():
@@ -573,9 +574,8 @@ def test_non_finite_control_is_an_error_not_a_timeout(monkeypatch):
 
     def with_inf_gain(spec):
         rt = build(spec)
-        rt.controllers[0].gain = math.inf   # set past the controller's own check
-        return Runtime(rt.ws, rt.bodies, rt.controllers, rt.params, rt.profile,
-                       rt.repulsion, rt.success, rt.config)
+        rt._spring_gain[0] = math.inf   # set past the spec's own check
+        return rt
 
     monkeypatch.setattr(scenarios, "build_runtime", with_inf_gain)
     with pytest.raises(SimulationError) as err:
@@ -648,3 +648,35 @@ def test_discovery_events_carry_converged_resolves():
     for e in found:
         assert e["solver_iterations"] > 0
         assert e["residual"] < tol
+
+
+def _run_log(spec):
+    """The log of a run, whether it ends in an outcome or fails."""
+    try:
+        return run(spec)[0]
+    except SimulationError as exc:
+        return exc.log
+
+
+def _log_bytes(log):
+    return (log.times, log.outcome, [x.tobytes() for x in log.positions],
+            [u.tobytes() for u in log.controls], [s.tobytes() for s in log.sigma_activity],
+            [(k, flags.tobytes()) for k, flags in log.switches],
+            json.dumps(log.events, sort_keys=True))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(scenario_dicts())
+def test_generated_runs_repeat_stay_finite_and_exit_as_they_end(raw):
+    spec = scenarios.from_dict(raw)
+    log = _run_log(spec)
+    assert _log_bytes(_run_log(spec)) == _log_bytes(log)
+    assert np.isfinite(log.position_array()).all() and np.isfinite(log.control_array()).all()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        scenarios.save(spec, path)
+        code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    if log.outcome is None:   # the run failed
+        assert code == 1 and log.events[-1]["kind"] == "error"
+    else:
+        assert code == cli._OUTCOME_CODES[log.outcome]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import agent as body
 from helpers import (
     CoincidentCentersError,
     dense_crf_forces,
@@ -15,7 +16,7 @@ from helpers import (
     tangential_direction,
     weight,
 )
-from vhpf.controller import SPRING_GOAL, AgentController, goal_term
+from vhpf.controller import AgentController, goal_term
 from vhpf.engine import Runtime, SimConfig
 from vhpf.harmonic import FieldStats
 from vhpf.interaction import (
@@ -38,11 +39,7 @@ from vhpf.interaction import (
     sigma_activity,
     weight_can_jump,
 )
-from vhpf.world import AgentBody, Box, ConfigError, GridSpec, KnowledgeMap, Workspace
-
-
-def body(aid, x, radius=1.0, ring=1.5):
-    return AgentBody(aid, np.asarray(x, float), radius, ring)
+from vhpf.world import Box, ConfigError, GridSpec, Workspace
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +186,7 @@ def test_pair_force_radial_reciprocity():
     a, b = body(1, (0.3, -0.2)), body(2, (2.4, 0.7))
     fab = pair_force(a, b, CASE_PARAMS, CASE_PROFILE)
     fba = pair_force(b, a, CASE_PARAMS, CASE_PROFILE)
-    rel = a.x - b.x
+    rel = np.subtract(a.start, b.start)
     rhat = rel / np.linalg.norm(rel)
     assert np.dot(fab, rhat) == pytest.approx(-np.dot(fba, rhat), abs=1e-12)
 
@@ -233,7 +230,7 @@ def test_crf_batch_matches_pairwise_sum():
     profile = WeightProfile(LINEAR, delta=1.0)
     bodies = [body(i, rng.uniform(-3, 3, size=2), radius=0.8, ring=1.0)
               for i in range(5)]
-    pos = np.array([b.x for b in bodies])
+    pos = np.array([b.start for b in bodies])
     radii = np.array([b.radius for b in bodies])
     reach = np.array([b.reach for b in bodies])
     batch = crf_forces(pos, radii, params, profile, reach=reach)
@@ -250,7 +247,7 @@ def test_coincident_pair_adds_nothing_to_either_agent():
     params = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
     profile = WeightProfile(LINEAR, delta=1.5)
     bodies = [body(1, (0.0, 0.0)), body(2, (0.0, 0.0)), body(3, (2.5, 0.0))]
-    pos = np.array([b.x for b in bodies])
+    pos = np.array([b.start for b in bodies])
     radii = np.ones(3)
     batch = crf_forces(pos, radii, params, profile)
     assert np.array_equal(pair_force(bodies[0], bodies[1], params, profile), np.zeros(2))
@@ -270,7 +267,7 @@ def test_crf_3d_falls_back_to_y_when_rel_is_parallel_to_axis_and_x():
     params = InteractionParams(kr=2.0, kt=1.0, mode=UNIT_MODE, axis=(1.0, 0.0, 0.0))
     profile = WeightProfile(LINEAR, delta=1.5)
     a, b = body(0, (0.0, 0.0, 0.0)), body(1, (2.5, 0.0, 0.0))
-    out = crf_forces(np.array([a.x, b.x]), np.ones(2), params, profile)
+    out = crf_forces(np.array([a.start, b.start]), np.ones(2), params, profile)
     expected = pair_force(a, b, params, profile)
     assert expected == pytest.approx([-4.0 / 3.0, 0.0, 2.0 / 3.0], abs=1e-12)
     assert out[0] == pytest.approx(expected, abs=1e-12)
@@ -493,17 +490,16 @@ def test_repulsion_penetration_flag_and_peak():
 def test_repulsion_without_knowledge_is_zero():
     # an agent right against a wall it has not discovered feels no cushion
     ws = Workspace((-4.0, -4.0), (4.0, 4.0), [Box((1.0, -4.0), (4.0, 4.0))], h=0.25)
-    me = AgentBody(1, np.array([0.45, 0.0]), 0.5, 0.5)
-    ctrl = AgentController(agent_id=1, goal_kind=SPRING_GOAL, goal=np.array([-3.0, 0.0]),
-                           knowledge=KnowledgeMap(1))
-    rt = Runtime(ws, [me], [ctrl], InteractionParams(), WeightProfile(),
+    me = body(1, (0.45, 0.0), radius=0.5, ring=0.5, goal=(-3.0, 0.0))
+    ctrl = AgentController(me, set())
+    rt = Runtime(ws, [ctrl], InteractionParams(), WeightProfile(),
                  ObstacleRepulsionParams(), None, SimConfig())
     U, pen = rt.eval_controls(rt.positions())
-    assert np.array_equal(U[0], goal_term(ctrl, me.x)) and not pen[0]
+    assert np.array_equal(U[0], goal_term(ctrl, me.start)) and not pen[0]
     # the same wall, once known, pushes back
     ctrl.boundary_index = KnownBoundaryIndex(ws.grid, ws.boundary_cells)
     U, _ = rt.eval_controls(rt.positions())
-    assert U[0][0] < goal_term(ctrl, me.x)[0]
+    assert U[0][0] < goal_term(ctrl, me.start)[0]
 
 
 def test_repulsion_batch_matches_scalar():

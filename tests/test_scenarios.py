@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from helpers import scenario_dicts
 from vhpf import cli, engine, scenarios
 from vhpf.interaction import EXPONENTIAL, SPRING_MODE
 from vhpf.scenarios import (
     BUILTIN_NAMES,
-    build_bodies,
+    SuccessSpec,
     build_runtime,
     build_workspace,
     builtin,
@@ -95,15 +95,13 @@ def test_builtins_are_stable_and_valid():
         spec_b = builtin(name)
         assert spec_a == spec_b
         ws = build_workspace(spec_a)
-        bodies = build_bodies(spec_a)
-        assert validate_scenario(ws, bodies) == [], name
+        assert validate_scenario(ws, spec_a.agents) == [], name
 
 
 def test_case8_fails_passage_audit():
     spec = builtin("case8_tight")
     ws = build_workspace(spec)
-    bodies = build_bodies(spec)
-    reaches = sorted((b.reach for b in bodies), reverse=True)
+    reaches = sorted((a.reach for a in spec.agents), reverse=True)
     report = passage_width_audit(ws, reaches[0] + reaches[1])
     assert report
     assert ws.grid.point_to_cell((0.0, 0.0)) in set(report)
@@ -112,8 +110,7 @@ def test_case8_fails_passage_audit():
 def test_case7_audit_is_clean_between_the_blocks():
     spec = builtin("case7_unknown")
     ws = build_workspace(spec)
-    bodies = build_bodies(spec)
-    reaches = sorted((b.reach for b in bodies), reverse=True)
+    reaches = sorted((a.reach for a in spec.agents), reverse=True)
     report = set(passage_width_audit(ws, reaches[0] + reaches[1]))
     assert ws.grid.point_to_cell((0.0, 0.0)) not in report
 
@@ -151,8 +148,7 @@ def test_loader_applies_defaults(tmp_path):
     assert spec.sim.dt == 0.01
     assert spec.agents[0].ring_width == spec.profile.delta
     assert spec.agents[0].r_target is None
-    body = build_bodies(spec)[0]
-    assert body.r_target == body.radius
+    assert spec.agents[0].target_radius == spec.agents[0].radius
 
 
 def test_loader_rejects_overlapping_targets(tmp_path):
@@ -195,6 +191,13 @@ def test_from_dict_rejects_unknown_obstacle():
         from_dict(raw)
 
 
+def test_success_check_needs_a_horizon_run():
+    # a converge run would ignore the check, so asking for one is an error
+    with pytest.raises(ConfigError, match="only to a horizon run"):
+        SuccessSpec(kind="converge", check="groups_crossed")
+    assert SuccessSpec(kind="horizon").check is None
+
+
 # ---------------------------------------------------------------------------
 # runtime assembly
 # ---------------------------------------------------------------------------
@@ -203,8 +206,8 @@ def test_full_prior_knowledge_shares_boundary_index():
     rt = build_runtime(builtin("case5_lanes"))
     indexes = {id(c.boundary_index) for c in rt.controllers}
     assert len(indexes) == 1
-    assert len(rt.controllers[0].knowledge.cells) > 0
-    assert rt.controllers[0].knowledge.cells <= rt.ws.boundary_cells
+    assert len(rt.controllers[0].known) > 0
+    assert rt.controllers[0].known <= rt.ws.boundary_cells
 
 
 def test_default_grid_resolution_follows_smallest_body():
@@ -220,86 +223,12 @@ def test_harmonic_agents_get_private_fields():
     f1, f2 = (c.field for c in rt.controllers)
     assert f1 is not f2
     assert f1.goal_cell != f2.goal_cell
-    assert not rt.controllers[0].knowledge.cells
+    assert not rt.controllers[0].known
 
 
 # ---------------------------------------------------------------------------
 # property tests of the file format
 # ---------------------------------------------------------------------------
-
-def _num(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def scenario_dicts(draw):
-    """Valid 2-D scenario dicts in the file format, every field written out.
-
-    Agent k starts at (2 + 4k, 2) and aims at (2 + 4k, 8) of a 4n x 10
-    workspace (shifted by an offset); obstacles stay in the band 4 <= y <= 6
-    between the starts and the targets, so every layout passes validation.
-    """
-    n = draw(st.integers(1, 3))
-    ox, oy = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
-    width = 4.0 * n
-    obstacles = []
-    for _ in range(draw(st.integers(0, 2))):
-        if draw(st.booleans()):
-            x0, y0 = draw(_num(0.0, width - 1.0)), draw(_num(4.0, 5.0))
-            obstacles.append({"kind": "box", "lo": [ox + x0, oy + y0],
-                              "hi": [ox + x0 + draw(_num(0.1, 1.0)),
-                                     oy + y0 + draw(_num(0.1, 1.0))]})
-        else:
-            obstacles.append({"kind": "ball", "center": [ox + draw(_num(1.0, width - 1.0)),
-                                                         oy + 5.0],
-                              "radius": draw(_num(0.1, 0.9))})
-    agents = []
-    for k in range(n):
-        radius = draw(_num(0.2, 1.0))
-        has_goal = draw(st.booleans())
-        kind = draw(st.sampled_from(["spring", "drift", "harmonic"]) if has_goal
-                    else st.just("drift"))
-        if kind == "spring":
-            control = {"kind": kind, "gain": draw(_num(0.1, 2.0))}
-        elif kind == "drift":
-            control = {"kind": kind, "velocity": [draw(_num(-1.0, 1.0)), draw(_num(-1.0, 1.0))]}
-        else:
-            control = {"kind": kind, "drive": draw(st.sampled_from(["raw", "unit"])),
-                       "cruise": draw(_num(0.1, 2.0)), "gain": draw(_num(0.1, 2.0))}
-        agents.append({
-            "id": k + 1,
-            "start": [ox + 2.0 + 4 * k, oy + 2.0],
-            "radius": radius,
-            "ring_width": draw(_num(0.1, 2.0)),
-            "goal": [ox + 2.0 + 4 * k, oy + 8.0] if has_goal else None,
-            "r_target": draw(st.none() | _num(radius, 1.5)) if has_goal else None,
-            "control": control,
-            "cooperative": draw(st.booleans()),
-            "prior_knowledge": draw(st.sampled_from(["none", "full"])),
-        })
-    dt = draw(_num(0.005, 0.05))
-    with_goal = any(a["goal"] is not None for a in agents)
-    return {
-        "name": "generated",
-        "workspace": {"lo": [float(ox), float(oy)], "hi": [ox + width, oy + 10.0],
-                      "obstacles": obstacles, "grid_h": draw(st.sampled_from([0.25, 0.5]))},
-        "agents": agents,
-        "crf": {"kr": draw(_num(0.0, 5.0)), "kt": draw(_num(0.0, 5.0)),
-                "mode": draw(st.sampled_from(["spring", "unit"])),
-                "circulation": draw(st.sampled_from(["ccw", "cw"])), "axis": [0.0, 0.0, 1.0]},
-        "profile": {"kind": draw(st.sampled_from(["linear", "sinusoidal", "exponential",
-                                                  "spring"])),
-                    "delta": draw(_num(0.1, 2.0)), "beta": draw(_num(0.01, 0.5))},
-        "obstacle_repulsion": draw(st.none() | st.fixed_dictionaries(
-            {"strength": _num(0.0, 10.0), "influence": _num(0.05, 1.0)})),
-        "sim": {"dt": dt, "t_max": draw(_num(2 * dt, 0.5)),
-                "integrator": draw(st.sampled_from(["euler", "rk4"])),
-                "v_eps": draw(st.none() | _num(1e-4, 1e-2)), "w_dead": draw(_num(0.1, 10.0)),
-                "collision_tol": draw(_num(0.0, 1e-2))},
-        "success": {"kind": draw(st.sampled_from(["converge", "horizon"])) if with_goal
-                    else "horizon", "check": None},
-    }
-
 
 def _paths(d, path=()):
     """(path, value) of every entry of a nested dict/list, depth first."""
@@ -352,11 +281,18 @@ _POSITIVE = {"radius", "ring_width", "r_target", "gain", "cruise", "dt", "t_max"
 def _faults(raw):
     """Every single-fault variant of a valid scenario dict that a file can
     carry: each number made +inf or -inf, each size, step or gain made
-    negative, each list or object replaced by a number, and each overlap the
-    layout allows."""
+    negative, each list or object replaced by a number, each enum string
+    replaced by an unknown one, each coordinate list one number longer or
+    shorter, a repeated agent id, and each overlap the layout allows."""
     for path, value in _paths(raw):
         if isinstance(value, (dict, list)):
             yield _with(raw, path, 1)
+        if isinstance(value, str) and path != ("name",):
+            yield _with(raw, path, value[:-1])   # a misspelling: "sprin", "horizo", "rk"
+        if _is_coordinates(path, value):
+            yield _with(raw, path, value + [0.5])
+            yield _with(raw, path, value[:-1])
+    yield _with(raw, ("success", "check"), "grops_crossed")
     for path in _leaves(raw):
         yield _with(raw, path, math.inf)
         yield _with(raw, path, -math.inf)
@@ -369,9 +305,17 @@ def _faults(raw):
         {"kind": "box", "lo": start, "hi": [start[0] - 0.5, start[1] + 1.0]}])
     if len(raw["agents"]) > 1:
         yield _with(raw, ("agents", 1, "start"), [start[0] + 0.3, start[1]])
+        yield _with(raw, ("agents", 1, "id"), raw["agents"][0]["id"])
     goals = [k for k, a in enumerate(raw["agents"]) if a["goal"] is not None]
     if len(goals) > 1:
         yield _with(raw, ("agents", goals[1], "goal"), raw["agents"][goals[0]]["goal"])
+
+
+def _is_coordinates(path, value):
+    """A point or vector of the workspace's dimension: the circulation axis
+    has three numbers in any workspace and counts only in 3-D."""
+    return (isinstance(value, list) and value and path[-1] != "axis"
+            and all(isinstance(v, (int, float)) for v in value))
 
 
 @settings(derandomize=True, max_examples=8, deadline=None)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+from helpers import agent as make_agent
 from helpers import neighbors
+from vhpf.scenarios import AgentSpec, GoalSpec
 from vhpf.world import (
-    AgentBody,
     Ball,
     Box,
     ConfigError,
-    KnowledgeMap,
     Workspace,
     axis_norms,
     passage_width_audit,
@@ -16,10 +16,6 @@ from vhpf.world import (
     update_knowledge,
     validate_scenario,
 )
-
-
-def make_agent(aid, x, radius=1.0, ring=1.5, goal=None, r_target=None):
-    return AgentBody(aid, np.asarray(x, float), radius, ring, goal=goal, r_target=r_target)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +120,10 @@ def test_sense_matches_annulus_oracle():
 def test_sense_near_wall_contains_nearest_cell():
     ws = Workspace((-5, -5), (5, 5), [Box((-5, -5), (5, -3))], h=0.25)
     agent = make_agent(1, (0.0, -3.0 + 1.0 + 0.75), radius=1.0, ring=1.5)
-    sensed = sense_obstacles(agent, agent.x, ws)
+    sensed = sense_obstacles(agent, agent.start, ws)
     assert sensed
     nearest = min(ws.boundary_cells,
-                  key=lambda c: np.linalg.norm(ws.grid.cell_center(c) - agent.x))
+                  key=lambda c: np.linalg.norm(ws.grid.cell_center(c) - agent.start))
     assert nearest in sensed
 
 
@@ -146,21 +142,21 @@ def test_sensed_cells_lie_near_true_boundary():
     ws = Workspace((-5, -5), (5, 5), [Ball((0, 0), 1.5), Box((2, 2), (4, 4))], h=0.25)
     agent = make_agent(1, (0.0, 2.2), radius=0.4, ring=1.2)
     tol = ws.h * np.sqrt(2.0)
-    for cell in sense_obstacles(agent, agent.x, ws):
+    for cell in sense_obstacles(agent, agent.start, ws):
         center = ws.grid.cell_center(cell)
         assert abs(ws.obstacle_clearance(center)) <= tol
 
 
 def test_sense_in_three_dimensions():
     ws = Workspace((-3, -3, -3), (3, 3, 3), [Ball((0.0, 0.0, 0.0), 1.0)], h=0.5)
-    agent = AgentBody(1, np.array([0.0, 0.0, 2.0]), 0.3, 1.2)
-    got = sense_obstacles(agent, agent.x, ws)
+    agent = make_agent(1, (0.0, 0.0, 2.0), radius=0.3, ring=1.2)
+    got = sense_obstacles(agent, agent.start, ws)
     assert got
     for cell in got:
-        d = np.linalg.norm(ws.grid.cell_center(cell) - agent.x)
+        d = np.linalg.norm(ws.grid.cell_center(cell) - agent.start)
         assert agent.radius < d <= agent.reach
-    far = AgentBody(2, np.array([2.0, 2.0, 2.0]), 0.3, 0.4)
-    assert sense_obstacles(far, far.x, ws) == set()
+    far = make_agent(2, (2.0, 2.0, 2.0), radius=0.3, ring=0.4)
+    assert sense_obstacles(far, far.start, ws) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +164,24 @@ def test_sense_in_three_dimensions():
 # ---------------------------------------------------------------------------
 
 def test_update_knowledge_growth_and_idempotence():
-    km = KnowledgeMap(1)
-    assert update_knowledge(km, {(1, 2)}) == {(1, 2)} and km.cells == {(1, 2)}
-    assert update_knowledge(km, {(1, 2), (3, 4)}) == {(3, 4)}
-    assert update_knowledge(km, {(1, 2)}) == set()
-    assert update_knowledge(km, set()) == set() and km.cells == {(1, 2), (3, 4)}
+    known = set()
+    assert update_knowledge(known, {(1, 2)}) == {(1, 2)} and known == {(1, 2)}
+    assert update_knowledge(known, {(1, 2), (3, 4)}) == {(3, 4)}
+    assert update_knowledge(known, {(1, 2)}) == set()
+    assert update_knowledge(known, set()) == set() and known == {(1, 2), (3, 4)}
 
 
 def test_knowledge_monotone_over_random_sequences():
     rng = np.random.default_rng(3)
-    km = KnowledgeMap(1)
+    known = set()
     universe = [(i, j) for i in range(6) for j in range(6)]
     previous = set()
     for _ in range(40):
         batch = {universe[k] for k in rng.integers(0, len(universe), size=4)}
-        new = update_knowledge(km, batch)
-        assert previous <= km.cells
-        assert new == batch - previous and km.cells == previous | batch
-        previous = set(km.cells)
+        new = update_knowledge(known, batch)
+        assert previous <= known
+        assert new == batch - previous and known == previous | batch
+        previous = set(known)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +304,11 @@ def test_validate_pair_checks_match_a_pairwise_loop():
         want = []
         for i, a in enumerate(agents):
             for b in agents[i + 1:]:
-                if np.linalg.norm(a.x - b.x) < a.radius + b.radius - 1e-9:
+                if np.linalg.norm(np.subtract(a.start, b.start)) < a.radius + b.radius - 1e-9:
                     want.append(f"agents {a.id},{b.id}: bodies overlap at start")
                 if a.goal is not None and b.goal is not None:
-                    if np.linalg.norm(a.goal - b.goal) < a.r_target + b.r_target - 1e-9:
+                    gap = np.linalg.norm(np.subtract(a.goal, b.goal))
+                    if gap < a.target_radius + b.target_radius - 1e-9:
                         want.append(f"agents {a.id},{b.id}: conflicting targets")
         got = [v for v in validate_scenario(ws, agents) if v.startswith("agents ")]
         assert got == want
@@ -319,18 +316,20 @@ def test_validate_pair_checks_match_a_pairwise_loop():
 
 def test_agent_invariants_enforced():
     with pytest.raises(ConfigError):
-        make_agent(1, (0, 0), radius=1.0, goal=np.array([1.0, 0.0]), r_target=0.5)
+        make_agent(1, (0, 0), radius=1.0, goal=(1.0, 0.0), r_target=0.5)
     with pytest.raises(ConfigError):
-        AgentBody(1, np.zeros(2), 1.0, 0.0)
+        make_agent(1, (0, 0), ring=0.0)
     with pytest.raises(ConfigError):
-        AgentBody(1, np.zeros(2), -1.0, 0.5)
+        make_agent(1, (0, 0), radius=-1.0, ring=0.5)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["x", "radius", "ring_width", "goal", "r_target"])
 def test_agent_body_rejects_non_finite_numbers(field, value):
-    args = {"x": np.zeros(2), "radius": 1.0, "ring_width": 1.5,
-            "goal": np.array([4.0, 0.0]), "r_target": 1.0}
-    args[field] = np.array([0.0, value]) if field in ("x", "goal") else value
-    with pytest.raises(ConfigError, match=field):
-        AgentBody(1, **args)
+    # the spec's start is the body's position x
+    name = "start" if field == "x" else field
+    args = {"start": (0.0, 0.0), "radius": 1.0, "ring_width": 1.5,
+            "goal": (4.0, 0.0), "r_target": 1.0}
+    args[name] = (0.0, value) if name in ("start", "goal") else value
+    with pytest.raises(ConfigError, match=name):
+        AgentSpec(1, control=GoalSpec("spring"), **args)

@@ -1,0 +1,118 @@
+"""Digests of every output the vhpf CLI writes, for byte-identity checks.
+
+Runs the CLI of the package under `<root>/src`, one fresh process per call:
+- `run NAME --plot` for each builtin scenario;
+- `run crowd_seedN.json --plot` for crowd seeds 1 and 2 (the scenario dicts
+  of `bench/crowd.py`'s `generate`);
+- `sweep-delta case1` with the benchmark's deltas and profiles;
+- `plot` of the `case5_lanes` and `case7_unknown` trajectory CSVs.
+
+For each call it records the exit code, stdout and stderr with the work
+directory replaced by `<work>`, and the sha256 of every file the call wrote.
+Two checkouts produce the same outputs exactly when their JSON files are
+equal, so comparing them is the whole byte-identity check:
+
+    python3 tools/output_digests.py --out change.json
+    python3 tools/output_digests.py --root ../parent --out parent.json
+    cmp parent.json change.json
+
+It takes a few minutes (the builtins run to their outcomes).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+PLOTTED = ("case5_lanes", "case7_unknown")
+CROWD_SEEDS = (1, 2)
+
+
+def _module(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _builtin_names(root: Path) -> list[str]:
+    code = "from vhpf.scenarios import BUILTIN_NAMES; print(' '.join(BUILTIN_NAMES))"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(root), check=True,
+                         capture_output=True, text=True)
+    return out.stdout.split()
+
+
+def _env(root: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(root / "src")}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _call(root: Path, argv: list[str], out: Path) -> dict:
+    """Run `vhpf <argv>` in the new directory `out`: its exit code, its
+    output with the work directory hidden, and the digests of its files."""
+    out.mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-m", "vhpf.cli", *argv], env=_env(root),
+                          cwd=out, capture_output=True, text=True)
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    return {
+        "exit_code": proc.returncode,
+        "stdout": proc.stdout.replace(str(out.parent), "<work>"),
+        "stderr": proc.stderr.replace(str(out.parent), "<work>"),
+        "files": {str(p.relative_to(out)): _sha256(p) for p in files},
+    }
+
+
+def digests(root: Path, work: Path) -> dict:
+    """Every call's record, keyed by a label of the call."""
+    bench = _module(root / "bench" / "run.py", "bench_run")
+    crowd = _module(root / "bench" / "crowd.py", "bench_crowd")
+    runs = {}
+
+    def call(label, argv):
+        print(label, flush=True)
+        out = work / f"call{len(runs)}"
+        runs[label] = _call(root, argv, out)
+        return out
+
+    dirs = {}
+    for name in _builtin_names(root):
+        dirs[name] = call(f"run {name}", ["run", name, "--out", ".", "--plot"])
+    for seed in CROWD_SEEDS:
+        scenario = work / f"crowd_seed{seed}.json"
+        scenario.write_text(json.dumps(crowd.generate(seed), indent=1) + "\n", encoding="utf-8")
+        call(f"run crowd seed {seed}", ["run", str(scenario), "--out", ".", "--plot"])
+    call("sweep-delta case1", ["sweep-delta", "case1", "--deltas", bench.SWEEP_DELTAS,
+                               "--profiles", bench.SWEEP_PROFILES, "--out", "sweep.csv"])
+    for name in PLOTTED:
+        call(f"plot {name}", ["plot", str(dirs[name] / "trajectory.csv"),
+                              "--scenario", name, "--out", "plot.svg"])
+    return runs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", default=str(HERE),
+                        help="checkout whose src/ and bench/ to use (default: this one)")
+    parser.add_argument("--out", required=True, help="where to write the digests JSON")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = digests(Path(args.root).resolve(), Path(tmp))
+    with open(args.out, "w", encoding="utf-8") as f:
+        json.dump(runs, f, indent=1, sort_keys=True)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
