@@ -71,19 +71,25 @@ def _apply_overrides(spec: scenarios.ScenarioSpec, args) -> scenarios.ScenarioSp
     profile = spec.profile
     if args.profile is not None:
         profile = dataclasses.replace(profile, kind=_PROFILE_ALIASES[args.profile])
-    agents = spec.agents
-    if args.delta is not None:
-        profile = dataclasses.replace(profile, delta=args.delta)
-        agents = tuple(dataclasses.replace(a, ring_width=args.delta) for a in agents)
 
     workspace = spec.workspace
     if args.grid_h is not None:
         workspace = dataclasses.replace(workspace, grid_h=args.grid_h)
 
     repulsion = None if getattr(args, "no_uo", False) else spec.obstacle_repulsion
-    return dataclasses.replace(spec, sim=sim, crf=crf, profile=profile,
-                               agents=agents, workspace=workspace,
-                               obstacle_repulsion=repulsion)
+    spec = dataclasses.replace(spec, sim=sim, crf=crf, profile=profile,
+                               workspace=workspace, obstacle_repulsion=repulsion)
+    return spec if args.delta is None else _with_width(spec, args.delta)
+
+
+def _with_width(spec, delta, **profile):
+    """The spec with action-zone width `delta`, which is also every agent's
+    sensing-ring width, and any other `profile` settings given."""
+    return dataclasses.replace(
+        spec,
+        profile=dataclasses.replace(spec.profile, delta=delta, **profile),
+        agents=tuple(dataclasses.replace(a, ring_width=delta) for a in spec.agents),
+    )
 
 
 def _write_outputs(spec, log, metrics, out_dir: Path, want_plot: bool):
@@ -126,12 +132,7 @@ def cmd_run(args) -> int:
 
 
 def _sweep_one(spec, profile_kind, delta):
-    variant = dataclasses.replace(
-        spec,
-        profile=dataclasses.replace(spec.profile, kind=profile_kind, delta=delta),
-        agents=tuple(dataclasses.replace(a, ring_width=delta) for a in spec.agents),
-    )
-    log, metrics = engine.run(variant)
+    log, metrics = engine.run(_with_width(spec, delta, kind=profile_kind))
     return profile_kind, delta, max(metrics.kappa_max.values())
 
 

@@ -59,9 +59,9 @@ class InteractionParams:
 
     kr: float = 2.0
     kt: float = 1.0
-    mode: str = SPRING_MODE
+    mode: str = UNIT_MODE
     circulation: str = CCW
-    axis: tuple = (0.0, 0.0, 1.0)  # circulation axis, 3-D only
+    axis: tuple[float, ...] = (0.0, 0.0, 1.0)  # circulation axis, 3-D only
 
     def __post_init__(self):
         require_finite("interaction", kr=self.kr, kt=self.kt, axis=self.axis)

@@ -1,25 +1,30 @@
 """Built-in simulation scenarios and the JSON scenario file format.
 
-Each builtin pins every parameter of one canonical setup; the loader accepts
-the same structure from a file with defaults for omitted fields. The top-level
-keys are `workspace`, `agents`, `crf`, `profile`, `obstacle_repulsion`, `sim`,
-and `success`.
+Each builtin pins every parameter of one canonical setup. A scenario file
+holds the same records as JSON objects: their keys are the records' fields,
+an omitted field takes the record's default, and an unknown key or a value of
+the wrong JSON type is a `ConfigError`. The top-level keys are `name`,
+`workspace`, `agents`, `crf`, `profile`, `obstacle_repulsion`, `sim` and
+`success`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from . import controller as ctl
-from . import harmonic, interaction, world
+from . import harmonic, interaction
 from .engine import Runtime, SimConfig
 from .interaction import InteractionParams, ObstacleRepulsionParams, WeightProfile
-from .world import Ball, Box, ConfigError, Workspace, require_finite
+from .world import Ball, Box, ConfigError, Shape, Workspace, require_finite
 
 PRIOR_NONE = "none"
 PRIOR_FULL = "full"
@@ -27,19 +32,20 @@ PRIOR_FULL = "full"
 
 @dataclass(frozen=True)
 class WorkspaceSpec:
-    lo: tuple
-    hi: tuple
-    obstacles: tuple = ()   # world.Box and world.Ball shapes
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
+    obstacles: tuple[Shape, ...] = ()
     grid_h: float | None = None
 
 
 @dataclass(frozen=True)
 class GoalSpec:
-    """An agent's goal-seeking control: its kind, and the settings of that kind."""
+    """An agent's goal-seeking control: its kind, and the settings of that
+    kind. `CONTROL_FIELDS` names the settings each kind reads."""
 
-    kind: str                       # "spring" | "drift" | "harmonic"
+    kind: str = ctl.SPRING_GOAL     # "spring" | "drift" | "harmonic"
     gain: float = 1.0               # spring stiffness, or harmonic gradient scale
-    velocity: tuple | None = None   # drift only: the constant control vector
+    velocity: tuple[float, ...] | None = None   # drift only: the constant control vector
     drive: str = ctl.RAW_DRIVE      # harmonic only: follow -grad raw or at unit speed
     cruise: float = 1.0             # harmonic speed when drive == "unit"
 
@@ -68,11 +74,11 @@ class AgentSpec:
     """
 
     id: int
-    start: tuple
+    start: tuple[float, ...]
     radius: float
     ring_width: float
     control: GoalSpec
-    goal: tuple | None = None
+    goal: tuple[float, ...] | None = None
     r_target: float | None = None
     cooperative: bool = True       # False: the agent's own pair-force sum is dropped
     prior_knowledge: str = PRIOR_NONE
@@ -129,15 +135,17 @@ class SuccessSpec:
             raise ConfigError("a success check applies only to a horizon run")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    name: str
+    """A whole scenario. Only `workspace` and `agents` have no default."""
+
+    name: str = "scenario"
     workspace: WorkspaceSpec
-    agents: tuple
-    crf: InteractionParams
-    profile: WeightProfile
-    obstacle_repulsion: ObstacleRepulsionParams | None
-    sim: SimConfig
+    agents: tuple[AgentSpec, ...]
+    crf: InteractionParams = InteractionParams()
+    profile: WeightProfile = WeightProfile()
+    obstacle_repulsion: ObstacleRepulsionParams | None = None
+    sim: SimConfig = dataclasses.field(default_factory=SimConfig)
     success: SuccessSpec = SuccessSpec()
 
     def __post_init__(self):
@@ -416,164 +424,121 @@ def builtin(name: str) -> ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization: the records' fields, types and defaults are the file format
 # ---------------------------------------------------------------------------
 
-def _shape_to_dict(s):
-    if isinstance(s, Box):
-        return {"kind": "box", "lo": list(s.lo), "hi": list(s.hi)}
-    return {"kind": "ball", "center": list(s.center), "radius": s.radius}
+# the keys each goal-control kind reads besides `kind`; a file carries only these
+CONTROL_FIELDS = {
+    ctl.SPRING_GOAL: ("gain",),
+    ctl.CONSTANT_DRIFT: ("velocity",),
+    ctl.HARMONIC_GOAL: ("drive", "cruise", "gain"),
+}
+_SHAPE_KINDS = {Box: "box", Ball: "ball"}
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
-def _shape_from_dict(d):
-    kind = d.get("kind")
-    if kind == "box":
-        return Box(tuple(d["lo"]), tuple(d["hi"]))
-    if kind == "ball":
-        return Ball(tuple(d["center"]), float(d["radius"]))
-    raise ConfigError(f"workspace.obstacles: unknown kind {kind!r}")
+@functools.cache
+def _fields(cls):
+    """The reader of each field of a record class by name, and the names of
+    the fields without a default."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    return ({f.name: _reader(hints[f.name]) for f in fields},
+            [f.name for f in fields if f.default is MISSING and f.default_factory is MISSING])
 
 
-def to_dict(spec: ScenarioSpec) -> dict:
-    agents = []
-    for a in spec.agents:
-        control = {"kind": a.control.kind}
-        if a.control.kind == ctl.SPRING_GOAL:
-            control["gain"] = a.control.gain
-        elif a.control.kind == ctl.CONSTANT_DRIFT:
-            control["velocity"] = list(a.control.velocity)
-        else:
-            control["drive"] = a.control.drive
-            control["cruise"] = a.control.cruise
-            control["gain"] = a.control.gain
-        agents.append({
-            "id": a.id,
-            "start": list(a.start),
-            "radius": a.radius,
-            "ring_width": a.ring_width,
-            "goal": None if a.goal is None else list(a.goal),
-            "r_target": a.r_target,
-            "control": control,
-            "cooperative": a.cooperative,
-            "prior_knowledge": a.prior_knowledge,
-        })
-    out = {
-        "name": spec.name,
-        "workspace": {
-            "lo": list(spec.workspace.lo),
-            "hi": list(spec.workspace.hi),
-            "obstacles": [_shape_to_dict(s) for s in spec.workspace.obstacles],
-            "grid_h": spec.workspace.grid_h,
-        },
-        "agents": agents,
-        "crf": {
-            "kr": spec.crf.kr,
-            "kt": spec.crf.kt,
-            "mode": spec.crf.mode,
-            "circulation": spec.crf.circulation,
-            "axis": list(spec.crf.axis),
-        },
-        "profile": {
-            "kind": spec.profile.kind,
-            "delta": spec.profile.delta,
-            "beta": spec.profile.beta,
-        },
-        "obstacle_repulsion": None if spec.obstacle_repulsion is None else {
-            "strength": spec.obstacle_repulsion.strength,
-            "influence": spec.obstacle_repulsion.influence,
-        },
-        "sim": {
-            "dt": spec.sim.dt,
-            "t_max": spec.sim.t_max,
-            "integrator": spec.sim.integrator,
-            "v_eps": spec.sim.v_eps,
-            "w_dead": spec.sim.w_dead,
-            "collision_tol": spec.sim.collision_tol,
-        },
-        "success": {"kind": spec.success.kind, "check": spec.success.check},
-    }
+@functools.cache
+def _reader(tp):
+    """A function (raw, where) that reads the JSON value `raw`, found at path
+    `where` of the file, as the annotated type `tp`."""
+    if tp in _TYPE_NAMES:
+        return functools.partial(_scalar, tp)
+    if tp == Shape:
+        return _shape
+    if isinstance(tp, types.UnionType):   # X | None
+        read = _reader(typing.get_args(tp)[0])
+        return lambda raw, where: None if raw is None else read(raw, where)
+    if typing.get_origin(tp) is tuple:    # tuple[X, ...]
+        return functools.partial(_tuple, _reader(typing.get_args(tp)[0]))
+    return functools.partial(_record, tp)
+
+
+def _record(cls, raw, where):
+    """A JSON object as a record of class `cls`: every key must be a field,
+    and an omitted field takes the record's default."""
+    owner = where or "scenario"
+    if type(raw) is not dict:
+        raise ConfigError(f"{owner}: expected an object, got {raw!r}")
+    readers, required = _fields(cls)
+    for key in raw:
+        if key not in readers:
+            raise ConfigError(f"{owner}: unknown key {key!r}")
+    for name in required:
+        if name not in raw:
+            raise ConfigError(f"{owner}: missing key {name!r}")
+    record = cls(**{k: readers[k](v, f"{where}.{k}" if where else k) for k, v in raw.items()})
+    if cls is GoalSpec:
+        extra = [k for k in raw if k != "kind" and k not in CONTROL_FIELDS[record.kind]]
+        if extra:
+            raise ConfigError(f"{where}: {record.kind} control does not read {extra[0]!r}")
+    return record
+
+
+def _shape(raw, where):
+    """A JSON object tagged with its `kind` as a world.Box or world.Ball."""
+    kind = raw.get("kind") if type(raw) is dict else None
+    for cls, name in _SHAPE_KINDS.items():
+        if kind == name:
+            return _record(cls, {k: v for k, v in raw.items() if k != "kind"}, where)
+    raise ConfigError(f"{where}: unknown kind {kind!r}; choose box or ball")
+
+
+def _tuple(read, raw, where):
+    if type(raw) is not list:
+        raise ConfigError(f"{where}: expected a list, got {raw!r}")
+    return tuple(read(v, f"{where}[{k}]") for k, v in enumerate(raw))
+
+
+def _scalar(tp, raw, where):
+    """A JSON scalar as a float, int, bool or str: integers become floats in
+    float fields, and the others take only their own JSON type."""
+    if tp is float and type(raw) is int:
+        try:
+            raw = float(raw)
+        except OverflowError:
+            raise ConfigError(f"{where}: integer too large for a number") from None
+    if type(raw) is not tp:
+        raise ConfigError(f"{where}: expected {_TYPE_NAMES[tp]}, got {raw!r}")
+    return raw
+
+
+def _plain(obj):
+    """`obj` as JSON data: records become objects (a shape tagged with its
+    kind, a goal control with only the keys its kind reads), tuples lists."""
+    if isinstance(obj, tuple):
+        return [_plain(v) for v in obj]
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    out = {"kind": _SHAPE_KINDS[type(obj)]} if type(obj) in _SHAPE_KINDS else {}
+    names = (("kind", *CONTROL_FIELDS[obj.kind]) if isinstance(obj, GoalSpec)
+             else [f.name for f in dataclasses.fields(obj)])
+    out.update((name, _plain(getattr(obj, name))) for name in names)
     return out
 
 
+def to_dict(spec: ScenarioSpec) -> dict:
+    return _plain(spec)
+
+
 def from_dict(d: dict) -> ScenarioSpec:
-    try:
-        ws = d.get("workspace")
-        if ws is None:
-            raise ConfigError("missing required key 'workspace'")
-        workspace = WorkspaceSpec(
-            lo=tuple(ws["lo"]),
-            hi=tuple(ws["hi"]),
-            obstacles=tuple(_shape_from_dict(o) for o in ws.get("obstacles", [])),
-            grid_h=ws.get("grid_h"),
-        )
-        profile_d = d.get("profile", {})
-        profile = WeightProfile(
-            kind=profile_d.get("kind", interaction.LINEAR),
-            delta=float(profile_d.get("delta", 1.5)),
-            beta=float(profile_d.get("beta", 0.05)),
-        )
-        agents = []
-        for a in d.get("agents", []):
-            ctl_d = a.get("control", {"kind": ctl.SPRING_GOAL})
-            kind = ctl_d.get("kind", ctl.SPRING_GOAL)
-            goal_control = GoalSpec(
-                kind=kind,
-                gain=float(ctl_d.get("gain", 1.0)),
-                velocity=None if ctl_d.get("velocity") is None else tuple(ctl_d["velocity"]),
-                drive=ctl_d.get("drive", ctl.RAW_DRIVE),
-                cruise=float(ctl_d.get("cruise", 1.0)),
-            )
-            agents.append(AgentSpec(
-                id=int(a["id"]),
-                start=tuple(a["start"]),
-                radius=float(a["radius"]),
-                ring_width=float(a.get("ring_width", profile.delta)),
-                control=goal_control,
-                goal=None if a.get("goal") is None else tuple(a["goal"]),
-                r_target=None if a.get("r_target") is None else float(a["r_target"]),
-                cooperative=bool(a.get("cooperative", True)),
-                prior_knowledge=a.get("prior_knowledge", PRIOR_NONE),
-            ))
-        crf_d = d.get("crf", {})
-        crf = InteractionParams(
-            kr=float(crf_d.get("kr", 2.0)),
-            kt=float(crf_d.get("kt", 1.0)),
-            mode=crf_d.get("mode", interaction.UNIT_MODE),
-            circulation=crf_d.get("circulation", interaction.CCW),
-            axis=tuple(crf_d.get("axis", (0.0, 0.0, 1.0))),
-        )
-        rep_d = d.get("obstacle_repulsion")
-        repulsion = None if rep_d is None else ObstacleRepulsionParams(
-            strength=float(rep_d.get("strength", 6.0)),
-            influence=float(rep_d.get("influence", 0.25)),
-        )
-        sim_d = d.get("sim", {})
-        sim = SimConfig(
-            dt=float(sim_d.get("dt", 0.01)),
-            t_max=float(sim_d.get("t_max", 200.0)),
-            integrator=sim_d.get("integrator", "rk4"),
-            v_eps=None if sim_d.get("v_eps") is None else float(sim_d["v_eps"]),
-            w_dead=float(sim_d.get("w_dead", 5.0)),
-            collision_tol=float(sim_d.get("collision_tol", 1e-3)),
-        )
-        succ_d = d.get("success", {})
-        success = SuccessSpec(kind=succ_d.get("kind", "converge"), check=succ_d.get("check"))
-    except KeyError as exc:
-        raise ConfigError(f"scenario field missing: {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"malformed scenario field: {exc}") from exc
-    return ScenarioSpec(
-        name=d.get("name", "scenario"),
-        workspace=workspace,
-        agents=tuple(agents),
-        crf=crf,
-        profile=profile,
-        obstacle_repulsion=repulsion,
-        sim=sim,
-        success=success,
-    )
+    """The spec of a scenario in the file format (docs/scenario_format.md)."""
+    agents = d.get("agents") if type(d) is dict else None
+    if type(agents) is list:
+        # the one default no record owns: a sensing ring as wide as the annulus
+        delta = _record(WeightProfile, d.get("profile", {}), "profile").delta
+        d = {**d, "agents": [{"ring_width": delta, **a} if type(a) is dict else a
+                             for a in agents]}
+    return _record(ScenarioSpec, d, "")
 
 
 def save(spec: ScenarioSpec, path):
@@ -583,7 +548,8 @@ def save(spec: ScenarioSpec, path):
 
 
 def load(path) -> ScenarioSpec:
-    """Parse, default-fill, and validate a scenario file."""
+    """Parse a scenario file into a checked spec. The placement of the agents
+    in the workspace is audited when the run starts (`engine.run`)."""
     def reject_constant(literal):
         # json accepts the bare literals NaN, Infinity and -Infinity
         raise ConfigError(f"{path}: non-finite number {literal} is not allowed")
@@ -593,8 +559,8 @@ def load(path) -> ScenarioSpec:
             raw = json.load(f, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    spec = from_dict(raw)
-    violations = world.validate_scenario(build_workspace(spec), spec.agents)
-    if violations:
-        raise ConfigError(f"{path}: " + "; ".join(violations))
-    return spec
+    except ConfigError:
+        raise
+    except ValueError as exc:   # bytes that are not UTF-8, an integer of too many digits
+        raise ConfigError(f"{path}: {exc}") from exc
+    return from_dict(raw)

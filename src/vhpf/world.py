@@ -47,8 +47,8 @@ def require_finite(owner: str, **values) -> None:
 class Box:
     """Axis-aligned box. Coordinates in world units."""
 
-    lo: tuple
-    hi: tuple
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
@@ -80,7 +80,7 @@ class Box:
 class Ball:
     """Disc (2-D) or sphere (3-D)."""
 
-    center: tuple
+    center: tuple[float, ...]
     radius: float
 
     def __post_init__(self):

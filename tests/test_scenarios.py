@@ -10,9 +10,11 @@ from hypothesis import given, settings
 
 from helpers import scenario_dicts
 from vhpf import cli, engine, scenarios
-from vhpf.interaction import EXPONENTIAL, SPRING_MODE
+from vhpf.engine import SimConfig
+from vhpf.interaction import EXPONENTIAL, SPRING_MODE, InteractionParams, WeightProfile
 from vhpf.scenarios import (
     BUILTIN_NAMES,
+    GoalSpec,
     SuccessSpec,
     build_runtime,
     build_workspace,
@@ -127,43 +129,65 @@ def test_roundtrip_through_file(tmp_path, name):
     assert load(path) == spec
 
 
-def test_shipped_example_file_matches_builtin():
+def test_shipped_example_file_matches_builtin(tmp_path):
     path = Path(__file__).resolve().parent.parent / "docs" / "case1.json"
     assert load(path) == builtin("case1")
+    save(builtin("case1"), tmp_path / "case1.json")
+    assert (tmp_path / "case1.json").read_bytes() == path.read_bytes()
 
 
 def test_loader_applies_defaults(tmp_path):
+    # every optional key omitted: each record is the one built with no arguments
     raw = {
-        "name": "minimal",
         "workspace": {"lo": [-5.0, -5.0], "hi": [5.0, 5.0]},
         "agents": [
-            {"id": 1, "start": [-2.0, 0.0], "radius": 0.5,
-             "control": {"kind": "spring", "gain": 0.5}, "goal": [2.0, 0.0]},
+            {"id": 1, "start": [-2.0, 0.0], "radius": 0.5, "control": {}, "goal": [2.0, 0.0]},
         ],
     }
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps(raw))
     spec = load(path)
+    assert spec.name == "scenario"
+    assert spec.workspace.obstacles == () and spec.workspace.grid_h is None
+    assert spec.crf == InteractionParams()
+    assert spec.profile == WeightProfile()
+    assert spec.obstacle_repulsion is None
+    assert spec.sim == SimConfig()
+    assert spec.success == SuccessSpec()
     assert spec.sim.integrator == "rk4"
     assert spec.sim.dt == 0.01
+    assert spec.agents[0].control == GoalSpec()
     assert spec.agents[0].ring_width == spec.profile.delta
     assert spec.agents[0].r_target is None
     assert spec.agents[0].target_radius == spec.agents[0].radius
+    assert spec.agents[0].cooperative and spec.agents[0].prior_knowledge == "none"
 
 
-def test_loader_rejects_overlapping_targets(tmp_path):
+def test_loader_rejects_overlapping_targets(tmp_path, capsys):
+    # the placement audit runs once, when the run starts
     raw = to_dict(builtin("case1"))
     raw["agents"][1]["goal"] = raw["agents"][0]["goal"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
-    with pytest.raises(ConfigError, match="conflicting targets"):
-        load(path)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 5
+    assert "conflicting targets" in capsys.readouterr().err
 
 
 def test_loader_reports_json_errors_with_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "workspace": }\n')
     with pytest.raises(ConfigError, match="line 2"):
+        load(path)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"name": "\xff"}',
+    b'{"sim": {"dt": 1' + b"0" * 5000 + b"}}",   # more digits than Python converts
+], ids=["not_utf8", "too_many_digits"])
+def test_loader_rejects_unreadable_files(tmp_path, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="unreadable.json"):
         load(path)
 
 
@@ -283,8 +307,16 @@ def _faults(raw):
     carry: each number made +inf or -inf, each size, step or gain made
     negative, each list or object replaced by a number, each enum string
     replaced by an unknown one, each coordinate list one number longer or
-    shorter, a repeated agent id, and each overlap the layout allows."""
+    shorter, a repeated agent id, and each overlap the layout allows; and
+    the malformed entries: each object key misspelled, an unknown key in
+    each object, each number written as a string, a float field given an
+    integer too large for a double, a string `cooperative`, a non-integral
+    id, and a control key that the agent's control kind does not read."""
     for path, value in _paths(raw):
+        if isinstance(value, dict):
+            yield _with(raw, path, {**value, "extra": 1})
+            for key in value:
+                yield _with(raw, path, {(k[:-1] if k == key else k): v for k, v in value.items()})
         if isinstance(value, (dict, list)):
             yield _with(raw, path, 1)
         if isinstance(value, str) and path != ("name",):
@@ -293,11 +325,22 @@ def _faults(raw):
             yield _with(raw, path, value + [0.5])
             yield _with(raw, path, value[:-1])
     yield _with(raw, ("success", "check"), "grops_crossed")
+    yield {**raw, "extra": 1}
+    for key in raw:
+        yield {(k[:-1] if k == key else k): v for k, v in raw.items()}
     for path in _leaves(raw):
         yield _with(raw, path, math.inf)
         yield _with(raw, path, -math.inf)
+        yield _with(raw, path, str(_get(raw, path)))
+        if path[-1] != "id":
+            yield _with(raw, path, 10**400)
         if path[-1] in _POSITIVE:
             yield _with(raw, path, -abs(_get(raw, path)) - 0.5)
+    for k, a in enumerate(raw["agents"]):
+        yield _with(raw, ("agents", k, "cooperative"), "no")
+        yield _with(raw, ("agents", k, "id"), a["id"] + 0.5)
+        unread = {"gain": 1.0} if a["control"]["kind"] == "drift" else {"velocity": [1.0, 0.0]}
+        yield _with(raw, ("agents", k, "control"), {**a["control"], **unread})
     start = raw["agents"][0]["start"]
     yield _with(raw, ("workspace", "obstacles"), raw["workspace"]["obstacles"] + [
         {"kind": "ball", "center": start, "radius": 0.1}])

@@ -4,6 +4,10 @@ Runs the CLI of the package under `<root>/src`, one fresh process per call:
 - `run NAME --plot` for each builtin scenario;
 - `run crowd_seedN.json --plot` for crowd seeds 1 and 2 (the scenario dicts
   of `bench/crowd.py`'s `generate`);
+- `run FILE --plot` for the scenario files `docs/case1.json` and
+  `case5_lanes.json`/`case7_unknown.json`, written by the checkout's own
+  `scenarios.save`: boxes, drift, prior knowledge, harmonic control and a
+  horizon check, all read through `scenarios.load`;
 - `sweep-delta case1` with the benchmark's deltas and profiles;
 - `plot` of the `case5_lanes` and `case7_unknown` trajectory CSVs.
 
@@ -32,7 +36,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-PLOTTED = ("case5_lanes", "case7_unknown")
+WALLED = ("case5_lanes", "case7_unknown")   # plotted, and run from saved files
 CROWD_SEEDS = (1, 2)
 
 
@@ -43,11 +47,21 @@ def _module(path: Path, name: str):
     return module
 
 
-def _builtin_names(root: Path) -> list[str]:
-    code = "from vhpf.scenarios import BUILTIN_NAMES; print(' '.join(BUILTIN_NAMES))"
-    out = subprocess.run([sys.executable, "-c", code], env=_env(root), check=True,
+def _python(root: Path, code: str, *args: str) -> str:
+    """The stdout of `code` run against the package under `<root>/src`."""
+    out = subprocess.run([sys.executable, "-c", code, *args], env=_env(root), check=True,
                          capture_output=True, text=True)
-    return out.stdout.split()
+    return out.stdout
+
+
+def _builtin_names(root: Path) -> list[str]:
+    return _python(root, "from vhpf.scenarios import BUILTIN_NAMES; "
+                         "print(' '.join(BUILTIN_NAMES))").split()
+
+
+def _save_builtin(root: Path, name: str, path: Path) -> None:
+    _python(root, "import sys; from vhpf import scenarios; "
+                  "scenarios.save(scenarios.builtin(sys.argv[1]), sys.argv[2])", name, str(path))
 
 
 def _env(root: Path) -> dict:
@@ -92,9 +106,14 @@ def digests(root: Path, work: Path) -> dict:
         scenario = work / f"crowd_seed{seed}.json"
         scenario.write_text(json.dumps(crowd.generate(seed), indent=1) + "\n", encoding="utf-8")
         call(f"run crowd seed {seed}", ["run", str(scenario), "--out", ".", "--plot"])
+    call("run docs/case1.json", ["run", str(root / "docs" / "case1.json"), "--out", ".", "--plot"])
+    for name in WALLED:
+        scenario = work / f"{name}.json"
+        _save_builtin(root, name, scenario)
+        call(f"run saved {name}", ["run", str(scenario), "--out", ".", "--plot"])
     call("sweep-delta case1", ["sweep-delta", "case1", "--deltas", bench.SWEEP_DELTAS,
                                "--profiles", bench.SWEEP_PROFILES, "--out", "sweep.csv"])
-    for name in PLOTTED:
+    for name in WALLED:
         call(f"plot {name}", ["plot", str(dirs[name] / "trajectory.csv"),
                               "--scenario", name, "--out", "plot.svg"])
     return runs
