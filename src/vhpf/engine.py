@@ -9,6 +9,7 @@ frozen, so integration stages see a fixed control law.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -203,6 +204,8 @@ class Runtime:
         self._step_key = None       # switch key at the start of the current step
         self._switched = np.zeros(len(agents), dtype=bool)
         self._snapshot = None       # (positions bytes, near pairs) of the latest pass
+        self._cushion_indexes = None    # the agents' cushion indexes that _groups is of
+        self._groups = None
 
     @property
     def n_agents(self):
@@ -238,9 +241,18 @@ class Runtime:
                         self._switched |= np.any(key != self._step_key, axis=1)
                     self._last_key = key
                 U += F
-        for index, rows in self._repulsion_groups():
-            F, p = interaction.repulsion_batch(positions[rows], self.radii[rows],
-                                               index, self.repulsion)
+        groups = self._cushion_groups()
+        x = positions.tolist() if groups else None
+        u = None
+        for index, rows, members, radii, reach in groups:
+            if not index.within_reach([x[i] for i in members], reach):
+                # out of reach the force is exactly zero, and adding it changes
+                # U only where U holds -0.0 (-0.0 + 0.0 is +0.0). The groups'
+                # rows are disjoint: this group's rows of U are still as listed
+                u = U.tolist() if u is None else u
+                if not _negative_zero([u[i] for i in members]):
+                    continue
+            F, p = interaction.repulsion_batch(positions[rows], radii, index, self.repulsion)
             U[rows] += F
             pen[rows] |= p
         return U, pen
@@ -282,14 +294,26 @@ class Runtime:
         self._switched = np.zeros(self.n_agents, dtype=bool)
         return switched
 
-    def _repulsion_groups(self):
+    def _cushion_groups(self):
+        """(index, rows, rows as a list, radii, reach) for each cushion index
+        the agents share, reach being the largest radius among them plus the
+        cushion's influence. Made again only when some agent's index is
+        replaced, as a discovery does."""
         if self.repulsion is None:
             return []
-        groups = {}
-        for i, c in enumerate(self.controllers):
-            if c.boundary_index is not None and len(c.boundary_index):
-                groups.setdefault(id(c.boundary_index), (c.boundary_index, []))[1].append(i)
-        return [(index, np.array(rows)) for index, rows in groups.values()]
+        indexes = [c.boundary_index for c in self.controllers]
+        if indexes != self._cushion_indexes:
+            groups = {}
+            for i, index in enumerate(indexes):
+                if index is not None and len(index):
+                    groups.setdefault(id(index), (index, []))[1].append(i)
+            self._groups = []
+            for index, rows in groups.values():
+                radii = self.radii[rows]
+                self._groups.append((index, np.array(rows), rows, radii,
+                                     float(radii.max()) + self.repulsion.influence))
+            self._cushion_indexes = indexes
+        return self._groups
 
     def in_target(self, positions):
         """Per-agent flags: inside its target zone. False for an agent without
@@ -310,6 +334,11 @@ class Runtime:
         if self._snapshot is None or self._snapshot[0] != key:
             self._snapshot = (key, interaction.near_pairs(positions, self.radii, self.profile))
         return self._snapshot[1]
+
+
+def _negative_zero(rows) -> bool:
+    """True when some entry of the rows (lists of floats) is -0.0."""
+    return any(math.copysign(1.0, v) < 0.0 for row in rows for v in row if v == 0.0)
 
 
 def step(runtime: Runtime, positions, cfg: SimConfig, k1=None):

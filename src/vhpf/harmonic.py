@@ -9,6 +9,7 @@ linear system, in any dimension, warm-started from the field's values.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,10 @@ class ScalarGridField:
         self.residual = np.inf
         self.iterations = 0
         self._gradients = None
-        self._origin = np.asarray(grid.origin, float)
-        self._max_base = np.maximum(np.asarray(grid.shape, int) - 2, 0)
+        # the grid's bounds as floats, for sampling: the same sums as GridSpec.contains
+        self._h = float(grid.h)
+        self._lo = tuple(map(float, grid.origin))
+        self._hi = tuple(lo + float(n) * self._h for lo, n in zip(self._lo, grid.shape))
 
     # -- internals ----------------------------------------------------------
 
@@ -231,54 +234,46 @@ def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGr
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _interp_setup(field: ScalarGridField, x):
-    rel = (np.asarray(x, float) - field._origin) / field.grid.h - 0.5
-    base = np.clip(np.floor(rel).astype(int), 0, field._max_base)
-    frac = np.clip(rel - base, 0.0, 1.0)
-    return base, frac
+def _lerp(block, frac):
+    """Multilinear interpolation of a 2 x ... x 2 nested list: (1 - f) * a + f * b
+    over each axis, the innermost axis last."""
+    f = frac[0]
+    if len(frac) == 1:
+        a, b = block
+    else:
+        a, b = _lerp(block[0], frac[1:]), _lerp(block[1], frac[1:])
+    return (1 - f) * a + f * b
 
 
-def _interp(array, base, frac):
-    """Multilinear sample of an array whose trailing axes are the grid axes."""
-    dim = len(base)
-    if dim == 1:
-        i, f = base[0], frac[0]
-        return array[..., i] * (1.0 - f) + array[..., i + 1] * f
-    if dim == 2:
-        i, j = base
-        fx, fy = frac
-        block = array[..., i:i + 2, j:j + 2]
-        return ((1 - fx) * ((1 - fy) * block[..., 0, 0] + fy * block[..., 0, 1])
-                + fx * ((1 - fy) * block[..., 1, 0] + fy * block[..., 1, 1]))
-    i, j, k = base
-    fx, fy, fz = frac
-    b = array[..., i:i + 2, j:j + 2, k:k + 2]
-    c00 = (1 - fz) * b[..., 0, 0, 0] + fz * b[..., 0, 0, 1]
-    c01 = (1 - fz) * b[..., 0, 1, 0] + fz * b[..., 0, 1, 1]
-    c10 = (1 - fz) * b[..., 1, 0, 0] + fz * b[..., 1, 0, 1]
-    c11 = (1 - fz) * b[..., 1, 1, 0] + fz * b[..., 1, 1, 1]
-    return (1 - fx) * ((1 - fy) * c00 + fy * c01) + fx * ((1 - fy) * c10 + fy * c11)
-
-
-def _check_query(field: ScalarGridField, x):
-    if not field.grid.contains(x):
-        raise FieldQueryError(f"query point {x} outside the grid")
-    cell = field.grid.point_to_cell(x)
-    if field.known_mask[cell]:
+def _sample_block(field: ScalarGridField, x, array):
+    """The 2 x ... x 2 block of `array` (trailing axes the grid axes) around x
+    between cell centers, as nested lists, and the fractions along each axis.
+    Raises FieldQueryError outside the grid (NaN included) and in a known cell."""
+    h = field._h
+    cell, base, frac = [], [], []
+    for xk, lo, hi, n in zip(map(float, x), field._lo, field._hi, field.grid.shape):
+        if not lo <= xk <= hi:
+            raise FieldQueryError(f"query point {x} outside the grid")
+        t = (xk - lo) / h
+        cell.append(min(math.floor(t), n - 1))
+        rel = t - 0.5
+        b = min(max(math.floor(rel), 0), max(n - 2, 0))
+        base.append(slice(b, b + 2))
+        frac.append(min(max(rel - b, 0.0), 1.0))
+    if field.known_mask[tuple(cell)]:
         raise FieldQueryError(f"query point {x} inside a known obstacle cell")
+    return array[(..., *base)].tolist(), frac
 
 
 def gradient_at(field: ScalarGridField, x) -> np.ndarray:
     """Potential gradient at a point, multilinearly interpolated between cell centers."""
-    _check_query(field, x)
-    base, frac = _interp_setup(field, x)
-    return np.asarray(_interp(field.gradients(), base, frac))
+    blocks, frac = _sample_block(field, x, field.gradients())
+    return np.array([_lerp(b, frac) for b in blocks])
 
 
 def value_at(field: ScalarGridField, x) -> float:
-    _check_query(field, x)
-    base, frac = _interp_setup(field, x)
-    return float(_interp(field.values, base, frac))
+    block, frac = _sample_block(field, x, field.values)
+    return _lerp(block, frac)
 
 
 def field_stats(field: ScalarGridField) -> FieldStats:

@@ -149,6 +149,8 @@ class ScenarioSpec:
     success: SuccessSpec = SuccessSpec()
 
     def __post_init__(self):
+        if not self.agents:
+            raise ConfigError("a scenario needs at least one agent")
         dim = len(self.workspace.lo)
         for a in self.agents:
             for what, point in (("start", a.start), ("goal", a.goal),
@@ -162,8 +164,7 @@ class ScenarioSpec:
         if len(set(ids)) != len(ids):
             twice = sorted({i for i in ids if ids.count(i) > 1})
             raise ConfigError(f"agent ids must be unique; repeated: {twice}")
-        if (self.success.kind == "converge" and self.agents
-                and all(a.goal is None for a in self.agents)):
+        if self.success.kind == "converge" and all(a.goal is None for a in self.agents):
             raise ConfigError("convergence needs at least one agent with a goal; "
                               "use a horizon success criterion for pure drift runs")
 
@@ -175,7 +176,7 @@ class ScenarioSpec:
 def build_workspace(spec: ScenarioSpec) -> Workspace:
     h = spec.workspace.grid_h
     if h is None:
-        h = min(a.radius for a in spec.agents) / 4.0 if spec.agents else 0.25
+        h = min(a.radius for a in spec.agents) / 4.0
     return Workspace(spec.workspace.lo, spec.workspace.hi, spec.workspace.obstacles, h=h)
 
 

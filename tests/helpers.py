@@ -1,7 +1,9 @@
 """Shared oracles for the test-suite: dense linear solves, random workspaces,
-a scalar, one-pair-at-a-time evaluation of the pair force, and the dense
-all-pairs evaluation of the pair forces and weight sums; a fault injector,
-a short-hand agent record and a strategy for valid scenario files."""
+a scalar, one-pair-at-a-time evaluation of the pair force, the dense
+all-pairs evaluation of the pair forces and weight sums, array-at-a-time
+field sampling and control evaluation with the wall cushion always queried;
+a fault injector, a short-hand agent record and a strategy for valid
+scenario files."""
 
 import itertools
 
@@ -9,7 +11,7 @@ import numpy as np
 import scipy.ndimage as ndi
 from hypothesis import strategies as st
 
-from vhpf.harmonic import FREE, ScalarGridField
+from vhpf.harmonic import FREE, FieldQueryError, ScalarGridField
 from vhpf.interaction import (
     CW,
     EXPONENTIAL,
@@ -17,7 +19,9 @@ from vhpf.interaction import (
     UNIT_MODE,
     InteractionParams,
     WeightProfile,
+    crf_forces,
     interaction_weights,
+    repulsion_batch,
 )
 from vhpf.scenarios import AgentSpec, GoalSpec
 from vhpf.world import Ball, Box, ConfigError, Workspace
@@ -304,6 +308,86 @@ def dense_sigma_activity(positions, radii, profile: WeightProfile) -> np.ndarray
     w = interaction_weights(dist, contact, profile)
     np.fill_diagonal(w, 0.0)
     return w.sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# array-at-a-time field sampling oracle for harmonic.gradient_at / value_at
+# ---------------------------------------------------------------------------
+
+def _interp_setup(field: ScalarGridField, x):
+    rel = (np.asarray(x, float) - np.asarray(field.grid.origin, float)) / field.grid.h - 0.5
+    base = np.clip(np.floor(rel).astype(int), 0, np.maximum(np.asarray(field.grid.shape) - 2, 0))
+    frac = np.clip(rel - base, 0.0, 1.0)
+    return base, frac
+
+
+def _interp(array, base, frac):
+    """Multilinear sample of an array whose trailing axes are the grid axes."""
+    dim = len(base)
+    if dim == 1:
+        i, f = base[0], frac[0]
+        return array[..., i] * (1.0 - f) + array[..., i + 1] * f
+    if dim == 2:
+        i, j = base
+        fx, fy = frac
+        block = array[..., i:i + 2, j:j + 2]
+        return ((1 - fx) * ((1 - fy) * block[..., 0, 0] + fy * block[..., 0, 1])
+                + fx * ((1 - fy) * block[..., 1, 0] + fy * block[..., 1, 1]))
+    i, j, k = base
+    fx, fy, fz = frac
+    b = array[..., i:i + 2, j:j + 2, k:k + 2]
+    c00 = (1 - fz) * b[..., 0, 0, 0] + fz * b[..., 0, 0, 1]
+    c01 = (1 - fz) * b[..., 0, 1, 0] + fz * b[..., 0, 1, 1]
+    c10 = (1 - fz) * b[..., 1, 0, 0] + fz * b[..., 1, 0, 1]
+    c11 = (1 - fz) * b[..., 1, 1, 0] + fz * b[..., 1, 1, 1]
+    return (1 - fx) * ((1 - fy) * c00 + fy * c01) + fx * ((1 - fy) * c10 + fy * c11)
+
+
+def _check_query(field: ScalarGridField, x):
+    if not field.grid.contains(x):
+        raise FieldQueryError(f"query point {x} outside the grid")
+    cell = field.grid.point_to_cell(x)
+    if field.known_mask[cell]:
+        raise FieldQueryError(f"query point {x} inside a known obstacle cell")
+
+
+def oracle_gradient_at(field: ScalarGridField, x) -> np.ndarray:
+    _check_query(field, x)
+    base, frac = _interp_setup(field, x)
+    return np.asarray(_interp(field.gradients(), base, frac))
+
+
+def oracle_value_at(field: ScalarGridField, x) -> float:
+    _check_query(field, x)
+    base, frac = _interp_setup(field, x)
+    return float(_interp(field.values, base, frac))
+
+
+# ---------------------------------------------------------------------------
+# always-query oracle for engine.Runtime.eval_controls
+# ---------------------------------------------------------------------------
+
+def always_query_controls(runtime, positions):
+    """`Runtime.eval_controls` with the wall cushion queried for every body,
+    in or out of its reach: (U, penetration mask)."""
+    positions = np.asarray(positions, float)
+    L = runtime.n_agents
+    U = runtime.goal_terms(positions)
+    pen = np.zeros(L, dtype=bool)
+    if L >= 2 and len(runtime._suppressed) < L:
+        U += crf_forces(positions, runtime.radii, runtime.params, runtime.profile,
+                        suppressed=runtime._suppressed, reach=runtime.reach)
+    if runtime.repulsion is None:
+        return U, pen
+    groups = {}
+    for i, c in enumerate(runtime.controllers):
+        if c.boundary_index is not None and len(c.boundary_index):
+            groups.setdefault(id(c.boundary_index), (c.boundary_index, []))[1].append(i)
+    for index, rows in groups.values():
+        F, p = repulsion_batch(positions[rows], runtime.radii[rows], index, runtime.repulsion)
+        U[rows] += F
+        pen[rows] |= p
+    return U, pen
 
 
 # ---------------------------------------------------------------------------

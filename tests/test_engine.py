@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import raising, scenario_dicts
+from helpers import always_query_controls, raising, scenario_dicts
 from vhpf import cli, engine, harmonic, scenarios, svgplot, world
-from vhpf.controller import SPRING_GOAL, goal_term
+from vhpf.controller import SPRING_GOAL, AgentController, goal_term
 from vhpf.engine import (
     COLLISION,
     CONVERGED,
@@ -25,7 +25,14 @@ from vhpf.engine import (
     run,
     step,
 )
-from vhpf.interaction import SPRING, SPRING_MODE, InteractionParams, WeightProfile
+from vhpf.interaction import (
+    SPRING,
+    SPRING_MODE,
+    InteractionParams,
+    KnownBoundaryIndex,
+    ObstacleRepulsionParams,
+    WeightProfile,
+)
 from vhpf.scenarios import (
     AgentSpec,
     GoalSpec,
@@ -173,19 +180,18 @@ def test_harmonic_navigation_in_three_dimensions():
     assert np.linalg.norm(final - [2.0, 0.3, 0.3]) <= 0.4
 
 
-def test_empty_agent_list_converges_immediately():
-    spec = ScenarioSpec(
-        name="empty",
-        workspace=WorkspaceSpec((-2.0, -2.0), (2.0, 2.0), grid_h=0.25),
-        agents=(),
-        crf=InteractionParams(),
-        profile=WeightProfile(SPRING, delta=1.5),
-        obstacle_repulsion=None,
-        sim=SimConfig(dt=0.01, t_max=1.0),
-    )
-    log, _ = run(spec)
-    assert log.outcome == CONVERGED
-    assert log.times == [0.0]
+def test_empty_agent_list_is_rejected():
+    # a group of nobody has no outcome to report, least of all "converged"
+    with pytest.raises(ConfigError, match="at least one agent"):
+        ScenarioSpec(
+            name="empty",
+            workspace=WorkspaceSpec((-2.0, -2.0), (2.0, 2.0), grid_h=0.25),
+            agents=(),
+            crf=InteractionParams(),
+            profile=WeightProfile(SPRING, delta=1.5),
+            obstacle_repulsion=None,
+            sim=SimConfig(dt=0.01, t_max=1.0),
+        )
 
 
 def test_goal_free_run_needs_horizon_success():
@@ -680,3 +686,57 @@ def test_generated_runs_repeat_stay_finite_and_exit_as_they_end(raw):
         assert code == 1 and log.events[-1]["kind"] == "error"
     else:
         assert code == cli._OUTCOME_CODES[log.outcome]
+
+
+# ---------------------------------------------------------------------------
+# the wall cushion's reach test
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["case5_lanes", "case7_unknown"])
+def test_cushion_reach_test_keeps_every_bit(name):
+    # case5_lanes: eight agents share one index of every wall cell; in
+    # case7_unknown each agent knows its own random half of the wall cells
+    rt = build_runtime(builtin(name))
+    rng = np.random.default_rng(3)
+    if name == "case7_unknown":
+        cells = sorted(rt.ws.boundary_cells)
+        for c in rt.controllers:
+            known = [cells[k] for k in rng.permutation(len(cells))[:len(cells) // 2]]
+            c.boundary_index = KnownBoundaryIndex(rt.ws.grid, known)
+    walls = rt.ws.grid.cell_centers(np.array(sorted(rt.ws.boundary_cells)))
+    lo, hi = rt.ws.lo + rt.radii.max(), rt.ws.hi - rt.radii.max()
+    skipped = queried = 0
+    for k in range(300):
+        if k % 3 == 0:      # near the walls: each agent within a radius or two of one
+            pick = walls[rng.integers(0, len(walls), size=rt.n_agents)]
+            x = pick + rng.uniform(-2.0, 2.0, size=pick.shape) * rt.radii[:, None]
+        elif k % 3 == 1:    # anywhere
+            x = rng.uniform(lo, hi, size=(rt.n_agents, rt.dim))
+        else:               # around the starts, clear of the walls
+            x = rt.starts + rng.uniform(-0.3, 0.3, size=rt.starts.shape)
+        x = np.clip(x, lo, hi)
+        U, pen = rt.eval_controls(x)
+        U_all, pen_all = always_query_controls(rt, x)
+        assert U.tobytes() == U_all.tobytes() and np.array_equal(pen, pen_all)
+        for index, rows, members, radii, reach in rt._cushion_groups():
+            if index.within_reach(x[rows].tolist(), reach):
+                queried += 1
+            else:
+                skipped += 1
+    assert skipped > 50 and queried > 50
+
+
+def test_cushion_out_of_reach_still_adds_to_negative_zero():
+    # -0.0 + 0.0 is +0.0: a zero cushion force still changes a -0.0 control,
+    # so a body whose U holds -0.0 is queried even out of reach
+    ws = Workspace((-4.0, -4.0), (4.0, 4.0), [Box((-4.0, -4.0), (-3.0, 4.0))], h=0.25)
+    me = AgentSpec(1, (2.0, 0.0), 0.5, 0.5, GoalSpec("drift", velocity=(-0.0, 0.0)))
+    index = KnownBoundaryIndex(ws.grid, ws.boundary_cells)
+    rt = engine.Runtime(ws, [AgentController(me, set(ws.boundary_cells), boundary_index=index)],
+                        InteractionParams(), WeightProfile(), ObstacleRepulsionParams(),
+                        SuccessSpec(kind="horizon"), SimConfig())
+    x = rt.positions()
+    assert not index.within_reach(x.tolist(), 0.5 + rt.repulsion.influence)
+    U, _ = rt.eval_controls(x)
+    assert U.tobytes() == always_query_controls(rt, x)[0].tobytes()
+    assert not np.signbit(U[0, 0]) and U[0, 0] == 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import component as _component
-from helpers import dense_solve, random_workspace
+from helpers import dense_solve, oracle_gradient_at, oracle_value_at, random_workspace
 
 from vhpf import scenarios
 from vhpf.harmonic import (
@@ -158,6 +158,64 @@ def test_query_inside_known_obstacle_rejected():
         value_at(f, (3.5, 3.5))
     with pytest.raises(FieldQueryError):
         gradient_at(f, (20.0, 3.5))
+
+
+def _sampled(sample, field, x):
+    """What one sampling call gives: its type and bytes, or its error."""
+    try:
+        out = sample(field, x)
+    except FieldQueryError as exc:
+        return "error", str(exc)
+    return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
+
+
+def _probe_points(field, rng):
+    """Seeded random points a little past the grid on every side, cell
+    centers and faces, the hi rim exactly and one ulp outside each side,
+    NaN in each coordinate and the centers of the known cells."""
+    grid = field.grid
+    lo = np.asarray(grid.origin, float)
+    hi = lo + np.asarray(grid.shape, float) * grid.h
+    span = hi - lo
+    points = list(rng.uniform(lo - 0.05 * span, hi + 0.05 * span, size=(400, grid.dim)))
+    cells = np.stack([rng.integers(0, n, size=100) for n in grid.shape], axis=1)
+    points += list(grid.cell_centers(cells))
+    points += list(lo + cells * grid.h)                     # lower faces and corners
+    points += list(lo + (cells + np.r_[[0.5] * (grid.dim - 1), 1.0]) * grid.h)   # upper faces
+    for k in range(grid.dim):
+        for edge, outside in ((hi[k], np.inf), (lo[k], -np.inf)):
+            for x in points[:40]:
+                for value in (edge, np.nextafter(edge, outside)):
+                    x = x.copy()
+                    x[k] = value
+                    points.append(x)
+        x = grid.cell_centers(cells[:1])[0]
+        x[k] = np.nan
+        points.append(x)
+    points.append(hi.copy())
+    points.append(np.nextafter(hi, np.inf))
+    points += list(grid.cell_centers(np.argwhere(field.known_mask)))
+    return points
+
+
+@pytest.mark.parametrize("grid, known, goal", [
+    (GridSpec((0.3,), 0.7, (9,)), {(6,)}, (1.5,)),
+    (GridSpec((-1.1, 0.2), 0.25, (17, 13)), {(5, 5), (6, 5), (10, 3)}, (1.0, 1.5)),
+    (GridSpec((0.0, 0.5, -0.3), 0.5, (7, 8, 6)), {(3, 3, 3), (4, 3, 3)}, (1.2, 1.6, 0.9)),
+])
+def test_sampling_matches_array_oracle_bit_for_bit(grid, known, goal):
+    field = solve_dirichlet(grid, known, goal)
+    rng = np.random.default_rng(len(grid.shape))
+    reasons = ("outside the grid", "inside a known obstacle cell")
+    seen = set()
+    for x in _probe_points(field, rng):
+        for sample, oracle in ((gradient_at, oracle_gradient_at), (value_at, oracle_value_at)):
+            for point in (x, tuple(x.tolist())):
+                got = _sampled(sample, field, point)
+                assert got == _sampled(oracle, field, point), point
+                if got[0] == "error":
+                    seen.update(r for r in reasons if got[1].endswith(r))
+    assert seen == set(reasons)
 
 
 def test_inflation_pins_cells_within_radius():

@@ -514,6 +514,34 @@ def test_repulsion_batch_matches_scalar():
         assert pen[k] == p
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.floats(0.05, 1.5),
+       st.floats(0.01, 1.0))
+def test_points_out_of_reach_feel_no_cushion(dim, seed, radius, influence):
+    rng = np.random.default_rng(seed)
+    h = float(rng.choice([0.125, 0.25, 0.5]))
+    shape = tuple(int(n) for n in rng.integers(3, 40 if dim == 2 else 14, size=dim))
+    grid = GridSpec(tuple(rng.uniform(-3.0, 3.0, size=dim).tolist()), h, shape)
+    cells = {tuple(map(int, rng.integers(0, shape))) for _ in range(int(rng.integers(1, 6)))}
+    index = KnownBoundaryIndex(grid, cells)
+    reach = radius + influence
+    lo = np.asarray(grid.origin)
+    hi = lo + np.asarray(shape) * h
+    # anywhere around the grid, and on the cell faces, where floor rounds
+    pts = rng.uniform(lo - reach - 2 * h, hi + reach + 2 * h, size=(300, dim))
+    pts[::3] = lo + np.round((pts[::3] - lo) / h) * h
+    out = np.array([not index.within_reach([p], reach) for p in pts.tolist()])
+    # the exact clearance of each point to its nearest known cell box
+    vec = pts[:, None, :] - np.clip(pts[:, None, :], index.box_lo, index.box_hi)
+    clearance = np.linalg.norm(vec, axis=2).min(axis=1)
+    assert np.all(clearance[out] - radius >= influence)
+    F, pen = repulsion_batch(pts[out], np.full(out.sum(), radius), index,
+                             ObstacleRepulsionParams(influence=influence))
+    assert not np.any(F) and not np.any(pen)
+    # a non-finite point is never ruled out
+    assert index.within_reach([[np.nan] * dim], reach)
+
+
 # ---------------------------------------------------------------------------
 # circulation bound
 # ---------------------------------------------------------------------------

@@ -307,11 +307,12 @@ def _faults(raw):
     carry: each number made +inf or -inf, each size, step or gain made
     negative, each list or object replaced by a number, each enum string
     replaced by an unknown one, each coordinate list one number longer or
-    shorter, a repeated agent id, and each overlap the layout allows; and
-    the malformed entries: each object key misspelled, an unknown key in
-    each object, each number written as a string, a float field given an
-    integer too large for a double, a string `cooperative`, a non-integral
-    id, and a control key that the agent's control kind does not read."""
+    shorter, an empty agent list, a repeated agent id, and each overlap the
+    layout allows; and the malformed entries: each object key misspelled, an
+    unknown key in each object, each number written as a string, a float
+    field given an integer too large for a double, a string `cooperative`, a
+    non-integral id, and a control key that the agent's control kind does not
+    read."""
     for path, value in _paths(raw):
         if isinstance(value, dict):
             yield _with(raw, path, {**value, "extra": 1})
@@ -341,6 +342,7 @@ def _faults(raw):
         yield _with(raw, ("agents", k, "id"), a["id"] + 0.5)
         unread = {"gain": 1.0} if a["control"]["kind"] == "drift" else {"velocity": [1.0, 0.0]}
         yield _with(raw, ("agents", k, "control"), {**a["control"], **unread})
+    yield {**raw, "agents": []}
     start = raw["agents"][0]["start"]
     yield _with(raw, ("workspace", "obstacles"), raw["workspace"]["obstacles"] + [
         {"kind": "ball", "center": start, "radius": 0.1}])
