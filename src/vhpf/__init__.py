@@ -12,10 +12,9 @@ from .engine import (
     step,
 )
 from .harmonic import (
-    FieldStats,
     ScalarGridField,
-    field_stats,
     gradient_at,
+    max_gradient,
     resolve_incremental,
     solve_dirichlet,
     value_at,
@@ -34,7 +33,6 @@ from .world import (
     Workspace,
     passage_width_audit,
     sense_obstacles,
-    update_knowledge,
     validate_scenario,
 )
 

@@ -31,11 +31,11 @@ DRIVES = (RAW_DRIVE, UNIT_DRIVE)
 @dataclass
 class AgentController:
     """What one agent learns while it runs, next to its `scenarios.AgentSpec`:
-    the boundary cells it knows, its goal field (harmonic control only) and
-    its wall-cushion index over the known cells (None without one)."""
+    its goal field (harmonic control only), whose `known_mask` is the
+    agent's map of the boundary cells, and its wall-cushion index over the
+    cells it knows (None without one). An agent without a field never senses."""
 
     spec: object                           # scenarios.AgentSpec
-    known: set
     field: harmonic.ScalarGridField | None = None
     boundary_index: interaction.KnownBoundaryIndex | None = None
 
@@ -44,21 +44,12 @@ class AgentController:
             raise ConfigError(f"agent {self.spec.id}: harmonic control needs a solved field")
 
 
-def spring_term(gain, goal, x):
-    """The spring goal term gain * (goal - x), for one agent or for stacked
-    agents (gain (n, 1), goal and x (n, dim)) with the same bits per row."""
-    return gain * (goal - x)
-
-
 def goal_term(ctrl: AgentController, x) -> np.ndarray:
-    """The goal-seeking component of the agent's control at position x, from
-    its spec's control settings and goal and, for harmonic control, its field."""
+    """The harmonic goal term of the agent at position x, from its spec's
+    control settings and goal and its field. `engine.Runtime` stacks the
+    spring and drift terms itself."""
     x = np.asarray(x, float)
     spec, control = ctrl.spec, ctrl.spec.control
-    if control.kind == SPRING_GOAL:
-        return spring_term(control.gain, spec.goal_array, x)
-    if control.kind == CONSTANT_DRIFT:
-        return np.array(control.velocity, float)
     if control.drive == UNIT_DRIVE:
         # constant-speed descent cannot stop on its own: inside the target
         # zone (obstacle-free by validation) park with a terminal spring
@@ -75,16 +66,20 @@ def goal_term(ctrl: AgentController, x) -> np.ndarray:
 
 
 def on_tick_sense(ctrl: AgentController, x, ws: Workspace, cushion: bool) -> int:
-    """Sense from position x with the agent's ring, merge the sensed cells
-    into its known set, and re-solve its field on novelty; with `cushion`,
-    also rebuild its wall-cushion index over the grown set. Returns the
-    number of new cells (0 = no event)."""
+    """Sense from position x with the agent's ring; the sensed cells not yet
+    in its map are new. On novelty, add them to the map and re-solve the
+    field; with `cushion`, also rebuild its wall-cushion index over the grown
+    map. Returns the number of new cells (0 = no event)."""
     if ctrl.spec.control.kind != HARMONIC_GOAL:
         raise ConfigError("discovery loop only applies to harmonic goal control")
-    new = world.update_knowledge(ctrl.known, world.sense_obstacles(ctrl.spec, x, ws))
-    if not new:
+    sensed = world.sense_obstacles(ctrl.spec, x, ws)
+    if not len(sensed):
         return 0
-    harmonic.resolve_incremental(ctrl.field, new)
+    field = ctrl.field
+    new = sensed[~field.known_mask[tuple(sensed.T)]]
+    if not len(new):
+        return 0
+    harmonic.resolve_incremental(field, new)
     if cushion:
-        ctrl.boundary_index = interaction.KnownBoundaryIndex(ws.grid, ctrl.known)
+        ctrl.boundary_index = interaction.KnownBoundaryIndex(ws.grid, field.known_mask)
     return len(new)

@@ -132,11 +132,13 @@ class MetricsReport:
     potential_rate: list | None
 
     def to_dict(self):
+        """The report as strict JSON values: a clearance that nothing
+        measured (infinite) is None."""
         return {
             "kappa_max": {str(k): v for k, v in self.kappa_max.items()},
             "corner_angle_max": {str(k): v for k, v in self.corner_angle_max.items()},
-            "min_pair_clearance": self.min_pair_clearance,
-            "min_obstacle_clearance": self.min_obstacle_clearance,
+            "min_pair_clearance": _measured(self.min_pair_clearance),
+            "min_obstacle_clearance": _measured(self.min_obstacle_clearance),
             "path_lengths": {str(k): v for k, v in self.path_lengths.items()},
             "potential_trace": self.potential_trace,
             "potential_rate": self.potential_rate,
@@ -144,8 +146,12 @@ class MetricsReport:
 
     def write_json(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), f, indent=2, sort_keys=True, allow_nan=False)
             f.write("\n")
+
+
+def _measured(clearance: float) -> float | None:
+    return clearance if math.isfinite(clearance) else None
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +264,13 @@ class Runtime:
         return U, pen
 
     def goal_terms(self, positions):
-        """The goal term of every agent on one snapshot, each row the same
-        bits as `controller.goal_term` of that agent."""
+        """The goal term of every agent on one snapshot: the springs'
+        gain * (goal - x) and the drifts' velocities as one array expression
+        each, and `controller.goal_term` of each harmonic agent."""
         U = np.zeros((self.n_agents, self.dim))
         if len(self._spring_rows):
-            U[self._spring_rows] = ctl.spring_term(self._spring_gain, self._spring_goal,
-                                                   positions[self._spring_rows])
+            U[self._spring_rows] = self._spring_gain * (self._spring_goal
+                                                        - positions[self._spring_rows])
         if len(self._drift_rows):
             U[self._drift_rows] = self._drift
         for i, c in self._harmonic:
@@ -271,11 +278,13 @@ class Runtime:
         return U
 
     def goal_potentials(self, positions) -> list:
-        """Every agent's goal potential (`agent_potential`) on one snapshot,
-        as floats in agent order; None for a drift agent."""
+        """Every agent's goal potential, whose negative gradient is its goal
+        term, on one snapshot, as floats in agent order: a spring's
+        0.5 * gain * |x - goal|^2, `agent_potential` of a harmonic agent and
+        None for a drift agent."""
         out = [None] * self.n_agents
-        springs = spring_potential(self._spring_gain[:, 0], self._spring_goal,
-                                   positions[self._spring_rows])
+        r = world.row_norms(positions[self._spring_rows] - self._spring_goal)
+        springs = 0.5 * self._spring_gain[:, 0] * r * r
         for i, v in zip(self._spring_rows.tolist(), springs.tolist()):
             out[i] = v
         for i, c in self._harmonic:
@@ -466,21 +475,9 @@ def _turning_angle(a, b) -> float:
     return float(2.0 * np.arctan2(np.linalg.norm(ua - ub), np.linalg.norm(ua + ub)))
 
 
-def spring_potential(gain, goal, x):
-    """0.5 * gain * |x - goal|^2, for one agent or for stacked agents (gain
-    (n,), goal and x (n, dim)) with the same bits per row."""
-    r = world.row_norms(np.asarray(x, float) - goal)
-    return 0.5 * gain * r * r
-
-
-def agent_potential(c: ctl.AgentController, x) -> float | None:
-    """Goal potential whose negative gradient is the agent's goal control."""
-    kind = c.spec.control.kind
-    if kind == ctl.SPRING_GOAL:
-        return float(spring_potential(c.spec.control.gain, c.spec.goal_array, x))
-    if kind == ctl.HARMONIC_GOAL:
-        return harmonic.value_at(c.field, x)
-    return None
+def agent_potential(c: ctl.AgentController, x) -> float:
+    """The harmonic agent's goal potential at x: its field's value."""
+    return harmonic.value_at(c.field, x)
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +555,12 @@ def run(scenario):
     if runtime.n_agents >= 2:
         reaches = sorted(runtime.reach.tolist(), reverse=True)
         pass_radius = reaches[0] + reaches[1]
-        bad = world.passage_width_audit(runtime.ws, pass_radius)
+        bad = int(np.count_nonzero(world.passage_width_audit(runtime.ws, pass_radius)))
         if bad:
-            log.add_event(0.0, "audit_warning", cells=len(bad), radius=pass_radius)
+            log.add_event(0.0, "audit_warning", cells=bad, radius=pass_radius)
     if runtime._harmonic and runtime.params.mode == interaction.UNIT_MODE:
-        stats = [harmonic.field_stats(c.field) for _, c in runtime._harmonic]
-        warning = interaction.circulation_bound_check(runtime.params.kt, stats)
+        peaks = [harmonic.max_gradient(c.field) for _, c in runtime._harmonic]
+        warning = interaction.circulation_bound_check(runtime.params.kt, peaks)
         if warning:
             log.add_event(0.0, "circulation_warning", message=warning)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +29,6 @@ class SolverError(RuntimeError):
 
 class FieldQueryError(ValueError):
     """Field sampled outside the grid or inside a known obstacle cell."""
-
-
-@dataclass
-class FieldStats:
-    max_gradient: float
-    min_interior_value: float
-    iterations: int
 
 
 class ScalarGridField:
@@ -164,14 +156,25 @@ def _inflate_mask(mask, grid: GridSpec, radius: float):
     return out
 
 
+def _cell_mask(grid: GridSpec, cells):
+    """The mask of the given cells: index rows, as an (n, dim) array or any
+    iterable of index tuples."""
+    rows = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells), dtype=int)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[tuple(rows.reshape(-1, grid.dim).T)] = True
+    return mask
+
+
 def solve_dirichlet(grid: GridSpec, known_cells, goal, tol=DEFAULT_TOL,
                     inflate=0.0, max_sweeps=None) -> ScalarGridField:
     """Solve the grid potential for one agent's knowledge of the boundary.
 
-    known_cells: discovered boundary cells (pinned to 1, optionally inflated by
-    `inflate` world units so a body of that radius can follow the gradient as a
-    point). The outer rim is pinned to 1, the goal cell to 0. Cells the agent
-    has not discovered stay free regardless of the true obstacle layout.
+    known_cells: the index rows of the discovered boundary cells (an (n, dim)
+    array or any iterable of index tuples), pinned to 1 and optionally
+    inflated by `inflate` world units so a body of that radius can follow the
+    gradient as a point. They become the field's `known_mask`, the agent's
+    map. The outer rim is pinned to 1, the goal cell to 0. Cells the agent has
+    not discovered stay free regardless of the true obstacle layout.
     """
     if tol <= 0:
         raise ConfigError(f"solver tolerance must be positive, got {tol}")
@@ -184,9 +187,7 @@ def solve_dirichlet(grid: GridSpec, known_cells, goal, tol=DEFAULT_TOL,
         sl[ax] = shape[ax] - 1
         cls[tuple(sl)] = OUTER_BC
 
-    known_mask = np.zeros(shape, dtype=bool)
-    for c in known_cells:
-        known_mask[tuple(c)] = True
+    known_mask = _cell_mask(grid, known_cells)
     pinned = _inflate_mask(known_mask, grid, inflate)
     cls[pinned] = OBSTACLE_BC
 
@@ -207,7 +208,9 @@ def solve_dirichlet(grid: GridSpec, known_cells, goal, tol=DEFAULT_TOL,
 
 
 def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGridField:
-    """Pin newly discovered cells to 1 and re-solve from the current values.
+    """Add newly discovered cells (index rows, as `solve_dirichlet` takes
+    them) to the field's `known_mask`, pin them to 1 and re-solve from the
+    current values. A cell already known changes nothing.
 
     Warm-started: the previous solution is the first iterate, so small
     discoveries re-equilibrate in fewer iterations than a cold solve. The
@@ -215,17 +218,13 @@ def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGr
     solve tolerance. Mutates the field; `field.iterations` keeps counting.
     """
     tol = field.tol if tol is None else tol
-    fresh = [c for c in new_cells if not field.known_mask[tuple(c)]]
-    if fresh:
-        added = np.zeros(field.grid.shape, dtype=bool)
-        for c in fresh:
-            added[tuple(c)] = True
-        field.known_mask |= added
-        pinned = _inflate_mask(added, field.grid, field.inflate)
-        if pinned[field.goal_cell]:
-            raise ConfigError("discovered obstacle region swallowed the goal cell")
-        field.cell_class[pinned & (field.cell_class != GOAL_BC)] = OBSTACLE_BC
-        field.values[field.cell_class == OBSTACLE_BC] = 1.0
+    added = _cell_mask(field.grid, new_cells)
+    field.known_mask |= added
+    pinned = _inflate_mask(added, field.grid, field.inflate)
+    if pinned[field.goal_cell]:
+        raise ConfigError("discovered obstacle region swallowed the goal cell")
+    field.cell_class[pinned & (field.cell_class != GOAL_BC)] = OBSTACLE_BC
+    field.values[field.cell_class == OBSTACLE_BC] = 1.0
     _relax(field, tol)
     return field
 
@@ -276,16 +275,11 @@ def value_at(field: ScalarGridField, x) -> float:
     return _lerp(block, frac)
 
 
-def field_stats(field: ScalarGridField) -> FieldStats:
-    """Max gradient magnitude and minimum value over free cells."""
+def max_gradient(field: ScalarGridField) -> float:
+    """Largest gradient magnitude over the free cells (0.0 without any)."""
     free = field.cell_class == FREE
     if not np.any(free):
-        return FieldStats(0.0, 0.0, field.iterations)
+        return 0.0
     grads = field.gradients()
-    mag = np.sqrt((grads * grads).sum(axis=0))
-    return FieldStats(
-        max_gradient=float(mag[free].max()),
-        min_interior_value=float(field.values[free].min()),
-        iterations=field.iterations,
-    )
+    return float(np.sqrt((grads * grads).sum(axis=0))[free].max())
 

@@ -359,7 +359,9 @@ def _pair_force_terms(rel, dist, w, params: InteractionParams):
 # ---------------------------------------------------------------------------
 
 class KnownBoundaryIndex:
-    """Nearest-cell lookup over an agent's discovered boundary cells.
+    """Nearest-cell lookup over the cells of a boolean grid mask, an agent's
+    discovered boundary cells. The index keeps its own copy of the mask and
+    orders the cells as `np.argwhere` does, in C order.
 
     Distances are measured to the cell boxes, not their centers, so the
     virtual wall coincides with the rasterized obstacle face.
@@ -375,16 +377,17 @@ class KnownBoundaryIndex:
     its nearest rim cell, which is no farther from any known box.
     """
 
-    def __init__(self, grid: GridSpec, cells):
+    def __init__(self, grid: GridSpec, mask):
         self.grid = grid
-        idx = np.array(sorted(cells), dtype=float).reshape(-1, grid.dim)
+        self.mask = np.array(mask, dtype=bool)     # a copy: the agent's map grows on
+        # argwhere's rows are a column-major view; row-major boxes are faster to take from
+        idx = np.ascontiguousarray(np.argwhere(self.mask))
         self.centers = np.asarray(grid.origin) + (idx + 0.5) * grid.h
         self.half = grid.h / 2.0
         # each cell box's lower and upper corner
         self.box_lo = self.centers - self.half
         self.box_hi = self.centers + self.half
         self.tree = cKDTree(self.centers) if len(self.centers) else None
-        self._cells = idx.astype(int)
         self._axes = tuple(zip(map(float, grid.origin), grid.shape))
         self._reach = {}    # dilation in cells -> the within-reach grid, flat bytes
 
@@ -393,8 +396,7 @@ class KnownBoundaryIndex:
         C order, made once per dilation."""
         k = math.ceil(reach / self.grid.h) + 1
         if k not in self._reach:
-            mask = np.zeros(self.grid.shape, dtype=bool)
-            mask[tuple(self._cells.T)] = True
+            mask = self.mask
             for ax in range(self.grid.dim):
                 grown = mask.copy()
                 for step in range(1, k + 1):
@@ -481,14 +483,15 @@ def repulsion_batch(points, radii, index: KnownBoundaryIndex,
     return mag[:, None] * normal, d < 0
 
 
-def circulation_bound_check(kt: float, stats) -> str | None:
+def circulation_bound_check(kt: float, max_gradients) -> str | None:
     """Deadlock-freedom heuristic: the circulating gain should dominate the
-    summed peak gradient magnitudes of all goal fields. Returns a warning
-    message, or None when the bound holds (or cannot matter, single agent)."""
-    stats = list(stats)
-    if len(stats) <= 1:
+    summed peak gradient magnitudes (`harmonic.max_gradient`) of all goal
+    fields. Returns a warning message, or None when the bound holds (or
+    cannot matter, single agent)."""
+    max_gradients = list(max_gradients)
+    if len(max_gradients) <= 1:
         return None
-    bound = float(sum(s.max_gradient for s in stats))
+    bound = float(sum(max_gradients))
     if kt < bound:
         return (f"circulating gain {kt:g} is below the conservative "
                 f"deadlock-freedom bound {bound:.4g}")

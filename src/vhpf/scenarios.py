@@ -183,23 +183,24 @@ def build_workspace(spec: ScenarioSpec) -> Workspace:
 def build_runtime(spec: ScenarioSpec) -> Runtime:
     ws = build_workspace(spec)
     repulsion = spec.obstacle_repulsion
+    walls = np.argwhere(ws.boundary_mask)
     shared_full_index = None
     controllers = []
     for a in spec.agents:
-        known = set(ws.boundary_cells) if a.prior_knowledge == PRIOR_FULL else set()
+        full = a.prior_knowledge == PRIOR_FULL and len(walls) > 0
         field = None
         if a.control.kind == ctl.HARMONIC_GOAL:
             # tight tolerance: behind narrow passages the potential varies by
             # less than 1e-8, and the drive direction must outrank residual noise
-            field = harmonic.solve_dirichlet(ws.grid, known, a.goal_array,
+            field = harmonic.solve_dirichlet(ws.grid, walls if full else (), a.goal_array,
                                              tol=1e-12, inflate=a.radius)
         index = None
-        if repulsion is not None and known:
+        if repulsion is not None and full:
             # only agents with full prior knowledge start knowing cells; they share one index
             if shared_full_index is None:
-                shared_full_index = interaction.KnownBoundaryIndex(ws.grid, known)
+                shared_full_index = interaction.KnownBoundaryIndex(ws.grid, ws.boundary_mask)
             index = shared_full_index
-        controllers.append(ctl.AgentController(a, known, field, index))
+        controllers.append(ctl.AgentController(a, field, index))
     return Runtime(ws, controllers, spec.crf, spec.profile, repulsion,
                    spec.success, dataclasses.replace(spec.sim))
 

@@ -1,9 +1,13 @@
-"""Static environment, local sensing, discovery bookkeeping and placement checks.
+"""Static environment, local sensing and placement checks.
 
 The workspace keeps two views of the obstacle set: the exact primitive shapes
 (used for collision checks and clearance queries) and a rasterized occupancy
 grid (used by the potential solver). Boundary cells are the obstacle cells of
 the raster that touch free space along a grid axis.
+
+A set of grid cells is a boolean array of the grid's shape. A batch of cells
+in transit (what one sensing call sees) is that array's index rows, in the C
+order of `np.argwhere`.
 """
 
 from __future__ import annotations
@@ -118,9 +122,6 @@ class GridSpec:
     def dim(self):
         return len(self.shape)
 
-    def cell_center(self, idx):
-        return np.asarray(self.origin, float) + (np.asarray(idx, float) + 0.5) * self.h
-
     def cell_centers(self, idx_array):
         """Centers for an (N, dim) integer index array."""
         return np.asarray(self.origin, float) + (np.asarray(idx_array, float) + 0.5) * self.h
@@ -207,12 +208,10 @@ class Workspace:
         free_adjacent = np.zeros_like(occupied)
         for ax in range(self.dim):
             free_adjacent |= _shift(self.free_mask, ax, 1) | _shift(self.free_mask, ax, -1)
-        boundary = occupied & free_adjacent
-        self.boundary_mask = boundary
-        idx = np.argwhere(boundary)
-        self.boundary_cells = set(map(tuple, idx))
-        self._boundary_idx = idx
-        self._boundary_centers = self.grid.cell_centers(idx) if len(idx) else np.empty((0, self.dim))
+        self.boundary_mask = occupied & free_adjacent
+        # the boundary cells' index rows and centers, for sensing
+        self._boundary_idx = np.argwhere(self.boundary_mask)
+        self._boundary_centers = self.grid.cell_centers(self._boundary_idx)
 
     # -- queries ------------------------------------------------------------
 
@@ -236,58 +235,44 @@ class Workspace:
         d = np.minimum((p - self.lo).min(axis=-1), (self.hi - p).min(axis=-1))
         return d
 
-    def free_cell_centers(self):
-        idx = np.argwhere(self.free_mask)
-        return idx, self.grid.cell_centers(idx)
-
 
 # ---------------------------------------------------------------------------
-# Sensing and knowledge
+# Sensing
 # ---------------------------------------------------------------------------
 
-def sense_obstacles(agent, x, ws: Workspace) -> set:
-    """Boundary cells whose centers fall in the sensing ring of the agent (a
-    `scenarios.AgentSpec`: its radius and reach) centered at position x."""
+def sense_obstacles(agent, x, ws: Workspace) -> np.ndarray:
+    """Index rows, in C order, of the boundary cells whose centers fall in the
+    sensing ring of the agent (a `scenarios.AgentSpec`: its radius and reach)
+    centered at position x: (k, dim), k = 0 when the ring holds none."""
     if not ws.contains_point(x):
         raise ConfigError(f"agent {agent.id} at {x} is outside the workspace")
-    if not ws.boundary_cells:
-        return set()
     d = np.linalg.norm(ws._boundary_centers - x, axis=1)
     hit = (d > agent.radius) & (d <= agent.reach)
-    return set(map(tuple, ws._boundary_idx[hit]))
+    return ws._boundary_idx[hit]
 
 
-def update_knowledge(known: set, sensed: set) -> set:
-    """Merge sensed cells into an agent's set of known cells. Returns the
-    cells that were new; empty means the set did not grow."""
-    new = sensed - known
-    known |= new
-    return new
-
-
-def passage_width_audit(ws: Workspace, radius: float) -> list:
-    """Free cells with no nearby disc of the given radius clear of all obstacles.
+def passage_width_audit(ws: Workspace, radius: float) -> np.ndarray:
+    """Mask of the free cells with no nearby disc of the given radius clear
+    of all obstacles.
 
     For each free cell center x the check is: does some cell center x_c within
     `radius` of x have obstacle clearance >= radius?  Obstacle shapes only; the
-    outer bounds do not count against the disc.  A nonempty result flags
-    passages too tight for the two largest agents to resolve a conflict in.
+    outer bounds do not count against the disc.  A flagged cell marks a
+    passage too tight for the two largest agents to resolve a conflict in.
     """
     if radius <= 0:
         raise ConfigError(f"passage audit radius must be positive, got {radius}")
+    flagged = np.zeros(ws.grid.shape, dtype=bool)
     if not ws.obstacles:
-        return []
-    idx, centers = ws.free_cell_centers()
-    if len(idx) == 0:
-        return []
-    clearance = ws.obstacle_clearance(centers)
-    fits = clearance >= radius
+        return flagged
+    centers = ws.grid.cell_centers(np.argwhere(ws.free_mask))
+    fits = ws.obstacle_clearance(centers) >= radius
     if not np.any(fits):
-        return sorted(map(tuple, idx))
-    tree = cKDTree(centers[fits])
-    nearest, _ = tree.query(centers, k=1)
-    violating = nearest > radius + 1e-9
-    return sorted(map(tuple, idx[violating]))
+        return ws.free_mask.copy()
+    nearest, _ = cKDTree(centers[fits]).query(centers, k=1)
+    # the free cells' centers are in C order, and so is a mask's assignment
+    flagged[ws.free_mask] = nearest > radius + 1e-9
+    return flagged
 
 
 def validate_scenario(ws: Workspace, agents) -> list:

@@ -1,9 +1,9 @@
 """Shared oracles for the test-suite: dense linear solves, random workspaces,
 a scalar, one-pair-at-a-time evaluation of the pair force, the dense
 all-pairs evaluation of the pair forces and weight sums, array-at-a-time
-field sampling and control evaluation with the wall cushion always queried;
-a fault injector, a short-hand agent record and a strategy for valid
-scenario files."""
+field sampling, one-agent-at-a-time goal terms and potentials, and control
+evaluation with the wall cushion always queried; a fault injector, a
+short-hand agent record and a strategy for valid scenario files."""
 
 import itertools
 
@@ -11,6 +11,7 @@ import numpy as np
 import scipy.ndimage as ndi
 from hypothesis import strategies as st
 
+from vhpf import controller, engine
 from vhpf.harmonic import FREE, FieldQueryError, ScalarGridField
 from vhpf.interaction import (
     CW,
@@ -24,7 +25,7 @@ from vhpf.interaction import (
     repulsion_batch,
 )
 from vhpf.scenarios import AgentSpec, GoalSpec
-from vhpf.world import Ball, Box, ConfigError, Workspace
+from vhpf.world import Ball, Box, ConfigError, Workspace, row_norms
 
 
 def agent(aid, x, radius=1.0, ring=1.5, goal=None, r_target=None, **kw) -> AgentSpec:
@@ -133,7 +134,7 @@ def random_workspace(rng):
             continue
         if _has_thin_necks(ws.free_mask):
             continue
-        return ws, ws.grid.cell_center(goal_cell)
+        return ws, ws.grid.cell_centers(goal_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +362,34 @@ def oracle_value_at(field: ScalarGridField, x) -> float:
     _check_query(field, x)
     base, frac = _interp_setup(field, x)
     return float(_interp(field.values, base, frac))
+
+
+# ---------------------------------------------------------------------------
+# one-agent-at-a-time oracle for Runtime.goal_terms and goal_potentials
+# ---------------------------------------------------------------------------
+
+def goal_term(ctrl, x) -> np.ndarray:
+    """The goal term of one agent at x: gain * (goal - x) for a spring, the
+    velocity for a drift, `controller.goal_term` for a harmonic agent."""
+    x = np.asarray(x, float)
+    spec, control = ctrl.spec, ctrl.spec.control
+    if control.kind == controller.SPRING_GOAL:
+        return control.gain * (spec.goal_array - x)
+    if control.kind == controller.CONSTANT_DRIFT:
+        return np.array(control.velocity, float)
+    return controller.goal_term(ctrl, x)
+
+
+def goal_potential(ctrl, x) -> float | None:
+    """The goal potential of one agent at x: 0.5 * gain * |x - goal|^2 for a
+    spring, None for a drift, `engine.agent_potential` for a harmonic agent."""
+    control = ctrl.spec.control
+    if control.kind == controller.SPRING_GOAL:
+        r = row_norms(np.asarray(x, float) - ctrl.spec.goal_array)
+        return float(0.5 * control.gain * r * r)
+    if control.kind == controller.CONSTANT_DRIFT:
+        return None
+    return engine.agent_potential(ctrl, x)
 
 
 # ---------------------------------------------------------------------------

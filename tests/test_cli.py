@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import raising
@@ -54,6 +56,31 @@ def test_run_accepts_scenario_file(tmp_path):
     path = tmp_path / "custom.json"
     scenarios.save(scenarios.builtin("case1"), path)
     assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("agents", [2, 1], ids=["no-obstacles", "one-agent"])
+def test_outputs_are_strict_json(tmp_path, capsys, agents):
+    # a clearance that nothing measured is null: case1 has no obstacles, and
+    # a lone agent has no pair; stdout prints the in-memory value, inf
+    spec = scenarios.builtin("case1")
+    path = tmp_path / "s.json"
+    scenarios.save(dataclasses.replace(spec, agents=spec.agents[:agents]), path)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 0
+    metrics = _strict_json((out / "metrics.json").read_text())
+    assert metrics["min_obstacle_clearance"] is None
+    assert (metrics["min_pair_clearance"] is None) == (agents == 1)
+    assert set(metrics["path_lengths"]) == {str(a.id) for a in spec.agents[:agents]}
+    for line in (out / "events.jsonl").read_text().splitlines():
+        _strict_json(line)
+    assert ("min_pair_clearance=inf" in capsys.readouterr().out) == (agents == 1)
 
 
 def _edited_file(tmp_path, edit, name="case1"):
@@ -134,7 +161,7 @@ def test_sense_phase_failure_exits_one(tmp_path, monkeypatch, capsys, fault):
     # agent outside the workspace: a failed run, not an invalid file
     if fault == "solver":
         monkeypatch.setattr(world, "sense_obstacles",
-                            lambda agent, x, ws: {min(ws.boundary_cells)})
+                            lambda agent, x, ws: np.argwhere(ws.boundary_mask)[:1])
         monkeypatch.setattr(harmonic, "resolve_incremental",
                             raising(harmonic.SolverError("no convergence")))
     else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import goal_term
 from vhpf import harmonic
 from vhpf.controller import (
     CONSTANT_DRIFT,
@@ -8,13 +9,12 @@ from vhpf.controller import (
     SPRING_GOAL,
     UNIT_DRIVE,
     AgentController,
-    goal_term,
     on_tick_sense,
 )
 from vhpf.engine import Runtime, SimConfig
 from vhpf.interaction import SPRING, SPRING_MODE, InteractionParams, WeightProfile
 from vhpf.scenarios import AgentSpec, GoalSpec
-from vhpf.world import Box, ConfigError, Workspace
+from vhpf.world import Box, ConfigError, Workspace, sense_obstacles
 
 CASE_PARAMS = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
 CASE_PROFILE = WeightProfile(SPRING, delta=1.5)
@@ -24,7 +24,7 @@ def spring_controller(aid, x, goal, gain=0.4, **kw):
     """A case1 agent at x with a spring toward goal."""
     spec = AgentSpec(aid, tuple(x), 1.0, 1.5, GoalSpec(SPRING_GOAL, gain=gain),
                      goal=tuple(goal), **kw)
-    return AgentController(spec, set())
+    return AgentController(spec)
 
 
 def at(x):
@@ -51,7 +51,7 @@ def test_spring_control_vanishes_at_goal():
 
 def test_drift_control_far_from_everything():
     spec = AgentSpec(5, (-5.0, 1.3), 1.0, 1.5, GoalSpec(CONSTANT_DRIFT, velocity=(1.0, 0.0)))
-    u = controls([AgentController(spec, set())])[0]
+    u = controls([AgentController(spec)])[0]
     assert np.array_equal(u, [1.0, 0.0])
 
 
@@ -114,7 +114,7 @@ def harmonic_controller(ws, aid, goal, start=(-3.0, -3.0), radius=0.5):
     spec = AgentSpec(aid, start, radius, 0.5,
                      GoalSpec(HARMONIC_GOAL, drive=UNIT_DRIVE, cruise=0.8), goal=goal)
     field = harmonic.solve_dirichlet(ws.grid, set(), goal, tol=1e-10, inflate=radius)
-    return AgentController(spec, set(), field)
+    return AgentController(spec, field)
 
 
 def test_sense_without_walls_in_range_does_nothing():
@@ -139,13 +139,13 @@ def test_first_wall_approach_resolves_field():
 
     n_new = on_tick_sense(ctrl, x, ws, cushion=True)
     assert n_new > 0
-    assert ctrl.known
+    assert np.count_nonzero(ctrl.field.known_mask) == n_new
     # the wall now carries the ceiling value, so the probe next to it climbs
     # most of the way to it
     v_after = harmonic.value_at(ctrl.field, probe)
     assert 1.0 - v_after < 0.5 * (1.0 - v_before)
 
-    cold = harmonic.solve_dirichlet(ws.grid, ctrl.known, (-3.0, 0.0),
+    cold = harmonic.solve_dirichlet(ws.grid, np.argwhere(ctrl.field.known_mask), (-3.0, 0.0),
                                     tol=1e-10, inflate=0.5)
     assert np.max(np.abs(cold.values - ctrl.field.values)) < 1e-9
 
@@ -160,6 +160,41 @@ def test_revisiting_known_wall_is_quiet():
     assert np.array_equal(ctrl.field.values, before)
 
 
+def walled_room():
+    """A room closed by four walls, with a block standing in it."""
+    walls = [Box((-4.0, -4.0), (4.0, -3.5)), Box((-4.0, 3.5), (4.0, 4.0)),
+             Box((-4.0, -3.5), (-3.5, 3.5)), Box((3.5, -3.5), (4.0, 3.5))]
+    return Workspace((-4, -4), (4, 4), walls + [Box((1.0, -2.0), (2.0, 2.0))], h=0.25)
+
+
+def test_sensing_grows_the_map_by_exactly_the_unseen_cells():
+    # the map (the field's known_mask) only grows; the new cells are the
+    # sensed cells it lacked; a repeat call from the same position finds
+    # nothing and leaves the field's values bit-identical; the cushion index
+    # holds exactly the map's cells
+    ws = walled_room()
+    ctrl = harmonic_controller(ws, 1, (-2.0, 0.0), start=(-2.0, 0.0))
+    field = ctrl.field
+    rng = np.random.default_rng(3)
+    discoveries = 0
+    for x in rng.uniform(-3.5, 3.5, size=(60, 2)):
+        before = field.known_mask.copy()
+        sensed = np.zeros_like(before)
+        sensed[tuple(sense_obstacles(ctrl.spec, x, ws).T)] = True
+        n_new = on_tick_sense(ctrl, x, ws, cushion=True)
+        assert np.array_equal(field.known_mask, before | sensed)
+        assert n_new == np.count_nonzero(sensed & ~before)
+        discoveries += n_new > 0
+        values = field.values.tobytes()
+        assert on_tick_sense(ctrl, x, ws, cushion=True) == 0
+        assert field.values.tobytes() == values
+        if ctrl.boundary_index is not None:
+            cells = np.argwhere(field.known_mask)
+            assert np.array_equal(np.argwhere(ctrl.boundary_index.mask), cells)
+            assert ctrl.boundary_index.centers.tobytes() == ws.grid.cell_centers(cells).tobytes()
+    assert discoveries > 5
+
+
 @pytest.mark.parametrize("cushion", [True, False])
 def test_discovery_rebuilds_the_cushion_index_only_with_a_cushion(cushion):
     ws = room()
@@ -167,7 +202,7 @@ def test_discovery_rebuilds_the_cushion_index_only_with_a_cushion(cushion):
     # sensing from a position other than the agent's start
     assert on_tick_sense(ctrl, at((2.7, 0.0)), ws, cushion=cushion) > 0
     if cushion:
-        assert len(ctrl.boundary_index) == len(ctrl.known)
+        assert len(ctrl.boundary_index) == np.count_nonzero(ctrl.field.known_mask)
     else:
         assert ctrl.boundary_index is None
 
@@ -209,7 +244,7 @@ def test_controller_validation():
     # the controller holds what the agent learns: a harmonic agent needs its field
     spec = AgentSpec(1, (0.0, 0.0), 1.0, 1.5, GoalSpec(HARMONIC_GOAL), goal=(3.0, 0.0))
     with pytest.raises(ConfigError, match="solved field"):
-        AgentController(spec, set())
+        AgentController(spec)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

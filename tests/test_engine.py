@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import always_query_controls, raising, scenario_dicts
+from helpers import always_query_controls, goal_potential, goal_term, raising, scenario_dicts
 from vhpf import cli, engine, harmonic, scenarios, svgplot, world
-from vhpf.controller import SPRING_GOAL, AgentController, goal_term
+from vhpf.controller import SPRING_GOAL, AgentController
 from vhpf.engine import (
     COLLISION,
     CONVERGED,
@@ -490,7 +490,7 @@ def test_corner_angle_is_zero_without_weight_jumps():
 
 def test_potential_zero_when_parked_at_goals():
     rt = build_runtime(single_agent_spec(start=(4.0, 0.0)))
-    assert engine.agent_potential(rt.controllers[0], np.array([4.0, 0.0])) == 0.0
+    assert rt.goal_potentials(np.array([[4.0, 0.0]])) == [0.0]
 
 
 @pytest.mark.parametrize("name", ["case4_malfunction", "case5_lanes", "case7_unknown"])
@@ -502,7 +502,7 @@ def test_group_goal_terms_and_potentials_match_each_agent(name):
     potentials = rt.goal_potentials(pos)
     for i, c in enumerate(rt.controllers):
         assert U[i].tobytes() == goal_term(c, pos[i]).tobytes()
-        want = engine.agent_potential(c, pos[i])
+        want = goal_potential(c, pos[i])
         assert potentials[i] == want and type(potentials[i]) is type(want)
 
 
@@ -597,7 +597,7 @@ def test_sense_phase_failure_is_an_error_event(monkeypatch, fault):
     if fault == "solver":
         # a discovery at t=0 whose re-solve does not converge
         monkeypatch.setattr(world, "sense_obstacles",
-                            lambda agent, x, ws: {min(ws.boundary_cells)})
+                            lambda agent, x, ws: np.argwhere(ws.boundary_mask)[:1])
         monkeypatch.setattr(harmonic, "resolve_incremental",
                             raising(harmonic.SolverError("no convergence")))
         message = "no convergence"
@@ -656,6 +656,21 @@ def test_discovery_events_carry_converged_resolves():
         assert e["residual"] < tol
 
 
+def test_each_cushion_index_holds_its_agents_map_after_a_run(monkeypatch):
+    built = []
+
+    def keep(spec):
+        built.append(build_runtime(spec))
+        return built[-1]
+
+    monkeypatch.setattr(scenarios, "build_runtime", keep)
+    run(builtin("case7_unknown"))
+    for c in built[0].controllers:
+        cells = np.argwhere(c.field.known_mask)
+        assert len(cells) and np.array_equal(np.argwhere(c.boundary_index.mask), cells)
+        assert c.boundary_index.centers.tobytes() == built[0].ws.grid.cell_centers(cells).tobytes()
+
+
 def _run_log(spec):
     """The log of a run, whether it ends in an outcome or fails."""
     try:
@@ -698,12 +713,13 @@ def test_cushion_reach_test_keeps_every_bit(name):
     # case7_unknown each agent knows its own random half of the wall cells
     rt = build_runtime(builtin(name))
     rng = np.random.default_rng(3)
+    cells = np.argwhere(rt.ws.boundary_mask)
     if name == "case7_unknown":
-        cells = sorted(rt.ws.boundary_cells)
         for c in rt.controllers:
-            known = [cells[k] for k in rng.permutation(len(cells))[:len(cells) // 2]]
+            known = np.zeros(rt.ws.grid.shape, dtype=bool)
+            known[tuple(cells[rng.permutation(len(cells))[:len(cells) // 2]].T)] = True
             c.boundary_index = KnownBoundaryIndex(rt.ws.grid, known)
-    walls = rt.ws.grid.cell_centers(np.array(sorted(rt.ws.boundary_cells)))
+    walls = rt.ws.grid.cell_centers(cells)
     lo, hi = rt.ws.lo + rt.radii.max(), rt.ws.hi - rt.radii.max()
     skipped = queried = 0
     for k in range(300):
@@ -731,8 +747,8 @@ def test_cushion_out_of_reach_still_adds_to_negative_zero():
     # so a body whose U holds -0.0 is queried even out of reach
     ws = Workspace((-4.0, -4.0), (4.0, 4.0), [Box((-4.0, -4.0), (-3.0, 4.0))], h=0.25)
     me = AgentSpec(1, (2.0, 0.0), 0.5, 0.5, GoalSpec("drift", velocity=(-0.0, 0.0)))
-    index = KnownBoundaryIndex(ws.grid, ws.boundary_cells)
-    rt = engine.Runtime(ws, [AgentController(me, set(ws.boundary_cells), boundary_index=index)],
+    index = KnownBoundaryIndex(ws.grid, ws.boundary_mask)
+    rt = engine.Runtime(ws, [AgentController(me, boundary_index=index)],
                         InteractionParams(), WeightProfile(), ObstacleRepulsionParams(),
                         SuccessSpec(kind="horizon"), SimConfig())
     x = rt.positions()

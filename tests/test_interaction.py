@@ -10,15 +10,15 @@ from helpers import (
     CoincidentCentersError,
     dense_crf_forces,
     dense_sigma_activity,
+    goal_term,
     neighbors,
     pair_force,
     radial_direction,
     tangential_direction,
     weight,
 )
-from vhpf.controller import AgentController, goal_term
+from vhpf.controller import AgentController
 from vhpf.engine import Runtime, SimConfig
-from vhpf.harmonic import FieldStats
 from vhpf.interaction import (
     CCW,
     CW,
@@ -446,7 +446,8 @@ def test_pair_force_strictly_local():
 def wall_index():
     # straight wall of cells along y = -2 (cells just below the line)
     grid = GridSpec((-5.0, -5.0), 0.5, (20, 20))
-    wall = {(i, 5) for i in range(20)}  # cell centers at y = -2.25, top faces at -2.0
+    wall = np.zeros(grid.shape, dtype=bool)
+    wall[:, 5] = True   # cell centers at y = -2.25, top faces at -2.0
     return grid, KnownBoundaryIndex(grid, wall)
 
 
@@ -491,13 +492,13 @@ def test_repulsion_without_knowledge_is_zero():
     # an agent right against a wall it has not discovered feels no cushion
     ws = Workspace((-4.0, -4.0), (4.0, 4.0), [Box((1.0, -4.0), (4.0, 4.0))], h=0.25)
     me = body(1, (0.45, 0.0), radius=0.5, ring=0.5, goal=(-3.0, 0.0))
-    ctrl = AgentController(me, set())
+    ctrl = AgentController(me)
     rt = Runtime(ws, [ctrl], InteractionParams(), WeightProfile(),
                  ObstacleRepulsionParams(), None, SimConfig())
     U, pen = rt.eval_controls(rt.positions())
     assert np.array_equal(U[0], goal_term(ctrl, me.start)) and not pen[0]
     # the same wall, once known, pushes back
-    ctrl.boundary_index = KnownBoundaryIndex(ws.grid, ws.boundary_cells)
+    ctrl.boundary_index = KnownBoundaryIndex(ws.grid, ws.boundary_mask)
     U, _ = rt.eval_controls(rt.positions())
     assert U[0][0] < goal_term(ctrl, me.start)[0]
 
@@ -522,7 +523,9 @@ def test_points_out_of_reach_feel_no_cushion(dim, seed, radius, influence):
     h = float(rng.choice([0.125, 0.25, 0.5]))
     shape = tuple(int(n) for n in rng.integers(3, 40 if dim == 2 else 14, size=dim))
     grid = GridSpec(tuple(rng.uniform(-3.0, 3.0, size=dim).tolist()), h, shape)
-    cells = {tuple(map(int, rng.integers(0, shape))) for _ in range(int(rng.integers(1, 6)))}
+    cells = np.zeros(shape, dtype=bool)
+    for _ in range(int(rng.integers(1, 6))):
+        cells[tuple(rng.integers(0, shape))] = True
     index = KnownBoundaryIndex(grid, cells)
     reach = radius + influence
     lo = np.asarray(grid.origin)
@@ -547,11 +550,11 @@ def test_points_out_of_reach_feel_no_cushion(dim, seed, radius, influence):
 # ---------------------------------------------------------------------------
 
 def test_circulation_bound_warns_when_weak():
-    stats = [FieldStats(1.2, 0.1, 10), FieldStats(0.8, 0.1, 10)]
-    assert circulation_bound_check(0.0, stats) is not None
-    assert circulation_bound_check(1.0, stats) is not None
-    assert circulation_bound_check(4.0, stats) is None
+    peaks = [1.2, 0.8]
+    assert circulation_bound_check(0.0, peaks) is not None
+    assert circulation_bound_check(1.0, peaks) is not None
+    assert circulation_bound_check(4.0, peaks) is None
 
 
 def test_circulation_bound_vacuous_for_single_agent():
-    assert circulation_bound_check(0.0, [FieldStats(5.0, 0.1, 10)]) is None
+    assert circulation_bound_check(0.0, [5.0]) is None

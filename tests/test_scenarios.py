@@ -105,16 +105,16 @@ def test_case8_fails_passage_audit():
     ws = build_workspace(spec)
     reaches = sorted((a.reach for a in spec.agents), reverse=True)
     report = passage_width_audit(ws, reaches[0] + reaches[1])
-    assert report
-    assert ws.grid.point_to_cell((0.0, 0.0)) in set(report)
+    assert report.any()
+    assert report[ws.grid.point_to_cell((0.0, 0.0))]
 
 
 def test_case7_audit_is_clean_between_the_blocks():
     spec = builtin("case7_unknown")
     ws = build_workspace(spec)
     reaches = sorted((a.reach for a in spec.agents), reverse=True)
-    report = set(passage_width_audit(ws, reaches[0] + reaches[1]))
-    assert ws.grid.point_to_cell((0.0, 0.0)) not in report
+    report = passage_width_audit(ws, reaches[0] + reaches[1])
+    assert not report[ws.grid.point_to_cell((0.0, 0.0))]
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,8 @@ def test_full_prior_knowledge_shares_boundary_index():
     rt = build_runtime(builtin("case5_lanes"))
     indexes = {id(c.boundary_index) for c in rt.controllers}
     assert len(indexes) == 1
-    assert len(rt.controllers[0].known) > 0
-    assert rt.controllers[0].known <= rt.ws.boundary_cells
+    mask = rt.controllers[0].boundary_index.mask
+    assert mask.any() and np.array_equal(mask, rt.ws.boundary_mask)
 
 
 def test_default_grid_resolution_follows_smallest_body():
@@ -247,7 +247,7 @@ def test_harmonic_agents_get_private_fields():
     f1, f2 = (c.field for c in rt.controllers)
     assert f1 is not f2
     assert f1.goal_cell != f2.goal_cell
-    assert not rt.controllers[0].known
+    assert not rt.controllers[0].field.known_mask.any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -13,7 +15,6 @@ from vhpf.world import (
     axis_norms,
     passage_width_audit,
     sense_obstacles,
-    update_knowledge,
     validate_scenario,
 )
 
@@ -46,7 +47,7 @@ def test_axis_norms_has_the_bits_of_linalg_norm(dim):
 def test_workspace_boundary_cells_touch_free_space():
     ws = Workspace((-4, -4), (4, 4), [Box((-1, -1), (1, 1))], h=0.25)
     free = ws.free_mask
-    for cell in ws.boundary_cells:
+    for cell in map(tuple, np.argwhere(ws.boundary_mask)):
         assert ws.obstacle_mask[cell]
         i, j = cell
         neighbors_free = []
@@ -56,7 +57,7 @@ def test_workspace_boundary_cells_touch_free_space():
                 neighbors_free.append(free[ni, nj])
         assert any(neighbors_free)
     # interior obstacle cells are excluded
-    interior = ws.obstacle_mask.sum() - len(ws.boundary_cells)
+    interior = ws.obstacle_mask.sum() - ws.boundary_mask.sum()
     assert interior > 0
 
 
@@ -99,7 +100,7 @@ def test_geometry_rejects_non_finite_numbers(make, name, value):
 
 def test_sense_empty_workspace_sees_nothing():
     ws = Workspace((-5, -5), (5, 5), h=0.25)
-    assert sense_obstacles(make_agent(1, (0, 0)), (0.0, 0.0), ws) == set()
+    assert sense_obstacles(make_agent(1, (0, 0)), (0.0, 0.0), ws).shape == (0, 2)
 
 
 def test_sense_matches_annulus_oracle():
@@ -109,27 +110,29 @@ def test_sense_matches_annulus_oracle():
         x = rng.uniform(-4, 4, size=2)
         agent = make_agent(1, x, radius=0.6, ring=1.1)
         got = sense_obstacles(agent, x, ws)
-        expected = set()
-        for cell in ws.boundary_cells:
-            d = np.linalg.norm(ws.grid.cell_center(cell) - x)
-            if agent.radius < d <= agent.reach:
-                expected.add(cell)
-        assert got == expected
+        # the boundary cells' index rows in C order, one at a time
+        expected = []
+        for i, j in itertools.product(*map(range, ws.grid.shape)):
+            if ws.boundary_mask[i, j]:
+                d = np.linalg.norm(ws.grid.cell_centers((i, j)) - x)
+                if agent.radius < d <= agent.reach:
+                    expected.append((i, j))
+        assert np.array_equal(got, np.array(expected, dtype=int).reshape(-1, 2))
 
 
 def test_sense_near_wall_contains_nearest_cell():
     ws = Workspace((-5, -5), (5, 5), [Box((-5, -5), (5, -3))], h=0.25)
     agent = make_agent(1, (0.0, -3.0 + 1.0 + 0.75), radius=1.0, ring=1.5)
     sensed = sense_obstacles(agent, agent.start, ws)
-    assert sensed
-    nearest = min(ws.boundary_cells,
-                  key=lambda c: np.linalg.norm(ws.grid.cell_center(c) - agent.start))
-    assert nearest in sensed
+    assert len(sensed)
+    cells = np.argwhere(ws.boundary_mask)
+    nearest = cells[np.argmin(np.linalg.norm(ws.grid.cell_centers(cells) - agent.start, axis=1))]
+    assert (sensed == nearest).all(axis=1).any()
 
 
 def test_sense_far_from_walls_sees_nothing():
     ws = Workspace((-5, -5), (5, 5), [Box((-5, -5), (5, -4))], h=0.25)
-    assert sense_obstacles(make_agent(1, (0, 3)), (0.0, 3.0), ws) == set()
+    assert not len(sense_obstacles(make_agent(1, (0, 3)), (0.0, 3.0), ws))
 
 
 def test_sense_outside_bounds_is_config_error():
@@ -142,8 +145,7 @@ def test_sensed_cells_lie_near_true_boundary():
     ws = Workspace((-5, -5), (5, 5), [Ball((0, 0), 1.5), Box((2, 2), (4, 4))], h=0.25)
     agent = make_agent(1, (0.0, 2.2), radius=0.4, ring=1.2)
     tol = ws.h * np.sqrt(2.0)
-    for cell in sense_obstacles(agent, agent.start, ws):
-        center = ws.grid.cell_center(cell)
+    for center in ws.grid.cell_centers(sense_obstacles(agent, agent.start, ws)):
         assert abs(ws.obstacle_clearance(center)) <= tol
 
 
@@ -151,37 +153,11 @@ def test_sense_in_three_dimensions():
     ws = Workspace((-3, -3, -3), (3, 3, 3), [Ball((0.0, 0.0, 0.0), 1.0)], h=0.5)
     agent = make_agent(1, (0.0, 0.0, 2.0), radius=0.3, ring=1.2)
     got = sense_obstacles(agent, agent.start, ws)
-    assert got
-    for cell in got:
-        d = np.linalg.norm(ws.grid.cell_center(cell) - agent.start)
-        assert agent.radius < d <= agent.reach
+    assert len(got) and ws.boundary_mask[tuple(got.T)].all()
+    d = np.linalg.norm(ws.grid.cell_centers(got) - agent.start, axis=1)
+    assert np.all((agent.radius < d) & (d <= agent.reach))
     far = make_agent(2, (2.0, 2.0, 2.0), radius=0.3, ring=0.4)
-    assert sense_obstacles(far, far.start, ws) == set()
-
-
-# ---------------------------------------------------------------------------
-# knowledge bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_update_knowledge_growth_and_idempotence():
-    known = set()
-    assert update_knowledge(known, {(1, 2)}) == {(1, 2)} and known == {(1, 2)}
-    assert update_knowledge(known, {(1, 2), (3, 4)}) == {(3, 4)}
-    assert update_knowledge(known, {(1, 2)}) == set()
-    assert update_knowledge(known, set()) == set() and known == {(1, 2), (3, 4)}
-
-
-def test_knowledge_monotone_over_random_sequences():
-    rng = np.random.default_rng(3)
-    known = set()
-    universe = [(i, j) for i in range(6) for j in range(6)]
-    previous = set()
-    for _ in range(40):
-        batch = {universe[k] for k in rng.integers(0, len(universe), size=4)}
-        new = update_knowledge(known, batch)
-        assert previous <= known
-        assert new == batch - previous and known == previous | batch
-        previous = set(known)
+    assert sense_obstacles(far, far.start, ws).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +187,11 @@ def test_neighbors_symmetric_for_uniform_agents():
 # passage audit
 # ---------------------------------------------------------------------------
 
+def _flagged(ws, radius):
+    """The cells `passage_width_audit` flags, as a set of index tuples."""
+    return set(map(tuple, np.argwhere(passage_width_audit(ws, radius))))
+
+
 def _audit_oracle(ws, radius):
     """Distance-transform check: a free cell passes when some cell within `radius`
     has grid-clearance at least `radius` from obstacle cells."""
@@ -227,12 +208,12 @@ def _audit_oracle(ws, radius):
 
 def test_audit_empty_workspace_passes():
     ws = Workspace((-10, -10), (10, 10), h=0.5)
-    assert passage_width_audit(ws, 2.0) == []
+    assert _flagged(ws, 2.0) == set()
 
 
 def test_audit_tiny_obstacle_in_huge_workspace_passes():
     ws = Workspace((-10, -10), (10, 10), [Ball((0.0, 0.0), 0.3)], h=0.25)
-    assert passage_width_audit(ws, 2.0) == []
+    assert _flagged(ws, 2.0) == set()
     assert _audit_oracle(ws, 2.0) == set()
 
 
@@ -241,8 +222,9 @@ def test_audit_flags_narrow_corridor():
     ws = Workspace((-6, -6), (6, 6),
                    [Box((-1, 0.5), (1, 5.0)), Box((-1, -5.0), (1, -0.5))], h=0.25)
     radius = 1.5
-    report = set(passage_width_audit(ws, radius))
+    report = _flagged(ws, radius)
     assert report
+    assert not (passage_width_audit(ws, radius) & ~ws.free_mask).any()   # free cells only
     corridor_cell = ws.grid.point_to_cell((0.0, 0.0))
     assert corridor_cell in report
     oracle = _audit_oracle(ws, radius)

@@ -8,6 +8,8 @@ Runs the CLI of the package under `<root>/src`, one fresh process per call:
   `case5_lanes.json`/`case7_unknown.json`, written by the checkout's own
   `scenarios.save`: boxes, drift, prior knowledge, harmonic control and a
   horizon check, all read through `scenarios.load`;
+- `run case1_agent1.json --plot`, `case1` with its agent 1 only, written the
+  same way: the single-agent path, where no pair clearance is measured;
 - `sweep-delta case1` with the benchmark's deltas and profiles;
 - `plot` of the `case5_lanes` and `case7_unknown` trajectory CSVs.
 
@@ -59,9 +61,14 @@ def _builtin_names(root: Path) -> list[str]:
                          "print(' '.join(BUILTIN_NAMES))").split()
 
 
-def _save_builtin(root: Path, name: str, path: Path) -> None:
-    _python(root, "import sys; from vhpf import scenarios; "
-                  "scenarios.save(scenarios.builtin(sys.argv[1]), sys.argv[2])", name, str(path))
+def _save_builtin(root: Path, name: str, path: Path, agents: int | None = None) -> None:
+    """Save builtin `name` to `path`, keeping only its first `agents` agents
+    when given."""
+    _python(root, "import dataclasses, sys; from vhpf import scenarios; "
+                  "spec = scenarios.builtin(sys.argv[1]); "
+                  "n = int(sys.argv[3]) if sys.argv[3] else None; "
+                  "scenarios.save(dataclasses.replace(spec, agents=spec.agents[:n]), sys.argv[2])",
+            name, str(path), "" if agents is None else str(agents))
 
 
 def _env(root: Path) -> dict:
@@ -111,6 +118,9 @@ def digests(root: Path, work: Path) -> dict:
         scenario = work / f"{name}.json"
         _save_builtin(root, name, scenario)
         call(f"run saved {name}", ["run", str(scenario), "--out", ".", "--plot"])
+    scenario = work / "case1_agent1.json"
+    _save_builtin(root, "case1", scenario, agents=1)
+    call("run saved case1 agent 1", ["run", str(scenario), "--out", ".", "--plot"])
     call("sweep-delta case1", ["sweep-delta", "case1", "--deltas", bench.SWEEP_DELTAS,
                                "--profiles", bench.SWEEP_PROFILES, "--out", "sweep.csv"])
     for name in WALLED:
