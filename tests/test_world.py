@@ -6,6 +6,8 @@ import scipy.ndimage as ndi
 
 from helpers import agent as make_agent
 from helpers import neighbors
+from vhpf import harmonic
+from vhpf.controller import HARMONIC_GOAL, UNIT_DRIVE, AgentController, on_tick_sense
 from vhpf.scenarios import AgentSpec, GoalSpec
 from vhpf.world import (
     Ball,
@@ -158,6 +160,59 @@ def test_sense_in_three_dimensions():
     assert np.all((agent.radius < d) & (d <= agent.reach))
     far = make_agent(2, (2.0, 2.0, 2.0), radius=0.3, ring=0.4)
     assert sense_obstacles(far, far.start, ws).shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# knowledge: an agent's map is its field's known_mask, grown by on_tick_sense
+# ---------------------------------------------------------------------------
+
+def mapping_agent(ws):
+    """A harmonic agent (radius 0.5, ring 0.5) with an empty map."""
+    spec = AgentSpec(1, (-3.0, 3.0), 0.5, 0.5,
+                     GoalSpec(HARMONIC_GOAL, drive=UNIT_DRIVE, cruise=0.8), goal=(-3.0, 3.0))
+    field = harmonic.solve_dirichlet(ws.grid, set(), spec.goal, tol=1e-8, inflate=spec.radius)
+    return AgentController(spec, field)
+
+
+def sensed_mask(ctrl, x, ws):
+    mask = np.zeros(ws.grid.shape, dtype=bool)
+    mask[tuple(sense_obstacles(ctrl.spec, x, ws).T)] = True
+    return mask
+
+
+def test_update_knowledge_growth_and_idempotence():
+    ws = Workspace((-4, -4), (4, 4), [Box((1.0, -2.0), (2.0, 2.0))], h=0.25)
+    ctrl = mapping_agent(ws)
+    known = ctrl.field.known_mask
+    a, b = np.array([0.5, 0.0]), np.array([0.5, 0.5])
+    seen_a, seen_b = sensed_mask(ctrl, a, ws), sensed_mask(ctrl, b, ws)
+    assert (seen_a & seen_b).any() and (seen_b & ~seen_a).any()
+    assert on_tick_sense(ctrl, a, ws, cushion=False) == np.count_nonzero(seen_a)
+    assert np.array_equal(known, seen_a)
+    assert on_tick_sense(ctrl, b, ws, cushion=False) == np.count_nonzero(seen_b & ~seen_a)
+    assert on_tick_sense(ctrl, a, ws, cushion=False) == 0
+    # a position whose ring holds no wall adds nothing
+    assert on_tick_sense(ctrl, np.array([-3.0, -3.0]), ws, cushion=False) == 0
+    assert np.array_equal(known, seen_a | seen_b)
+
+
+def test_knowledge_monotone_over_random_sequences():
+    ws = Workspace((-4, -4), (4, 4), [Box((1.0, -2.0), (2.0, 2.0)), Ball((-1.5, -1.5), 1.0)],
+                   h=0.25)
+    ctrl = mapping_agent(ws)
+    rng = np.random.default_rng(3)
+    previous = ctrl.field.known_mask.copy()
+    discoveries = 0
+    for x in rng.uniform(-1.5, 3.0, size=(40, 2)):
+        batch = sensed_mask(ctrl, x, ws)
+        new = on_tick_sense(ctrl, x, ws, cushion=False)
+        known = ctrl.field.known_mask
+        assert not (previous & ~known).any()
+        assert new == np.count_nonzero(batch & ~previous)
+        assert np.array_equal(known, previous | batch)
+        discoveries += new > 0
+        previous = known.copy()
+    assert discoveries > 5
 
 
 # ---------------------------------------------------------------------------
