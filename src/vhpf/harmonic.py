@@ -3,7 +3,9 @@
 The potential is pinned to 0 at the goal cell and to 1 on known obstacle cells
 and the outer rim, and solved until every free cell equals the mean of its
 axis neighbors to within tolerance: matrix-free conjugate gradients on that
-linear system, in any dimension, warm-started from the field's values.
+linear system, in any dimension, warm-started from the field's values and
+preconditioned by a fast sine-transform solve of the same operator on the
+whole rectangle.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.fft
 
 from .world import ConfigError, GridSpec, _shift
 
@@ -87,26 +90,47 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
+def _rect_eigenvalues(shape):
+    """Eigenvalues of the rim-pinned operator 2*dim*u - (neighbor sum of u) on
+    the interior cells of a grid of this shape, in the order of the DST-I
+    coefficients: sum over the axes of 2 - 2 cos(pi k / (n - 1)), k = 1..n-2."""
+    eig = np.zeros([n - 2 for n in shape])
+    for ax, n in enumerate(shape):
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n - 1) / (n - 1))
+        eig += lam.reshape([-1 if k == ax else 1 for k in range(len(shape))])
+    return eig
+
+
 def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
-    """Conjugate gradients on the free-cell mean-value system, warm-started
-    from the current values, until the free-cell residual drops below tol.
+    """Preconditioned conjugate gradients on the free-cell mean-value system,
+    warm-started from the current values, until the free-cell residual drops
+    below tol.
 
     A p = 2*dim*p - (neighbor sum of p) on the free cells is symmetric positive
     definite. Directions are 0 off the free cells, so pinned values never
-    change. `max_sweeps` caps the iterations.
+    change. The preconditioner is F L_rect^-1 F (Concus & Golub, 1973): F
+    keeps the free cells, and L_rect is the same operator on the whole
+    interior with only the rim pinned, which a DST-I diagonalizes. It is a
+    principal block of the SPD inverse of L_rect, so it stays SPD wherever
+    the goal, wall and inflated cells are pinned. An empty interior (an axis
+    of fewer than 3 cells) has no free cell, so the solve stops before the
+    first transform. One worker keeps the transforms' bits fixed.
+    `max_sweeps` caps the iterations.
     """
     v = field.values
-    free = field.cell_class == FREE
+    free = (field.cell_class == FREE).astype(float)
     two_dim = 2.0 * v.ndim
-    neg_free = np.where(free, -1.0, 0.0)
     if max_sweeps is None:
         max_sweeps = 100 * int(np.sum(v.shape))
     field._invalidate()
-    r, ap, start = None, np.empty_like(v), field.iterations
+    interior = (slice(1, -1),) * v.ndim
+    r, p, eig, start = None, None, None, field.iterations
+    ap, z, step = np.empty_like(v), np.zeros_like(v), np.empty_like(v)
     while True:
         if r is None:  # (re)start from b - A v, computed from v itself
-            r = np.where(free, _neighbor_sum(v) - two_dim * v, 0.0)
-            p, rr, exact = r.copy(), _dot(r, r), True
+            r = _neighbor_sum(v) - two_dim * v
+            r *= free
+            p, exact = None, True
         field.residual = float(np.max(np.abs(r))) / two_dim
         if not np.isfinite(field.residual):
             raise SolverError(f"residual {field.residual} is not finite")
@@ -118,18 +142,33 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
         if field.iterations - start == max_sweeps:
             raise SolverError(f"conjugate gradients stalled at residual {field.residual:.3e} "
                               f"after {max_sweeps} iterations (tol {tol:.1e})")
-        _neighbor_sum(p, ap)
-        ap -= two_dim * p
-        ap *= neg_free
+        if eig is None:
+            eig = _rect_eigenvalues(v.shape)
+        # z = F L_rect^-1 F r; r is already 0 off the free cells. The inverse
+        # transform may overwrite the coefficients, which saves an array
+        coef = scipy.fft.dstn(r[interior], type=1, norm="ortho", workers=1)
+        coef /= eig
+        z[interior] = scipy.fft.idstn(coef, type=1, norm="ortho", workers=1, overwrite_x=True)
+        z *= free
+        rz = _dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rz / rz_old
+            p += z
+        _neighbor_sum(p, step)
+        np.multiply(p, two_dim, out=ap)
+        ap -= step
+        ap *= free
         pap = _dot(p, ap)
         if not (np.isfinite(pap) and pap > 0.0):
             raise SolverError(f"conjugate gradients broke down (p.Ap = {pap:.3e})")
-        alpha = rr / pap
-        v += alpha * p
-        r -= alpha * ap
-        rr, rr_old = _dot(r, r), rr
-        p *= rr / rr_old
-        p += r
+        alpha = rz / pap
+        np.multiply(p, alpha, out=step)
+        v += step
+        np.multiply(ap, alpha, out=step)
+        r -= step
+        rz_old = rz
         exact = False
         field.iterations += 1
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .world import ConfigError, GridSpec, _shift, axis_norms, require_finite
+from .world import ConfigError, GridSpec, axis_norms, reach_dilation, require_finite
 
 LINEAR = "linear"
 SINUSOIDAL = "sinusoidal"
@@ -368,13 +368,8 @@ class KnownBoundaryIndex:
 
     `within_reach` tells the points that may lie within a distance `reach`
     of a known cell box from those that cannot, on a boolean grid: the known
-    cells dilated in the Chebyshev sense by k = ceil(reach / h) + 1 cells.
-    A point in a cell m cells away from a known cell (along some axis) is at
-    least (m - 1) h from that cell's box, so a point outside the dilation is
-    at least k h >= reach + h from every known box. The extra ring of cells
-    covers the floor rounding at cell faces and keeps a float test against
-    reach well clear of its boundary. A point outside the grid counts as in
-    its nearest rim cell, which is no farther from any known box.
+    cells' `world.reach_dilation`. A point outside the grid counts as in its
+    nearest rim cell, which is no farther from any known box.
     """
 
     def __init__(self, grid: GridSpec, mask):
@@ -389,22 +384,14 @@ class KnownBoundaryIndex:
         self.box_hi = self.centers + self.half
         self.tree = cKDTree(self.centers) if len(self.centers) else None
         self._axes = tuple(zip(map(float, grid.origin), grid.shape))
-        self._reach = {}    # dilation in cells -> the within-reach grid, flat bytes
+        self._reach = {}    # reach -> the within-reach grid, flat bytes
 
     def _reach_cells(self, reach) -> bytes:
-        """The cells dilated by ceil(reach / h) + 1, one byte per cell in
-        C order, made once per dilation."""
-        k = math.ceil(reach / self.grid.h) + 1
-        if k not in self._reach:
-            mask = self.mask
-            for ax in range(self.grid.dim):
-                grown = mask.copy()
-                for step in range(1, k + 1):
-                    grown |= _shift(mask, ax, step)
-                    grown |= _shift(mask, ax, -step)
-                mask = grown
-            self._reach[k] = mask.tobytes()
-        return self._reach[k]
+        """The known cells' reach dilation, one byte per cell in C order,
+        made once per reach."""
+        if reach not in self._reach:
+            self._reach[reach] = reach_dilation(self.mask, self.grid.h, reach).tobytes()
+        return self._reach[reach]
 
     def within_reach(self, points, reach) -> bool:
         """False only when each of the points (rows of floats) is farther

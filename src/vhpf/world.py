@@ -154,6 +154,26 @@ def _shift(mask, axis, step):
     return out
 
 
+def reach_dilation(mask, h: float, reach: float) -> np.ndarray:
+    """The cells of a boolean grid mask dilated in the Chebyshev sense by
+    k = ceil(reach / h) + 1 cells.
+
+    A point in a cell m cells away from a masked cell (along some axis) is at
+    least (m - 1) h from that cell's box, so a point outside the dilation is
+    at least k h >= reach + h from every masked box, and farther still from
+    its center. The extra ring of cells covers the floor rounding at cell
+    faces and keeps a float test against reach well clear of its boundary.
+    """
+    k = math.ceil(reach / h) + 1
+    for ax in range(mask.ndim):
+        grown = mask.copy()
+        for step in range(1, k + 1):
+            grown |= _shift(mask, ax, step)
+            grown |= _shift(mask, ax, -step)
+        mask = grown
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Workspace
 # ---------------------------------------------------------------------------
@@ -212,12 +232,10 @@ class Workspace:
         # the boundary cells' index rows and centers, for sensing
         self._boundary_idx = np.argwhere(self.boundary_mask)
         self._boundary_centers = self.grid.cell_centers(self._boundary_idx)
+        self._near_boundary = {}    # reach -> the boundary's reach_dilation, flat bytes
+        self._axes = tuple(zip(self.lo.tolist(), self.hi.tolist(), self.grid.shape))
 
     # -- queries ------------------------------------------------------------
-
-    def contains_point(self, x):
-        x = np.asarray(x, float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
     def obstacle_clearance(self, points):
         """Signed distance from points to the nearest obstacle shape (inf if none)."""
@@ -243,9 +261,20 @@ class Workspace:
 def sense_obstacles(agent, x, ws: Workspace) -> np.ndarray:
     """Index rows, in C order, of the boundary cells whose centers fall in the
     sensing ring of the agent (a `scenarios.AgentSpec`: its radius and reach)
-    centered at position x: (k, dim), k = 0 when the ring holds none."""
-    if not ws.contains_point(x):
-        raise ConfigError(f"agent {agent.id} at {x} is outside the workspace")
+    centered at position x: (k, dim), k = 0 when the ring holds none. Only an
+    agent whose cell lies in the boundary's `reach_dilation` measures its
+    distance to the boundary cells."""
+    at = 0  # the flat C-order index of the agent's cell
+    for xk, (lo, hi, n) in zip(x, ws._axes):
+        if not lo <= xk <= hi:
+            raise ConfigError(f"agent {agent.id} at {x} is outside the workspace")
+        at = at * n + min(int((xk - lo) / ws.h), n - 1)
+    near = ws._near_boundary.get(agent.reach)
+    if near is None:
+        near = reach_dilation(ws.boundary_mask, ws.h, agent.reach).tobytes()
+        ws._near_boundary[agent.reach] = near
+    if not near[at]:  # no boundary cell center lies within reach
+        return ws._boundary_idx[:0]
     d = np.linalg.norm(ws._boundary_centers - x, axis=1)
     hit = (d > agent.radius) & (d <= agent.reach)
     return ws._boundary_idx[hit]

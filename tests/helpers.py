@@ -1,14 +1,17 @@
-"""Shared oracles for the test-suite: dense linear solves, random workspaces,
-a scalar, one-pair-at-a-time evaluation of the pair force, the dense
-all-pairs evaluation of the pair forces and weight sums, array-at-a-time
-field sampling, one-agent-at-a-time goal terms and potentials, and control
-evaluation with the wall cushion always queried; a fault injector, a
-short-hand agent record and a strategy for valid scenario files."""
+"""Shared oracles for the test-suite: direct solves of the field and their
+error bound from the solver tolerance, random workspaces, a scalar,
+one-pair-at-a-time evaluation of the pair force, the dense all-pairs
+evaluation of the pair forces and weight sums, array-at-a-time field
+sampling, one-agent-at-a-time goal terms and potentials, control evaluation
+with the wall cushion always queried and the full-scan sensing ring; a fault
+injector, a short-hand agent record and a strategy for valid scenario files."""
 
 import itertools
 
 import numpy as np
 import scipy.ndimage as ndi
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 from hypothesis import strategies as st
 
 from vhpf import controller, engine
@@ -45,30 +48,57 @@ def raising(exc):
     return fail
 
 
-def dense_solve(field: ScalarGridField) -> np.ndarray:
-    """Assemble and solve the mean-value linear system directly."""
-    shape = field.grid.shape
-    free_cells = [tuple(c) for c in np.argwhere(field.cell_class == FREE)]
-    index = {c: k for k, c in enumerate(free_cells)}
-    n = len(free_cells)
-    A = np.zeros((n, n))
+def _free_system(field: ScalarGridField):
+    """The field's mean-value equations on its free cells, numbered in C
+    order: A has 2*dim on the diagonal and -1 per free neighbor, b sums the
+    values of the pinned neighbors. The rim is pinned, so every neighbor of
+    a free cell lies on the grid."""
+    free = field.cell_class == FREE
+    cells = np.argwhere(free)
+    n, dim = cells.shape
+    number = np.full(free.shape, -1)
+    number[free] = np.arange(n)
+    rows, cols, entries = [np.arange(n)], [np.arange(n)], [np.full(n, 2.0 * dim)]
     b = np.zeros(n)
-    dim = len(shape)
-    for c, k in index.items():
-        A[k, k] = 2.0 * dim
-        for ax, step in itertools.product(range(dim), (-1, 1)):
-            nb = list(c)
-            nb[ax] += step
-            nb = tuple(nb)
-            if index.get(nb) is not None:
-                A[k, index[nb]] = -1.0
-            else:
-                b[k] += field.values[nb]  # pinned neighbor
-    x = np.linalg.solve(A, b)
+    for ax, step in itertools.product(range(dim), (-1, 1)):
+        nb = cells.copy()
+        nb[:, ax] += step
+        other = number[tuple(nb.T)]
+        linked = other >= 0
+        rows.append(np.flatnonzero(linked))
+        cols.append(other[linked])
+        entries.append(np.full(linked.sum(), -1.0))
+        b += np.where(linked, 0.0, field.values[tuple(nb.T)])
+    A = sparse.csc_matrix((np.concatenate(entries), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n))
+    return A, b, free
+
+
+def direct_solve(field: ScalarGridField) -> np.ndarray:
+    """The field's values with the free cells solved directly (sparse LU)."""
+    A, b, free = _free_system(field)
     out = field.values.copy()
-    for c, k in index.items():
-        out[c] = x[k]
+    if len(b):
+        out[free] = spsolve(A, b)
     return out
+
+
+def solve_error_bound(field: ScalarGridField, tol: float) -> float:
+    """How far a solve stopped by `max|r| / 2dim < tol` can be from the exact
+    solution: the error is A^-1 r, and A^-1 has no negative entry, so it is
+    at most 2*dim * tol * max(A^-1 1) on every cell."""
+    A, b, _ = _free_system(field)
+    if not len(b):
+        return 0.0
+    return 2.0 * field.grid.dim * tol * float(spsolve(A, np.ones(len(b))).max())
+
+
+def sense_full_scan(agent: AgentSpec, x, ws: Workspace) -> np.ndarray:
+    """`world.sense_obstacles` without its reach gate: the distance from x
+    to every boundary cell center, measured on every call."""
+    cells = np.argwhere(ws.boundary_mask)
+    d = np.linalg.norm(ws.grid.cell_centers(cells) - x, axis=1)
+    return cells[(d > agent.radius) & (d <= agent.reach)]
 
 
 def component(passable, seed):

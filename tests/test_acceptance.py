@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import agent, component, dense_solve, pair_force, random_workspace
+from helpers import agent, component, direct_solve, pair_force, random_workspace
 from vhpf import engine, harmonic, scenarios
 from vhpf.engine import CONVERGED, DEADLOCK, TIMEOUT, SimConfig, run
 from vhpf.harmonic import FREE, GOAL_BC, resolve_incremental, solve_dirichlet
@@ -325,8 +325,8 @@ def test_criterion_12_oracle_equivalence():
     tol = 1e-10
     strip = solve_dirichlet(GridSpec((0.0,), 1.0, (5,)), set(), (0.5,), tol=tol)
     square = solve_dirichlet(GridSpec((0.0, 0.0), 1.0, (5, 5)), set(), (2.5, 2.5), tol=tol)
-    strip_ok = np.max(np.abs(strip.values - dense_solve(strip))) < 10 * tol
-    square_ok = np.max(np.abs(square.values - dense_solve(square))) < 10 * tol
+    strip_ok = np.max(np.abs(strip.values - direct_solve(strip))) < 10 * tol
+    square_ok = np.max(np.abs(square.values - direct_solve(square))) < 10 * tol
 
     params = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
     profile = WeightProfile(SPRING, delta=1.5)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import component as _component
-from helpers import dense_solve, oracle_gradient_at, oracle_value_at, random_workspace
+from helpers import (
+    direct_solve,
+    oracle_gradient_at,
+    oracle_value_at,
+    random_workspace,
+    solve_error_bound,
+)
 
 from vhpf import scenarios
 from vhpf.harmonic import (
@@ -48,7 +54,7 @@ def test_strip_matches_linear_ramp():
 
 def test_strip_matches_dense_oracle():
     f = strip_field()
-    assert np.max(np.abs(f.values - dense_solve(f))) < 10 * TOL
+    assert np.max(np.abs(f.values - direct_solve(f))) < 10 * TOL
 
 
 def test_strip_gradient_is_constant_slope():
@@ -80,7 +86,7 @@ def test_square_symmetry_group():
 
 def test_square_matches_dense_oracle():
     f = square_field()
-    assert np.max(np.abs(f.values - dense_solve(f))) < 10 * TOL
+    assert np.max(np.abs(f.values - direct_solve(f))) < 10 * TOL
 
 
 def test_square_gradient_vanishes_at_center():
@@ -90,7 +96,7 @@ def test_square_gradient_vanishes_at_center():
 
 def test_square_stats_match_oracle_scan():
     f = square_field()
-    v = dense_solve(f)
+    v = direct_solve(f)
     g = np.gradient(v, 1.0)
     mag = np.sqrt(g[0] ** 2 + g[1] ** 2)
     free = f.cell_class == FREE
@@ -114,9 +120,13 @@ def test_goal_outside_grid_rejected():
 
 
 def test_sweep_cap_raises_solver_error():
+    # a wall across most of the grid: the preconditioner knows only the rim,
+    # so this solve takes 10 iterations, where the empty grid takes 1
     grid = GridSpec((0.0, 0.0), 1.0, (16, 16))
+    wall = {(8, j) for j in range(1, 13)}
+    assert solve_dirichlet(grid, wall, (3.5, 8.0), tol=1e-12).iterations > 3
     with pytest.raises(SolverError):
-        solve_dirichlet(grid, set(), (8.0, 8.0), tol=1e-12, max_sweeps=3)
+        solve_dirichlet(grid, wall, (3.5, 8.0), tol=1e-12, max_sweeps=3)
 
 
 def test_non_finite_value_raises_at_once():
@@ -128,24 +138,55 @@ def test_non_finite_value_raises_at_once():
     assert f.iterations - before < 5  # the cap is 100 * (5 + 5) iterations
 
 
-# conjugate-gradient iterations of the case7 cold solve below when this guard
-# was set; a solver that silently slows down takes more than 1.5x as many
-CASE7_COLD_ITERATIONS = 499
+# preconditioned conjugate-gradient iterations of the solves below when these
+# guards were set; a solver that silently slows down takes more than 1.5x as many
+CASE7_COLD_ITERATIONS = 1
+CASE7_RESOLVE_ITERATIONS = 13
+CASE8_FULL_COLD_ITERATIONS = 30
+# the 2 cells that agent 1 of case7_unknown discovers first, at its first
+# discovery event
+CASE7_FIRST_DISCOVERY = [(48, 44), (48, 45)]
 
 
-def test_case7_cold_solve_iteration_count():
+def _case7_cold_field():
     spec = scenarios.builtin("case7_unknown")
     grid = scenarios.build_workspace(spec).grid
     assert grid.shape == (160, 96)
     agent = spec.agents[0]
-    f = solve_dirichlet(grid, set(), np.asarray(agent.goal, float), tol=1e-12,
-                        inflate=agent.radius)
+    return solve_dirichlet(grid, set(), agent.goal_array, tol=1e-12, inflate=agent.radius)
+
+
+def _exact_residual(f):
+    free = f.cell_class == FREE
+    two_dim = 2.0 * f.grid.dim
+    return np.max(np.abs(_neighbor_sum(f.values) - two_dim * f.values)[free]) / two_dim
+
+
+def test_case7_cold_solve_iteration_count():
+    f = _case7_cold_field()
     assert f.iterations <= 1.5 * CASE7_COLD_ITERATIONS
     # the stopping residual is recomputed from the values, not taken from the
     # conjugate-gradient recurrence, which drifts from it by rounding
-    free = f.cell_class == FREE
-    exact = np.max(np.abs(_neighbor_sum(f.values) - 4.0 * f.values)[free]) / 4.0
-    assert f.residual == exact < 1e-12
+    assert f.residual == _exact_residual(f) < 1e-12
+
+
+def test_case7_first_discovery_resolve_iteration_count():
+    f = _case7_cold_field()
+    cold = f.iterations
+    resolve_incremental(f, CASE7_FIRST_DISCOVERY)
+    assert 0 < f.iterations - cold <= 1.5 * CASE7_RESOLVE_ITERATIONS
+    assert f.residual == _exact_residual(f) < 1e-12
+
+
+def test_case8_full_knowledge_cold_solve_iteration_count():
+    spec = scenarios.builtin("case8_tight")
+    ws = scenarios.build_workspace(spec)
+    agent = spec.agents[0]
+    assert agent.prior_knowledge == scenarios.PRIOR_FULL
+    f = solve_dirichlet(ws.grid, np.argwhere(ws.boundary_mask), agent.goal_array,
+                        tol=1e-12, inflate=agent.radius)
+    assert f.iterations <= 1.5 * CASE8_FULL_COLD_ITERATIONS
+    assert f.residual == _exact_residual(f) < 1e-12
 
 
 def test_query_inside_known_obstacle_rejected():
@@ -314,7 +355,7 @@ def test_random_warm_resolve_matches_cold(seed):
 def test_three_dimensional_solve_matches_oracle():
     grid = GridSpec((0.0, 0.0, 0.0), 1.0, (7, 7, 7))
     f = solve_dirichlet(grid, {(2, 2, 2)}, (3.5, 3.5, 3.5), tol=TOL)
-    assert np.max(np.abs(f.values - dense_solve(f))) < 10 * TOL
+    assert np.max(np.abs(f.values - direct_solve(f))) < 10 * TOL
     free = f.cell_class == FREE
     assert np.all(f.values[free] > 0.0) and np.all(f.values[free] < 1.0)
     # center of the goal cell: flat minimum up to the pinned corner cell's pull
@@ -332,14 +373,58 @@ def test_three_dimensional_warm_resolve_matches_cold():
     resolve_incremental(f, set(wall[5:]))
     cold = solve_dirichlet(grid, set(wall), goal, tol=TOL)
     assert np.max(np.abs(f.values - cold.values)) < 10 * TOL
-    assert np.max(np.abs(f.values - dense_solve(f))) < 10 * TOL
+    assert np.max(np.abs(f.values - direct_solve(f))) < 10 * TOL
+
+
+# grids with known cells, inflation and a goal, in one to three dimensions;
+# the known cells split in two halves: known at the cold solve, discovered later
+ORACLE_CASES = [
+    (GridSpec((0.0,), 0.5, (40,)), [(8,), (30,), (22,)], (3.2,), 0.6),
+    (GridSpec((-1.0, 0.5), 0.25, (33, 21)),
+     [(10, j) for j in range(2, 15)] + [(20, j) for j in range(6, 20)], (6.1, 2.9), 0.3),
+    (GridSpec((0.0, 0.0, 0.0), 0.5, (13, 11, 12)),
+     [(5, j, k) for j in range(1, 8) for k in range(3, 9)] + [(9, 6, 6), (9, 7, 6)],
+     (1.3, 2.6, 3.1), 0.5),
+]
+
+
+@pytest.mark.parametrize("grid, known, goal, inflate", ORACLE_CASES)
+def test_solve_matches_direct_oracle_within_tolerance_bound(grid, known, goal, inflate):
+    for tol in (1e-6, 1e-10):
+        f = solve_dirichlet(grid, known, goal, tol=tol, inflate=inflate)
+        assert np.sum(f.cell_class == OBSTACLE_BC) > np.sum(f.known_mask)
+        assert np.max(np.abs(f.values - direct_solve(f))) <= solve_error_bound(f, tol)
+
+
+@pytest.mark.parametrize("grid, known, goal, inflate", ORACLE_CASES)
+def test_warm_resolve_matches_direct_oracle_and_cold_solve(grid, known, goal, inflate):
+    half = len(known) // 2
+    tol = 1e-10
+    warm = solve_dirichlet(grid, known[:half], goal, tol=tol, inflate=inflate)
+    resolve_incremental(warm, known[half:])
+    cold = solve_dirichlet(grid, known, goal, tol=tol, inflate=inflate)
+    assert np.array_equal(warm.cell_class, cold.cell_class)
+    bound = solve_error_bound(cold, tol)
+    assert np.max(np.abs(warm.values - direct_solve(warm))) <= bound
+    assert np.max(np.abs(warm.values - cold.values)) <= 2 * bound
+
+
+@pytest.mark.parametrize("shape, goal", [
+    ((1,), (0.5,)), ((2,), (1.5,)), ((2, 5), (0.5, 3.5)), ((3, 3), (1.5, 1.5)),
+])
+def test_grids_without_free_cells_solve_at_once(shape, goal):
+    f = solve_dirichlet(GridSpec((0.0,) * len(shape), 1.0, shape), set(), goal)
+    assert not np.any(f.cell_class == FREE)
+    assert f.iterations == 0 and f.residual == 0.0
+    resolve_incremental(f, set())
+    assert f.iterations == 0
 
 
 def test_inflated_obstacles_match_dense_oracle():
     ws = Workspace((0, 0), (6, 6), [Box((2.0, 1.0), (3.0, 4.0))], h=0.25)
     f = solve_dirichlet(ws.grid, np.argwhere(ws.boundary_mask), (5.0, 5.0), tol=TOL, inflate=0.5)
     assert np.sum(f.cell_class == OBSTACLE_BC) > np.sum(f.known_mask)
-    assert np.max(np.abs(f.values - dense_solve(f))) < 10 * TOL
+    assert np.max(np.abs(f.values - direct_solve(f))) < 10 * TOL
 
 
 def test_grid_refinement_consistency():

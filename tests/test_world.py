@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import agent as make_agent
-from helpers import neighbors
+from helpers import neighbors, sense_full_scan
 from vhpf import harmonic
 from vhpf.controller import HARMONIC_GOAL, UNIT_DRIVE, AgentController, on_tick_sense
 from vhpf.scenarios import AgentSpec, GoalSpec
@@ -160,6 +162,38 @@ def test_sense_in_three_dimensions():
     assert np.all((agent.radius < d) & (d <= agent.reach))
     far = make_agent(2, (2.0, 2.0, 2.0), radius=0.3, ring=0.4)
     assert sense_obstacles(far, far.start, ws).shape == (0, 3)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0),
+       st.floats(0.05, 1.5))
+def test_gated_sensing_matches_full_scan(dim, seed, radius, ring):
+    rng = np.random.default_rng(seed)
+    h = float(rng.choice([0.125, 0.25, 0.5]))
+    lo = rng.integers(-4, 0, size=dim).astype(float)
+    hi = lo + rng.integers(3, 9 if dim == 2 else 5, size=dim)
+    obstacles = []
+    for _ in range(int(rng.integers(0, 4))):
+        a, b = np.sort(rng.uniform(lo, hi, size=(2, dim)), axis=0)
+        obstacles.append(Box(tuple(a), tuple(b)) if rng.random() < 0.5
+                         else Ball(tuple(a), float(min(b - a)) / 2))
+    try:
+        ws = Workspace(tuple(lo), tuple(hi), obstacles, h=h)
+    except ConfigError:  # a draw that fills the workspace
+        return
+    agent = make_agent(1, lo, radius=radius, ring=ring)
+    # anywhere in the workspace, on the cell faces, where floor rounds, and
+    # near the boundary cells, where the gate opens
+    pts = rng.uniform(lo, hi, size=(300, dim))
+    pts[::3] = lo + np.round((pts[::3] - lo) / h) * h
+    near = ws.grid.cell_centers(np.argwhere(ws.boundary_mask))
+    if len(near):
+        offsets = rng.uniform(-agent.reach - 2 * h, agent.reach + 2 * h, size=(150, dim))
+        pts[1::2] = np.clip(near[rng.integers(0, len(near), size=150)] + offsets, lo, hi)
+    for x in pts:
+        got, full = sense_obstacles(agent, x, ws), sense_full_scan(agent, x, ws)
+        assert got.dtype == full.dtype and got.shape == full.shape
+        assert np.array_equal(got, full), x
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,13 @@ equal, so comparing them is the whole byte-identity check:
 
     python3 tools/output_digests.py --out change.json
     python3 tools/output_digests.py --root ../parent --out parent.json
-    cmp parent.json change.json
+    python3 tools/output_digests.py --compare parent.json change.json
 
-It takes a few minutes (the builtins run to their outcomes).
+It takes a few minutes (the builtins run to their outcomes). `--compare A B`
+runs nothing: it prints one line per call whose entry differs between the
+two digest files, naming what moved (a call on one side only, the exit code,
+stdout, stderr, and each written file whose digest differs or that only one
+side wrote), and exits 1 when any entry differs, 0 when none does.
 """
 
 from __future__ import annotations
@@ -129,12 +133,39 @@ def digests(root: Path, work: Path) -> dict:
     return runs
 
 
+def differences(a: dict, b: dict) -> dict:
+    """What differs per call label between two digest records: the labels
+    that only one side has, and for the others the fields (and, under
+    `files`, the file names) whose entries differ."""
+    out = {}
+    for label in sorted(a.keys() | b.keys()):
+        if label not in b or label not in a:
+            out[label] = ["only in " + ("first" if label in a else "second")]
+            continue
+        moved = [key for key in ("exit_code", "stdout", "stderr") if a[label][key] != b[label][key]]
+        fa, fb = a[label]["files"], b[label]["files"]
+        moved += [f"file {name}" for name in sorted(fa.keys() | fb.keys())
+                  if fa.get(name) != fb.get(name)]
+        if moved:
+            out[label] = moved
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(HERE),
                         help="checkout whose src/ and bench/ to use (default: this one)")
-    parser.add_argument("--out", required=True, help="where to write the digests JSON")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="where to write the digests JSON")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="list the calls and files whose entries differ between two digest JSONs")
     args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
+        moved = differences(a, b)
+        for label, what in moved.items():
+            print(f"{label}: {', '.join(what)}")
+        return 1 if moved else 0
     with tempfile.TemporaryDirectory() as tmp:
         runs = digests(Path(args.root).resolve(), Path(tmp))
     with open(args.out, "w", encoding="utf-8") as f:
