@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 
@@ -227,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if not gc.get_freeze_count():
+        # what the imports made lives as long as the process: spare it the
+        # cyclic collector's full passes, which would scan it again each time
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

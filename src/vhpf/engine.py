@@ -209,7 +209,6 @@ class Runtime:
         self._last_key = None       # switch key of the latest control evaluation
         self._step_key = None       # switch key at the start of the current step
         self._switched = np.zeros(len(agents), dtype=bool)
-        self._snapshot = None       # (positions bytes, near pairs) of the latest pass
         self._cushion_indexes = None    # the agents' cushion indexes that _groups is of
         self._groups = None
 
@@ -221,13 +220,15 @@ class Runtime:
         """The start positions, one row per agent."""
         return self.starts.copy()
 
-    def eval_controls(self, positions):
+    def eval_controls(self, positions, pairs=None):
         """Controls for all agents on one snapshot. Returns (U, penetration mask).
 
         Each row is the goal term plus the pair-force sum plus the wall
         cushion. The pair-force sum is dropped for a non-cooperative agent
         (it still repels everyone else through their own sums). The cushion
-        reacts only to the agent's own discovered boundary cells.
+        reacts only to the agent's own discovered boundary cells. `pairs` is
+        the snapshot's `interaction.near_pairs` when the caller already has
+        it; without it the pair forces make their own pass.
         """
         L = self.n_agents
         positions = np.asarray(positions, float)
@@ -239,7 +240,7 @@ class Runtime:
                 F = interaction.crf_forces(positions, self.radii, self.params,
                                            self.profile, suppressed=suppressed,
                                            reach=self.reach, switch_key=self.tracks_switches,
-                                           pairs=self._near_pairs(positions))
+                                           pairs=pairs)
                 if self.tracks_switches:
                     F, key = F
                     # comparing bytes is the cheap exact test; find rows only on a change
@@ -330,19 +331,10 @@ class Runtime:
         offset = positions - self.goals
         return np.sqrt((offset * offset).sum(axis=1)) <= self.r_target
 
-    def sigma_activity(self, positions):
-        """Per-agent sum of interaction weights against all other agents."""
-        return interaction.sigma_activity(positions, self.radii, self.profile,
-                                          pairs=self._near_pairs(positions))
-
-    def _near_pairs(self, positions):
-        """The cut-off pair pass of a snapshot, made once per snapshot: the
-        tick's first control evaluation and its sigma_activity share it."""
-        positions = np.asarray(positions, float)
-        key = positions.tobytes()
-        if self._snapshot is None or self._snapshot[0] != key:
-            self._snapshot = (key, interaction.near_pairs(positions, self.radii, self.profile))
-        return self._snapshot[1]
+    def sigma_activity(self, positions, pairs=None):
+        """Per-agent sum of interaction weights against all other agents;
+        `pairs` as for `eval_controls`."""
+        return interaction.sigma_activity(positions, self.radii, self.profile, pairs=pairs)
 
 
 def _negative_zero(rows) -> bool:
@@ -350,12 +342,13 @@ def _negative_zero(rows) -> bool:
     return any(math.copysign(1.0, v) < 0.0 for row in rows for v in row if v == 0.0)
 
 
-def step(runtime: Runtime, positions, cfg: SimConfig, k1=None):
-    """Advance one tick from the snapshot. RK4 re-evaluates controls at each stage."""
-    dt = cfg.dt
+def step(runtime: Runtime, positions, k1=None):
+    """Advance one tick from the snapshot with the runtime's integrator. RK4
+    re-evaluates controls at each stage."""
+    dt = runtime.config.dt
     if k1 is None:
         k1, _ = runtime.eval_controls(positions)
-    if cfg.integrator == EULER:
+    if runtime.config.integrator == EULER:
         return positions + dt * k1
     k2, _ = runtime.eval_controls(positions + 0.5 * dt * k1)
     k3, _ = runtime.eval_controls(positions + 0.5 * dt * k2)
@@ -388,18 +381,23 @@ class CollisionAudit(NamedTuple):
     agents: np.ndarray                      # (m,) agents penetrating an obstacle, ascending
 
 
-def collision_audit(positions, radii, ws: Workspace, collision_tol: float) -> CollisionAudit:
+def collision_audit(positions, radii, ws: Workspace, collision_tol: float,
+                    pairs: interaction.NearPairs) -> CollisionAudit:
     """Surface clearances of every body pair and of every body to the
-    obstacles, and which of them overlap beyond the numerical slack."""
+    obstacles, and which of them overlap beyond the numerical slack. `pairs`
+    is the snapshot's `interaction.near_pairs`: its table holds the pair
+    clearances, and an overlapping pair is one of its near pairs, whose
+    second half lists each pair i < j as (row i, column j) in table order."""
     positions = np.asarray(positions, float)
-    *_, pair_clearance = interaction.pair_gaps(positions, np.asarray(radii, float))
-    pairs = interaction.pair_index(len(radii))[:, pair_clearance < -collision_tol].T
+    half = len(pairs.rows) // 2
+    over = pairs.gap[half:] < -collision_tol
+    overlapping = np.stack([pairs.rows[half:][over], pairs.cols[half:][over]], axis=1)
     obstacle_clearance = None
     agents = np.empty(0, dtype=int)
     if ws.obstacles:
         obstacle_clearance = ws.obstacle_clearance(positions) - radii
         agents = np.flatnonzero(obstacle_clearance < -collision_tol)
-    return CollisionAudit(pair_clearance, obstacle_clearance, pairs, agents)
+    return CollisionAudit(pairs.table_gap, obstacle_clearance, overlapping, agents)
 
 
 def curvature_profile(positions, speeds, v_eps, breaks=None):
@@ -592,8 +590,10 @@ def run(scenario):
                                   solver_iterations=c.field.iterations - iterations,
                                   residual=c.field.residual)
 
+            # the snapshot's one pass over the pair table
+            pairs = interaction.near_pairs(positions, runtime.radii, runtime.profile)
             try:
-                U, pen = runtime.eval_controls(positions)
+                U, pen = runtime.eval_controls(positions, pairs)
             except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
                 raise _failed(log, t, "control evaluation", exc) from exc
             bad = ~np.isfinite(U).all(axis=1)
@@ -603,11 +603,12 @@ def run(scenario):
             switched = runtime.begin_step()
             if switched is not None:
                 log.switches.append((log.n_ticks - 1, switched))
-            log.append(t, positions, U, runtime.sigma_activity(positions))
+            log.append(t, positions, U, runtime.sigma_activity(positions, pairs))
             for i in np.flatnonzero(pen):
                 log.add_event(t, "penetration", agent=runtime.agents[i].id)
 
-            hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol)
+            hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol,
+                                   pairs)
             if hits.pair_clearance.size:
                 min_pair = min(min_pair, float(hits.pair_clearance.min()))
             if hits.obstacle_clearance is not None and hits.obstacle_clearance.size:
@@ -648,7 +649,7 @@ def run(scenario):
                 break
 
             try:
-                positions = step(runtime, positions, config, k1=U)
+                positions = step(runtime, positions, k1=U)
             except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
                 raise _failed(log, t, "integration", exc) from exc
             t += config.dt

@@ -10,13 +10,13 @@ whole rectangle.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 import scipy.fft
+import scipy.ndimage as ndi
 
-from .world import ConfigError, GridSpec, _shift
+from .world import ConfigError, GridSpec
 
 FREE = 0
 OBSTACLE_BC = 1
@@ -180,19 +180,10 @@ def _inflate_mask(mask, grid: GridSpec, radius: float):
     reach = int(np.floor(radius / grid.h + 1e-9))
     if reach == 0:
         return mask.copy()
-    out = mask.copy()
-    ranges = [range(-reach, reach + 1)] * grid.dim
-    for offset in itertools.product(*ranges):
-        if all(o == 0 for o in offset):
-            continue
-        if np.linalg.norm(offset) * grid.h > radius + 1e-9:
-            continue
-        shifted = mask
-        for ax, o in enumerate(offset):
-            if o:
-                shifted = _shift(shifted, ax, o)
-        out |= shifted
-    return out
+    # the disk of cell offsets within radius
+    offsets = np.indices((2 * reach + 1,) * grid.dim) - reach
+    disk = np.sqrt((offsets * offsets).sum(axis=0)) * grid.h <= radius + 1e-9
+    return ndi.binary_dilation(mask, disk)
 
 
 def _cell_mask(grid: GridSpec, cells):

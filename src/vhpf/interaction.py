@@ -177,9 +177,10 @@ def pair_index(n: int) -> np.ndarray:
 
 
 class NearPairs(NamedTuple):
-    """The pairs of one snapshot whose surface gap is at most delta, each in
-    both directions: the first half acts on j of each pair i < j, the second
-    half on its i, both halves in pair-table order."""
+    """One snapshot's pass over the pair table. Its pairs are those whose
+    surface gap is at most delta, each in both directions: the first half
+    acts on j of each pair i < j, the second half on its i, both halves in
+    pair-table order. `table_gap` keeps the gap of every pair i < j."""
 
     rows: np.ndarray        # the agent acted on
     cols: np.ndarray        # its partner
@@ -187,34 +188,30 @@ class NearPairs(NamedTuple):
     dist: np.ndarray
     gap: np.ndarray         # dist - (radius_row + radius_col)
     weight: np.ndarray      # gap_weights(gap), before any ring cut
-
-
-def pair_gaps(positions, radii):
-    """One pass over the pair table: (i, j, rel, dist, gap) for every pair
-    i < j in pair-table order, with rel = x_i - x_j, dist = |rel| and the
-    surface gap dist - (radius_i + radius_j). Distances are the same
-    floating-point sums as a dense `np.linalg.norm(rel, axis=-1)`: squares
-    added left to right."""
-    index = pair_index(len(positions))
-    i, j = index[0], index[1]
-    rel = positions.take(i, axis=0) - positions.take(j, axis=0)
-    dist = axis_norms(rel)
-    return i, j, rel, dist, dist - (radii.take(i) + radii.take(j))
+    table_gap: np.ndarray   # (L (L - 1) / 2,) gaps of all pairs, in np.triu_indices order
 
 
 def near_pairs(positions, radii, profile: WeightProfile) -> NearPairs:
     """The pairs of a snapshot whose gap dist - contact is at most the
-    profile width delta, with their weights.
+    profile width delta, with their weights, from one pass over the pair
+    table: rel = x_i - x_j, dist = |rel| and the surface gap
+    dist - (radius_i + radius_j) for every pair i < j. Distances are the
+    same floating-point sums as a dense `np.linalg.norm(rel, axis=-1)`:
+    squares added left to right.
 
     Every weight profile is exactly zero at a larger gap (`gap_weights`), so
     the pairs left out carry no weight, no force and no switch: the cut-off
     is exact, not an approximation.
     """
-    i, j, rel, dist, gap = pair_gaps(positions, radii)
+    index = pair_index(len(positions))
+    i, j = index[0], index[1]
+    rel = positions.take(i, axis=0) - positions.take(j, axis=0)
+    dist = axis_norms(rel)
+    table_gap = gap = dist - (radii.take(i) + radii.take(j))
     near = np.flatnonzero(gap <= profile.delta)
     if not len(near):
         none = dist[:0]
-        return NearPairs(i[:0], j[:0], rel[:0], none, none, none)
+        return NearPairs(i[:0], j[:0], rel[:0], none, none, none, table_gap)
     if len(near) < len(gap):
         rel = rel.take(near, axis=0)
         dist = dist.take(near)
@@ -223,7 +220,7 @@ def near_pairs(positions, radii, profile: WeightProfile) -> NearPairs:
     gap = np.concatenate([gap, gap])
     # x_j - x_i is the exact negation of x_i - x_j
     return NearPairs(np.concatenate([j, i]), np.concatenate([i, j]), np.concatenate([-rel, rel]),
-                     np.concatenate([dist, dist]), gap, gap_weights(gap, profile))
+                     np.concatenate([dist, dist]), gap, gap_weights(gap, profile), table_gap)
 
 
 def _row_sums(rows, cols, values, n: int) -> np.ndarray:
@@ -298,7 +295,7 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
     L, dim = pos.shape
     if pairs is None:
         pairs = near_pairs(pos, radii, profile)
-    rows, cols, rel, dist, gap, w = pairs
+    rows, cols, rel, dist, gap, w, _ = pairs
     total = np.zeros((L, dim))
     if len(rows):
         # a coincident pair has no direction; a partner outside the ring is unseen

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.ndimage as ndi
 from scipy.spatial import cKDTree
 
 
@@ -139,21 +140,6 @@ class GridSpec:
         return bool(np.all(x >= lo) and np.all(x <= hi))
 
 
-def _shift(mask, axis, step):
-    """Shift a boolean mask along an axis, filling vacated cells with False."""
-    out = np.zeros_like(mask)
-    src = [slice(None)] * mask.ndim
-    dst = [slice(None)] * mask.ndim
-    if step > 0:
-        src[axis] = slice(0, -step)
-        dst[axis] = slice(step, None)
-    else:
-        src[axis] = slice(-step, None)
-        dst[axis] = slice(0, step)
-    out[tuple(dst)] = mask[tuple(src)]
-    return out
-
-
 def reach_dilation(mask, h: float, reach: float) -> np.ndarray:
     """The cells of a boolean grid mask dilated in the Chebyshev sense by
     k = ceil(reach / h) + 1 cells.
@@ -165,13 +151,8 @@ def reach_dilation(mask, h: float, reach: float) -> np.ndarray:
     faces and keeps a float test against reach well clear of its boundary.
     """
     k = math.ceil(reach / h) + 1
-    for ax in range(mask.ndim):
-        grown = mask.copy()
-        for step in range(1, k + 1):
-            grown |= _shift(mask, ax, step)
-            grown |= _shift(mask, ax, -step)
-        mask = grown
-    return mask
+    # a box filter is separable: one 1-D maximum per axis
+    return ndi.maximum_filter(mask, size=2 * k + 1, mode="constant", cval=0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +177,14 @@ class Workspace:
         self.obstacles = list(obstacles)
 
         extents = self.hi - self.lo
-        shape = np.maximum(np.round(extents / self.h).astype(int), 3)
+        shape = np.round(extents / self.h).astype(int)
         mismatch = np.abs(shape * self.h - extents)
         if np.any(mismatch > 1e-6 * np.maximum(extents, 1.0)):
-            raise ConfigError(
-                f"grid resolution {self.h} must evenly divide workspace extents {tuple(extents)}"
-            )
+            raise ConfigError(f"grid resolution {self.h} must evenly divide workspace "
+                              f"extents {tuple(extents.tolist())}")
+        if np.any(shape < 3):
+            raise ConfigError(f"workspace extents {tuple(extents.tolist())} must span at least "
+                              f"3 grid cells of {self.h} per axis, got {tuple(shape.tolist())}")
         self.grid = GridSpec(tuple(self.lo), self.h, tuple(int(n) for n in shape))
 
         for ob in self.obstacles:
@@ -225,10 +208,12 @@ class Workspace:
         self.obstacle_mask = occupied
         self.free_mask = ~occupied
 
-        free_adjacent = np.zeros_like(occupied)
-        for ax in range(self.dim):
-            free_adjacent |= _shift(self.free_mask, ax, 1) | _shift(self.free_mask, ax, -1)
-        self.boundary_mask = occupied & free_adjacent
+        # the occupied cells among the free cells' axis neighbors; an empty
+        # raster has none and skips the dilation, which costs 0.1-0.2 ms
+        self.boundary_mask = np.zeros_like(occupied)
+        if occupied.any():
+            axis_step = ndi.generate_binary_structure(self.dim, 1)
+            self.boundary_mask = occupied & ndi.binary_dilation(self.free_mask, axis_step)
         # the boundary cells' index rows and centers, for sensing
         self._boundary_idx = np.argwhere(self.boundary_mask)
         self._boundary_centers = self.grid.cell_centers(self._boundary_idx)

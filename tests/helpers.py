@@ -3,10 +3,12 @@ error bound from the solver tolerance, random workspaces, a scalar,
 one-pair-at-a-time evaluation of the pair force, the dense all-pairs
 evaluation of the pair forces and weight sums, array-at-a-time field
 sampling, one-agent-at-a-time goal terms and potentials, control evaluation
-with the wall cushion always queried and the full-scan sensing ring; a fault
-injector, a short-hand agent record and a strategy for valid scenario files."""
+with the wall cushion always queried, the full-scan sensing ring and
+brute-force grid dilations; a fault injector, a short-hand agent record and
+a strategy for valid scenario files."""
 
 import itertools
+import math
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -99,6 +101,33 @@ def sense_full_scan(agent: AgentSpec, x, ws: Workspace) -> np.ndarray:
     cells = np.argwhere(ws.boundary_mask)
     d = np.linalg.norm(ws.grid.cell_centers(cells) - x, axis=1)
     return cells[(d > agent.radius) & (d <= agent.reach)]
+
+
+def _nearest_cell_offsets(mask):
+    """For every cell of the grid (C order), its integer offsets to every
+    masked cell: (cells, masked cells, dim)."""
+    everywhere = np.indices(mask.shape).reshape(mask.ndim, -1).T
+    return everywhere[:, None, :] - np.argwhere(mask)[None, :, :]
+
+
+def chebyshev_dilation(mask, h: float, reach: float) -> np.ndarray:
+    """`world.reach_dilation` by brute force: the cells whose Chebyshev
+    distance, in cells, to some masked cell is at most ceil(reach / h) + 1."""
+    if not mask.any():
+        return np.zeros_like(mask)
+    k = math.ceil(reach / h) + 1
+    far = np.abs(_nearest_cell_offsets(mask)).max(axis=2).min(axis=1)
+    return (far <= k).reshape(mask.shape)
+
+
+def euclidean_inflation(mask, h: float, radius: float) -> np.ndarray:
+    """`harmonic._inflate_mask` by brute force, for radius > 0: the cells
+    whose center lies within radius (+1e-9) of some masked cell center."""
+    if not mask.any():
+        return np.zeros_like(mask)
+    off = _nearest_cell_offsets(mask)
+    near = np.sqrt((off * off).sum(axis=2)).min(axis=1) * h <= radius + 1e-9
+    return near.reshape(mask.shape)
 
 
 def component(passable, seed):

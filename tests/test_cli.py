@@ -103,6 +103,16 @@ def test_nan_gain_never_reads_as_converged(tmp_path):
     assert code == 5
 
 
+def test_too_few_grid_cells_is_named(tmp_path, capsys):
+    # 0.25 divides 0.5, but two cells are below the three-cell minimum per axis
+    path = _edited_file(tmp_path, lambda d: d["workspace"].update(
+        lo=[0.0, 0.0], hi=[0.5, 4.0], grid_h=0.25, obstacles=[]))
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert "workspace extents (0.5, 4.0) must span at least 3 grid cells of 0.25 per axis" in err
+    assert "evenly divide" not in err and "np.float64" not in err
+
+
 SENTINEL = 123456.789
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import always_query_controls, goal_potential, goal_term, raising, scenario_dicts
-from vhpf import cli, engine, harmonic, scenarios, svgplot, world
+from vhpf import cli, engine, harmonic, interaction, scenarios, svgplot, world
 from vhpf.controller import SPRING_GOAL, AgentController
 from vhpf.engine import (
     COLLISION,
@@ -32,6 +32,7 @@ from vhpf.interaction import (
     KnownBoundaryIndex,
     ObstacleRepulsionParams,
     WeightProfile,
+    near_pairs,
 )
 from vhpf.scenarios import (
     AgentSpec,
@@ -71,7 +72,7 @@ def single_agent_spec(start=(-4.0, 0.0), goal=(4.0, 0.0), gain=0.4, t_max=60.0,
 def test_step_fixed_point_for_zero_control():
     rt = build_runtime(single_agent_spec(start=(4.0, 0.0)))  # already at the goal
     x = rt.positions()
-    out = step(rt, x, rt.config)
+    out = step(rt, x)
     assert np.array_equal(out, x)
 
 
@@ -88,7 +89,7 @@ def test_step_euler_constant_drift():
         success=SuccessSpec(kind="horizon"),
     )
     rt = build_runtime(spec)
-    out = step(rt, rt.positions(), rt.config)
+    out = step(rt, rt.positions())
     assert out[0] == pytest.approx([0.1, 0.0], abs=1e-15)
 
 
@@ -96,7 +97,7 @@ def test_step_rk4_matches_exponential_decay():
     spec = single_agent_spec(gain=0.5, dt=0.1)
     rt = build_runtime(spec)
     x = rt.positions()
-    out = step(rt, x, rt.config)
+    out = step(rt, x)
     # linear spring flow has the exact solution goal + (x - goal) e^{-k dt};
     # fourth-order truncation leaves ~ (k dt)^5 / 5! * |offset| ~ 2e-8
     exact = np.array([4.0, 0.0]) + (x[0] - [4.0, 0.0]) * np.exp(-0.5 * 0.1)
@@ -200,6 +201,31 @@ def test_goal_free_run_needs_horizon_success():
         dataclasses.replace(builtin("case5_lanes"), success=SuccessSpec(kind="converge"))
 
 
+@pytest.mark.parametrize("name, evals_per_step", [("case1", 4), ("case5_lanes", 1)])
+def test_one_pair_pass_per_control_evaluation(monkeypatch, name, evals_per_step):
+    # the tick's first evaluation, its weight sums and the collision monitor
+    # share one pass; each further RK4 stage makes its own
+    counts = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(interaction, "near_pairs", counted("pass", interaction.near_pairs))
+    # the full pair table: every quadratic pass over the pairs reads it
+    monkeypatch.setattr(interaction, "pair_index", counted("table", interaction.pair_index))
+    monkeypatch.setattr(engine.Runtime, "eval_controls",
+                        counted("eval", engine.Runtime.eval_controls))
+    spec = builtin(name)
+    log, _ = run(dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, t_max=3.0)))
+    assert log.n_ticks > 100
+    assert counts["eval"] == evals_per_step * (log.n_ticks - 1) + 1
+    assert counts["pass"] == counts["eval"]
+    assert counts["table"] == counts["pass"]
+
+
 def test_run_rejects_invalid_scenario():
     spec = builtin("case1")
     bad = dataclasses.replace(
@@ -219,7 +245,8 @@ def assert_events_replay_collision_audit(spec, log, metrics):
     expected, seen = [], set()
     min_pair = min_obstacle = np.inf
     for t, x in zip(log.times, log.positions):
-        out = collision_audit(x, rt.radii, rt.ws, spec.sim.collision_tol)
+        out = collision_audit(x, rt.radii, rt.ws, spec.sim.collision_tol,
+                              near_pairs(x, rt.radii, rt.profile))
         if out.pair_clearance.size:
             min_pair = min(min_pair, out.pair_clearance.min())
         if out.obstacle_clearance is not None:
@@ -356,11 +383,19 @@ def test_in_target_is_false_for_nan_and_goal_free_agents():
     assert not lanes.in_target(lanes.positions()).any()
 
 
+def audit(positions, radii, ws, collision_tol=1e-3, profile=WeightProfile()):
+    """`collision_audit` of a snapshot, given the snapshot's pair pass."""
+    positions = np.asarray(positions, float)
+    radii = np.asarray(radii, float)
+    return collision_audit(positions, radii, ws, collision_tol,
+                           near_pairs(positions, radii, profile))
+
+
 def test_collision_audit_reports_overlaps():
     ws = Workspace((-5, -5), (5, 5), [scenarios.Box((2.0, -1.0), (4.0, 1.0))], h=0.25)
     positions = np.array([[0.0, 0.0], [1.5, 0.0], [2.0, 0.0]])
     radii = np.ones(3)
-    out = collision_audit(positions, radii, ws, collision_tol=1e-3)
+    out = audit(positions, radii, ws)
     assert out.pairs.tolist() == [[0, 1], [1, 2]]
     assert out.agents.tolist() == [1, 2]
     assert out.pair_clearance == pytest.approx([-0.5, 0.0, -1.5])
@@ -372,7 +407,7 @@ def test_collision_audit_matches_pairwise_loop():
     ws = Workspace((-6, -6), (6, 6), [scenarios.Ball((1.0, 1.0), 1.5)], h=0.25)
     positions = rng.uniform(-5, 5, size=(12, 2))
     radii = rng.uniform(0.3, 1.0, size=12)
-    out = collision_audit(positions, radii, ws, collision_tol=1e-3)
+    out = audit(positions, radii, ws)
     pairs, clearance = [], []
     for i in range(12):
         for j in range(i + 1, 12):
@@ -390,10 +425,34 @@ def test_collision_audit_matches_pairwise_loop():
 def test_collision_audit_clean_for_case1_layout():
     ws = Workspace((-10, -10), (10, 10), h=0.25)
     positions = np.array([[-4.0, 0.0], [4.0, 0.0]])
-    out = collision_audit(positions, np.ones(2), ws, 1e-3)
+    out = audit(positions, np.ones(2), ws)
     assert out.pairs.size == 0 and out.agents.size == 0
     assert out.pair_clearance.tolist() == [6.0]
     assert out.obstacle_clearance is None
+
+
+def test_collision_audit_without_pairs_in_range():
+    # no pair within delta: the pass keeps no pair, and the table still has every clearance
+    ws = Workspace((-10, -10), (10, 10), [scenarios.Ball((0.0, 6.0), 1.0)], h=0.25)
+    positions = np.array([[-6.0, 0.0], [0.0, 0.0], [6.0, 0.0], [0.0, 3.5]])
+    radii = np.array([1.0, 1.0, 1.0, 0.6])
+    out = audit(positions, radii, ws, profile=WeightProfile(delta=0.5))
+    assert out.pairs.shape == (0, 2) and out.agents.size == 0
+    gaps = [np.hypot(*(positions[i] - positions[j])) - radii[i] - radii[j]
+            for i in range(4) for j in range(i + 1, 4)]
+    assert out.pair_clearance == pytest.approx(gaps, abs=1e-12)
+    assert min(gaps) > 0.5
+    assert out.obstacle_clearance == pytest.approx([np.hypot(6, 6) - 2, 4.0, np.hypot(6, 6) - 2,
+                                                    0.9])
+
+
+def test_collision_audit_of_one_agent():
+    ws = Workspace((-5, -5), (5, 5), [scenarios.Box((2.0, -1.0), (4.0, 1.0))], h=0.25)
+    out = audit([[1.5, 0.0]], [1.0], ws)
+    assert out.pair_clearance.shape == (0,)
+    assert out.pairs.shape == (0, 2)
+    assert out.obstacle_clearance == pytest.approx([-0.5])
+    assert out.agents.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

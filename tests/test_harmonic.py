@@ -4,6 +4,7 @@ import pytest
 from helpers import component as _component
 from helpers import (
     direct_solve,
+    euclidean_inflation,
     oracle_gradient_at,
     oracle_value_at,
     random_workspace,
@@ -19,6 +20,7 @@ from vhpf.harmonic import (
     ConfigError,
     FieldQueryError,
     SolverError,
+    _inflate_mask,
     _neighbor_sum,
     gradient_at,
     max_gradient,
@@ -266,6 +268,21 @@ def test_inflation_pins_cells_within_radius():
     assert f.cell_class[6, 8] == OBSTACLE_BC
     assert f.cell_class[6, 9] == FREE
     assert f.known_mask[6, 6] and not f.known_mask[6, 8]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inflation_matches_euclidean_oracle(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(6):
+        shape = tuple(int(n) for n in rng.integers(3, 12 if dim == 2 else 8, size=dim))
+        mask = rng.random(shape) < rng.uniform(0.02, 0.3)
+        h = float(rng.choice([0.1, 0.25, 0.5]))
+        grid = GridSpec((0.0,) * dim, h, shape)
+        # radii on, just off and between the offsets' lengths, and one below a cell
+        for radius in (0.5 * h, h, np.sqrt(2) * h, 1.5 * h, 2.0 * h - 1e-12, 2.5 * h, 0.75):
+            got = _inflate_mask(mask, grid, radius)
+            assert np.array_equal(got, euclidean_inflation(mask, h, radius)), (shape, h, radius)
+        assert not _inflate_mask(np.zeros(shape, bool), grid, 1.0).any()
 
 
 # ---------------------------------------------------------------------------

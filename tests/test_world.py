@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import agent as make_agent
-from helpers import neighbors, sense_full_scan
+from helpers import chebyshev_dilation, neighbors, sense_full_scan
 from vhpf import harmonic
 from vhpf.controller import HARMONIC_GOAL, UNIT_DRIVE, AgentController, on_tick_sense
 from vhpf.scenarios import AgentSpec, GoalSpec
@@ -18,6 +18,7 @@ from vhpf.world import (
     Workspace,
     axis_norms,
     passage_width_audit,
+    reach_dilation,
     sense_obstacles,
     validate_scenario,
 )
@@ -49,20 +50,50 @@ def test_axis_norms_has_the_bits_of_linalg_norm(dim):
 
 
 def test_workspace_boundary_cells_touch_free_space():
-    ws = Workspace((-4, -4), (4, 4), [Box((-1, -1), (1, 1))], h=0.25)
+    # an L: its inner corner cell touches free space only diagonally
+    ws = Workspace((-4, -4), (4, 4), [Box((-1, -1), (1, 1)), Box((-1, 1), (0, 2))], h=0.25)
     free = ws.free_mask
-    for cell in map(tuple, np.argwhere(ws.boundary_mask)):
-        assert ws.obstacle_mask[cell]
+    touching = set()
+    for cell in map(tuple, np.argwhere(ws.obstacle_mask)):
         i, j = cell
-        neighbors_free = []
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             ni, nj = i + di, j + dj
-            if 0 <= ni < free.shape[0] and 0 <= nj < free.shape[1]:
-                neighbors_free.append(free[ni, nj])
-        assert any(neighbors_free)
+            if 0 <= ni < free.shape[0] and 0 <= nj < free.shape[1] and free[ni, nj]:
+                touching.add(cell)
+    assert set(map(tuple, np.argwhere(ws.boundary_mask))) == touching
     # interior obstacle cells are excluded
     interior = ws.obstacle_mask.sum() - ws.boundary_mask.sum()
     assert interior > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_reach_dilation_matches_chebyshev_oracle(dim):
+    rng = np.random.default_rng(10 + dim)
+    for _ in range(6):
+        shape = tuple(int(n) for n in rng.integers(3, 16 if dim == 2 else 9, size=dim))
+        mask = rng.random(shape) < rng.uniform(0.01, 0.2)
+        h = float(rng.choice([0.1, 0.25, 0.5]))
+        for reach in (0.05, h, 1.0, 1.5):
+            got = reach_dilation(mask, h, reach)
+            assert np.array_equal(got, chebyshev_dilation(mask, h, reach)), (shape, h, reach)
+        assert not reach_dilation(np.zeros(shape, bool), h, 1.0).any()
+
+
+@pytest.mark.parametrize("lo, hi, h", [
+    ((0.0, 0.0), (0.5, 4.0), 0.25),
+    ((0.0, 0.0, 0.0), (4.0, 4.0, 0.5), 0.25),
+])
+def test_workspace_names_the_three_cell_minimum(lo, hi, h):
+    with pytest.raises(ConfigError, match="at least 3 grid cells of 0.25 per axis") as err:
+        Workspace(lo, hi, h=h)
+    assert "np.float64" not in str(err.value)
+    assert "evenly divide" not in str(err.value)
+
+
+def test_workspace_uneven_extent_message_prints_plain_floats():
+    with pytest.raises(ConfigError) as err:
+        Workspace((0.0, 0.0), (4.1, 4.0), h=0.25)
+    assert "must evenly divide workspace extents (4.1, 4.0)" in str(err.value)
 
 
 def test_workspace_rejects_out_of_bounds_obstacle():
