@@ -192,8 +192,10 @@ class Runtime:
                 self.goals[i] = a.goal
                 self.r_target[i] = a.target_radius
         # the goal terms, array-at-a-time: springs and drifts as one array
-        # expression each, harmonic agents one by one
+        # expression each, harmonic agents one by one; the whole group's in
+        # one expression when every agent has the same kind
         kinds = [a.control.kind for a in agents]
+        self._goal_kind = kinds[0] if len(set(kinds)) == 1 else None
         springs = [a for a in agents if a.control.kind == ctl.SPRING_GOAL]
         drifts = [a for a in agents if a.control.kind == ctl.CONSTANT_DRIFT]
         self._spring_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.SPRING_GOAL], int)
@@ -206,6 +208,8 @@ class Runtime:
         # agents whose own pair-force sum is dropped
         self._suppressed = [i for i, a in enumerate(agents) if not a.cooperative]
         self.tracks_switches = interaction.weight_can_jump(profile, self.radii, self.reach)
+        self._pair_setup = interaction.pair_setup(self.radii, params, profile, self._suppressed,
+                                                  self.reach)
         self._last_key = None       # switch key of the latest control evaluation
         self._step_key = None       # switch key at the start of the current step
         self._switched = np.zeros(len(agents), dtype=bool)
@@ -227,8 +231,9 @@ class Runtime:
         cushion. The pair-force sum is dropped for a non-cooperative agent
         (it still repels everyone else through their own sums). The cushion
         reacts only to the agent's own discovered boundary cells. `pairs` is
-        the snapshot's `interaction.near_pairs` when the caller already has
-        it; without it the pair forces make their own pass.
+        the snapshot's `interaction.near_pairs`, or an RK4 stage's
+        `interaction.stage_pairs`, when the caller already has it; without
+        it the pair forces make their own pass.
         """
         L = self.n_agents
         positions = np.asarray(positions, float)
@@ -240,7 +245,7 @@ class Runtime:
                 F = interaction.crf_forces(positions, self.radii, self.params,
                                            self.profile, suppressed=suppressed,
                                            reach=self.reach, switch_key=self.tracks_switches,
-                                           pairs=pairs)
+                                           pairs=pairs, setup=self._pair_setup)
                 if self.tracks_switches:
                     F, key = F
                     # comparing bytes is the cheap exact test; find rows only on a change
@@ -265,9 +270,15 @@ class Runtime:
         return U, pen
 
     def goal_terms(self, positions):
-        """The goal term of every agent on one snapshot: the springs'
-        gain * (goal - x) and the drifts' velocities as one array expression
-        each, and `controller.goal_term` of each harmonic agent."""
+        """The goal term of every agent on one snapshot, a new array: the
+        springs' gain * (goal - x) and the drifts' velocities as one array
+        expression each, and `controller.goal_term` of each harmonic agent.
+        A group of springs only, or of drifts only, is that one expression,
+        row for row the same numbers."""
+        if self._goal_kind == ctl.SPRING_GOAL:
+            return self._spring_gain * (self._spring_goal - positions)
+        if self._goal_kind == ctl.CONSTANT_DRIFT:
+            return self._drift.copy()
         U = np.zeros((self.n_agents, self.dim))
         if len(self._spring_rows):
             U[self._spring_rows] = self._spring_gain * (self._spring_goal
@@ -283,6 +294,9 @@ class Runtime:
         term, on one snapshot, as floats in agent order: a spring's
         0.5 * gain * |x - goal|^2, `agent_potential` of a harmonic agent and
         None for a drift agent."""
+        if self._goal_kind == ctl.SPRING_GOAL:
+            r = world.row_norms(positions - self._spring_goal)
+            return (0.5 * self._spring_gain[:, 0] * r * r).tolist()
         out = [None] * self.n_agents
         r = world.row_norms(positions[self._spring_rows] - self._spring_goal)
         springs = 0.5 * self._spring_gain[:, 0] * r * r
@@ -342,17 +356,32 @@ def _negative_zero(rows) -> bool:
     return any(math.copysign(1.0, v) < 0.0 for row in rows for v in row if v == 0.0)
 
 
-def step(runtime: Runtime, positions, k1=None):
+def step(runtime: Runtime, positions, k1=None, pairs=None):
     """Advance one tick from the snapshot with the runtime's integrator. RK4
-    re-evaluates controls at each stage."""
+    re-evaluates controls at each stage.
+
+    `k1` is the control at the snapshot and `pairs` its full
+    `interaction.near_pairs` pass, when the caller already has them. With
+    `pairs`, each RK4 stage measures only the pairs that its displacement
+    from the snapshot can bring within the cut-off
+    (`interaction.stage_pairs`), so a tick makes one pass over the whole
+    pair table; without it, each evaluation makes its own. Either way the
+    stages see the same near pairs and the step returns the same bits."""
     dt = runtime.config.dt
     if k1 is None:
-        k1, _ = runtime.eval_controls(positions)
+        k1, _ = runtime.eval_controls(positions, pairs)
     if runtime.config.integrator == EULER:
         return positions + dt * k1
-    k2, _ = runtime.eval_controls(positions + 0.5 * dt * k1)
-    k3, _ = runtime.eval_controls(positions + 0.5 * dt * k2)
-    k4, _ = runtime.eval_controls(positions + dt * k3)
+
+    def slope(y):
+        if pairs is not None:
+            return runtime.eval_controls(y, interaction.stage_pairs(
+                pairs, positions, y, runtime.radii, runtime.profile))[0]
+        return runtime.eval_controls(y)[0]
+
+    k2 = slope(positions + 0.5 * dt * k1)
+    k3 = slope(positions + 0.5 * dt * k2)
+    k4 = slope(positions + dt * k3)
     return positions + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -590,7 +619,7 @@ def run(scenario):
                                   solver_iterations=c.field.iterations - iterations,
                                   residual=c.field.residual)
 
-            # the snapshot's one pass over the pair table
+            # the tick's one pass over the whole pair table
             pairs = interaction.near_pairs(positions, runtime.radii, runtime.profile)
             try:
                 U, pen = runtime.eval_controls(positions, pairs)
@@ -649,7 +678,7 @@ def run(scenario):
                 break
 
             try:
-                positions = step(runtime, positions, k1=U)
+                positions = step(runtime, positions, k1=U, pairs=pairs)
             except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
                 raise _failed(log, t, "integration", exc) from exc
             t += config.dt

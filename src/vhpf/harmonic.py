@@ -10,6 +10,7 @@ whole rectangle.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -173,17 +174,38 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
         field.iterations += 1
 
 
+@functools.lru_cache(maxsize=16)
+def _disk(radius: float, h: float, dim: int) -> np.ndarray:
+    """The cell offsets within euclidean distance `radius`, as a read-only
+    boolean (2k + 1)^dim footprint centered on k = floor(radius / h) (with a
+    1e-9 allowance on both tests). Made once per (radius, h, dim)."""
+    reach = int(np.floor(radius / h + 1e-9))
+    offsets = np.indices((2 * reach + 1,) * dim) - reach
+    disk = np.sqrt((offsets * offsets).sum(axis=0)) * h <= radius + 1e-9
+    disk.flags.writeable = False
+    return disk
+
+
 def _inflate_mask(mask, grid: GridSpec, radius: float):
-    """Cells within euclidean distance `radius` of any masked cell center."""
+    """Cells within euclidean distance `radius` of any masked cell center.
+
+    Only the window of the masked cells' bounding box, padded by the disk's
+    reach k, is dilated: a cell outside it is more than k cells from every
+    masked cell along some axis, so it stays clear, and the dilation inside
+    sees every masked cell."""
     if radius <= 0 or not np.any(mask):
         return mask.copy()
-    reach = int(np.floor(radius / grid.h + 1e-9))
+    disk = _disk(float(radius), float(grid.h), grid.dim)
+    reach = disk.shape[0] // 2
     if reach == 0:
         return mask.copy()
-    # the disk of cell offsets within radius
-    offsets = np.indices((2 * reach + 1,) * grid.dim) - reach
-    disk = np.sqrt((offsets * offsets).sum(axis=0)) * grid.h <= radius + 1e-9
-    return ndi.binary_dilation(mask, disk)
+    cells = np.argwhere(mask)
+    lo = np.maximum(cells.min(axis=0) - reach, 0)
+    hi = np.minimum(cells.max(axis=0) + reach + 1, mask.shape)
+    window = tuple(slice(a, b) for a, b in zip(lo.tolist(), hi.tolist()))
+    out = np.zeros(mask.shape, dtype=bool)
+    out[window] = ndi.binary_dilation(mask[window], disk)
+    return out
 
 
 def _cell_mask(grid: GridSpec, cells):

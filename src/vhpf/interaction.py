@@ -177,10 +177,11 @@ def pair_index(n: int) -> np.ndarray:
 
 
 class NearPairs(NamedTuple):
-    """One snapshot's pass over the pair table. Its pairs are those whose
+    """One snapshot's pass over a pair table. Its pairs are those whose
     surface gap is at most delta, each in both directions: the first half
     acts on j of each pair i < j, the second half on its i, both halves in
-    pair-table order. `table_gap` keeps the gap of every pair i < j."""
+    table order. `table` lists the pairs i < j the pass measured and
+    `table_gap` their gaps: every pair of the group on a full pass."""
 
     rows: np.ndarray        # the agent acted on
     cols: np.ndarray        # its partner
@@ -188,30 +189,40 @@ class NearPairs(NamedTuple):
     dist: np.ndarray
     gap: np.ndarray         # dist - (radius_row + radius_col)
     weight: np.ndarray      # gap_weights(gap), before any ring cut
-    table_gap: np.ndarray   # (L (L - 1) / 2,) gaps of all pairs, in np.triu_indices order
+    table: np.ndarray       # (2, m): the measured pairs i < j, in np.triu_indices order
+    table_gap: np.ndarray   # (m,) their gaps
 
 
-def near_pairs(positions, radii, profile: WeightProfile) -> NearPairs:
+def near_pairs(positions, radii, profile: WeightProfile, table=None) -> NearPairs:
     """The pairs of a snapshot whose gap dist - contact is at most the
-    profile width delta, with their weights, from one pass over the pair
+    profile width delta, with their weights, from one pass over a pair
     table: rel = x_i - x_j, dist = |rel| and the surface gap
-    dist - (radius_i + radius_j) for every pair i < j. Distances are the
-    same floating-point sums as a dense `np.linalg.norm(rel, axis=-1)`:
-    squares added left to right.
+    dist - (radius_i + radius_j) for every pair i < j of `table`, a (2, m)
+    array in `pair_index` order; by default every pair of the group
+    (`pair_index`), the full pass. Distances are the same floating-point
+    sums as a dense `np.linalg.norm(rel, axis=-1)`: squares added left to
+    right.
 
     Every weight profile is exactly zero at a larger gap (`gap_weights`), so
     the pairs left out carry no weight, no force and no switch: the cut-off
-    is exact, not an approximation.
+    is exact, not an approximation. Each pair is measured with the same
+    elementwise arithmetic whatever else the table holds, so a table that
+    holds every pair within the cut-off gives the same near pairs, bit for
+    bit, as the full pass (`stage_pairs` relies on it).
     """
-    index = pair_index(len(positions))
-    i, j = index[0], index[1]
+    if table is None:
+        table = pair_index(len(positions))
+    i, j = table
+    if not len(i):  # nothing to measure, as on most RK4 stages of a sparse group
+        none = np.empty(0)
+        return NearPairs(i, j, np.empty((0, positions.shape[1])), none, none, none, table, none)
     rel = positions.take(i, axis=0) - positions.take(j, axis=0)
     dist = axis_norms(rel)
     table_gap = gap = dist - (radii.take(i) + radii.take(j))
     near = np.flatnonzero(gap <= profile.delta)
     if not len(near):
         none = dist[:0]
-        return NearPairs(i[:0], j[:0], rel[:0], none, none, none, table_gap)
+        return NearPairs(i[:0], j[:0], rel[:0], none, none, none, table, table_gap)
     if len(near) < len(gap):
         rel = rel.take(near, axis=0)
         dist = dist.take(near)
@@ -220,7 +231,32 @@ def near_pairs(positions, radii, profile: WeightProfile) -> NearPairs:
     gap = np.concatenate([gap, gap])
     # x_j - x_i is the exact negation of x_i - x_j
     return NearPairs(np.concatenate([j, i]), np.concatenate([i, j]), np.concatenate([-rel, rel]),
-                     np.concatenate([dist, dist]), gap, gap_weights(gap, profile), table_gap)
+                     np.concatenate([dist, dist]), gap, gap_weights(gap, profile),
+                     table, table_gap)
+
+
+def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfile) -> NearPairs:
+    """`near_pairs` at `positions`, measured only on the pairs that can be
+    within the cut-off there: `pairs` is the full pass at `start`, and no
+    body moved farther than m = max_i |positions_i - start_i|, so no gap
+    shrank by more than 2 m (the Verlet list with a skin, the skin here
+    being the displacement itself).
+
+    A pair is measured unless its gap at `start` is greater than
+    delta + 2 m + slack, with slack = 1e-9 (1 + delta + max |coordinate| + m):
+    the roundings in the gaps and in m are relative to those magnitudes, so
+    the slack dominates them at any scale, and it only adds pairs. The test
+    is written as "not greater", so a NaN or infinite displacement measures
+    every pair. The near pairs, their
+    relative positions, distances, gaps and weights equal those of
+    `near_pairs(positions, radii, profile)` bit for bit.
+    """
+    d = positions - start
+    moved = math.sqrt(float((d * d).sum(axis=1).max()))
+    scale = 1.0 + profile.delta + float(np.abs(positions).max()) + moved
+    bound = profile.delta + 2.0 * moved + 1e-9 * scale
+    table = pairs.table.compress(~(pairs.table_gap > bound), axis=1)
+    return near_pairs(positions, radii, profile, table)
 
 
 def _row_sums(rows, cols, values, n: int) -> np.ndarray:
@@ -258,8 +294,40 @@ def sigma_activity(positions, radii, profile: WeightProfile, pairs=None) -> np.n
     return _row_sums(pairs.rows, pairs.cols, pairs.weight, len(pos))
 
 
+class PairSetup(NamedTuple):
+    """What `crf_forces` reads of a group besides the snapshot: made once per
+    group by `pair_setup`, so that evaluating many snapshots does not make
+    it again."""
+
+    reach: np.ndarray | None    # each agent's sensing reach; None without rings
+    narrow: np.ndarray | None   # rows whose ring ends inside the support; None when none does
+    suppressed: list            # rows whose own sum is dropped
+    turn: np.ndarray            # 2-D: rel[:, ::-1] times this is rel turned by 90 degrees
+    axis: np.ndarray            # 3-D: the circulation axis
+    diagonal: np.ndarray | bool | None  # the switch key's diagonal; None when all False
+
+
+def pair_setup(radii, params: InteractionParams, profile: WeightProfile, suppressed=None,
+               reach=None) -> PairSetup:
+    """The `PairSetup` of `crf_forces` for these bodies and settings."""
+    radii = np.asarray(radii, float)
+    if reach is not None:
+        reach = np.asarray(reach, float)
+    narrow = _narrow_rings(radii, reach, profile)
+    if narrow is not None and not np.count_nonzero(narrow):
+        narrow = None
+    diagonal = None
+    if profile.kind == SPRING:
+        # an agent is at distance 0 < contact from itself: inside the step,
+        # unless its narrow ring cuts the zero self-weight
+        diagonal = True if narrow is None else ~narrow
+    return PairSetup(reach, narrow, list(suppressed) if suppressed else [],
+                     _CW_TURN if params.circulation == CW else _CCW_TURN,
+                     np.asarray(params.axis, float), diagonal)
+
+
 def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,
-               suppressed=None, reach=None, switch_key=False, pairs=None):
+               suppressed=None, reach=None, switch_key=False, pairs=None, setup=None):
     """Summed pair forces for all agents at once.
 
     The force on agent i from agent j is w * (kr * radial + kt * circ),
@@ -275,12 +343,14 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
     at numerically the same point (an upstream-prevented degenerate case)
     has no direction and contributes nothing to either agent.
 
-    Only the pairs from `near_pairs` are evaluated: every other weight is
-    exactly zero, so past the one pass that finds them the cost follows the
-    number of pairs in range. Each agent's forces are summed in increasing
-    partner index, the left-to-right order in which NumPy sums the partner
-    axis of a dense (L, L, dim) array, so the result equals that dense sum
-    bit for bit, the sign of a zero sum included.
+    Only the near pairs are evaluated: every other weight is exactly zero,
+    so the cost follows the number of pairs in range. `pairs` is the
+    snapshot's `near_pairs`, or a `stage_pairs` pass, which holds the same
+    near pairs; without it the call makes a full pass. Each agent's forces
+    are summed in increasing partner index, the left-to-right order in
+    which NumPy sums the partner axis of a dense (L, L, dim) array, so the
+    result equals that dense sum bit for bit, the sign of a zero sum
+    included.
 
     With `switch_key`, returns (forces, key): key is an (L, L) boolean mask,
     taken from the same weights, of the pairs on the inner side of a
@@ -288,51 +358,52 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
     force switches discontinuously between two snapshots exactly when row i
     of their keys differs. Suppressed rows never switch.
 
-    `pairs` is the snapshot's `near_pairs` when the caller already has them.
+    `setup` is `pair_setup` of the same radii, params, profile, suppressed
+    and reach, from a caller that evaluates many snapshots of one
+    group; without it the call makes its own.
     """
     pos = np.asarray(positions, float)
     radii = np.asarray(radii, float)
     L, dim = pos.shape
+    if setup is None:
+        setup = pair_setup(radii, params, profile, suppressed, reach)
     if pairs is None:
         pairs = near_pairs(pos, radii, profile)
-    rows, cols, rel, dist, gap, w, _ = pairs
+    rows, cols, rel, dist, gap, w = pairs[:6]
     total = np.zeros((L, dim))
     if len(rows):
         # a coincident pair has no direction; a partner outside the ring is unseen
         keep = dist >= 1e-12
-        if reach is not None:
-            keep &= dist <= np.asarray(reach, float).take(rows) + radii.take(cols)
+        if setup.reach is not None:
+            keep &= dist <= setup.reach.take(rows) + radii.take(cols)
         w = w * keep
-        force = _pair_force_terms(rel, dist, w, params)
+        force = _pair_force_terms(rel, dist, w, params, setup)
         force *= w[:, None]
         for a in range(dim):
             total[:, a] = np.bincount(rows, force[:, a], minlength=L)
-        if suppressed:
-            total[list(suppressed)] = 0.0
+        if setup.suppressed:
+            total[setup.suppressed] = 0.0
     if not switch_key:
         return total
 
-    narrow = _narrow_rings(radii, reach, profile)
-    if narrow is not None and not np.count_nonzero(narrow):
-        narrow = None
     key = np.zeros((L, L), dtype=bool)
-    key[rows, cols] = _jump_inner(w, gap, profile, None if narrow is None else narrow.take(rows))
-    if profile.kind == SPRING:
-        # an agent is at distance 0 < contact from itself: inside the step,
-        # unless its narrow ring cuts the zero self-weight
-        key.flat[::L + 1] = True if narrow is None else ~narrow
-    if suppressed:
-        key[list(suppressed)] = False
+    if setup.diagonal is not None:
+        key.flat[::L + 1] = setup.diagonal
+    if len(rows):
+        narrow = setup.narrow
+        key[rows, cols] = _jump_inner(w, gap, profile, None if narrow is None else narrow.take(rows))
+    if setup.suppressed:
+        key[setup.suppressed] = False
     return total, key
 
 
-def _pair_force_terms(rel, dist, w, params: InteractionParams):
+def _pair_force_terms(rel, dist, w, params: InteractionParams, setup: PairSetup):
     """kr * radial + kt * circ for each directed pair; w > 0 marks the pairs
     whose 3-D circulating direction must not vanish."""
     if rel.shape[1] == 2:
-        tan = rel[:, ::-1] * (_CW_TURN if params.circulation == CW else _CCW_TURN)
+        tan = rel[:, ::-1] * setup.turn
     else:
-        tan = np.cross(np.asarray(params.axis, float), rel)
+        tan = np.cross(setup.axis, rel)
         # rel parallel to the axis: cross with x instead, and with y if rel
         # is parallel to x as well
         for fallback in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import tempfile
@@ -204,7 +205,9 @@ def test_goal_free_run_needs_horizon_success():
 @pytest.mark.parametrize("name, evals_per_step", [("case1", 4), ("case5_lanes", 1)])
 def test_one_pair_pass_per_control_evaluation(monkeypatch, name, evals_per_step):
     # the tick's first evaluation, its weight sums and the collision monitor
-    # share one pass; each further RK4 stage makes its own
+    # share one pass over the whole pair table; each further RK4 stage gets
+    # one pass over the pairs its displacement can bring within the cut-off,
+    # filtered from the tick's, and reads the whole table no more
     counts = {}
 
     def counted(key, fn):
@@ -223,7 +226,37 @@ def test_one_pair_pass_per_control_evaluation(monkeypatch, name, evals_per_step)
     assert log.n_ticks > 100
     assert counts["eval"] == evals_per_step * (log.n_ticks - 1) + 1
     assert counts["pass"] == counts["eval"]
-    assert counts["table"] == counts["pass"]
+    assert counts["table"] == log.n_ticks
+
+
+def _crowd_spec(seed):
+    path = Path(__file__).resolve().parent.parent / "bench" / "crowd.py"
+    module_spec = importlib.util.spec_from_file_location("bench_crowd", path)
+    crowd = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(crowd)
+    return scenarios.from_dict(crowd.generate(seed))
+
+
+@pytest.mark.parametrize("name", ["case1", "case4", "crowd1"])
+def test_step_is_the_same_with_and_without_the_ticks_pairs(name):
+    # with the tick's pairs, the RK4 stages measure only the pairs that their
+    # displacement can bring within the cut-off; without, each makes a full pass
+    spec = _crowd_spec(1) if name == "crowd1" else builtin(name)
+    log, _ = run(spec)
+    rt = build_runtime(spec)
+    assert rt.config.integrator == engine.RK4
+    filtered = 0
+    for x in log.positions[::7]:
+        pairs = near_pairs(x, rt.radii, rt.profile)
+        k1, _ = rt.eval_controls(x, pairs)
+        want = step(rt, x)
+        assert step(rt, x, k1=k1, pairs=pairs).tobytes() == want.tobytes()
+        assert step(rt, x, k1=k1).tobytes() == want.tobytes()
+        y = x + 0.5 * rt.config.dt * k1
+        filtered += len(interaction.stage_pairs(pairs, x, y, rt.radii, rt.profile).table_gap)
+        filtered -= len(pairs.table_gap)
+    if name == "crowd1":
+        assert filtered < 0     # the filter leaves pairs out
 
 
 def test_run_rejects_invalid_scenario():

@@ -285,6 +285,29 @@ def test_inflation_matches_euclidean_oracle(dim):
         assert not _inflate_mask(np.zeros(shape, bool), grid, 1.0).any()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_windowed_inflation_matches_whole_grid_dilation(dim):
+    # a few cells on grids much larger than their bounding box, some on the
+    # rim: the dilation of the padded window equals that of the whole grid
+    rng = np.random.default_rng(10 + dim)
+    top = {1: 60, 2: 30, 3: 12}[dim]
+    for _ in range(25):
+        shape = tuple(int(n) for n in rng.integers(3, top, size=dim))
+        mask = np.zeros(shape, dtype=bool)
+        for _ in range(int(rng.integers(1, 4))):
+            cell = [int(rng.integers(0, n)) for n in shape]
+            if rng.random() < 0.5:   # onto the rim along one axis
+                ax = int(rng.integers(0, dim))
+                cell[ax] = int(rng.choice([0, shape[ax] - 1]))
+            mask[tuple(cell)] = True
+        h = float(rng.choice([0.125, 0.25, 0.5]))
+        grid = GridSpec((0.0,) * dim, h, shape)
+        for radius in (0.5 * h, h, 2.5 * h, 0.5, 4.0 * h + 1e-12, 0.25 * h * max(shape)):
+            got = _inflate_mask(mask, grid, radius)
+            assert got.dtype == bool
+            assert np.array_equal(got, euclidean_inflation(mask, h, radius)), (shape, h, radius)
+
+
 # ---------------------------------------------------------------------------
 # incremental re-solve
 # ---------------------------------------------------------------------------

@@ -35,8 +35,10 @@ from vhpf.interaction import (
     circulation_bound_check,
     crf_forces,
     interaction_weights,
+    near_pairs,
     repulsion_batch,
     sigma_activity,
+    stage_pairs,
     weight_can_jump,
 )
 from vhpf.world import Box, ConfigError, GridSpec, Workspace
@@ -389,6 +391,104 @@ def test_pair_pass_is_bit_identical_to_dense_oracle(layout):
     assert plain.tobytes() == want_forces.tobytes()
     sigma = sigma_activity(pos, radii, profile)
     assert sigma.tobytes() == dense_sigma_activity(pos, radii, profile).tobytes()
+
+
+def assert_same_near_pairs(got, want):
+    for name in ("rows", "cols", "rel", "dist", "gap", "weight"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@st.composite
+def stage_layouts(draw):
+    """A snapshot far from the origin (coordinates up to 1e6), a step from
+    it and the profile: agent 1 enters agent 0's support within the step, or
+    the two close their gap by exactly the displacement bound and end on the
+    support's edge; the other rows move by a small step, not at all, or by
+    NaN or +-inf."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 24))
+    profile = WeightProfile(draw(st.sampled_from([LINEAR, SINUSOIDAL, EXPONENTIAL, SPRING])),
+                            delta=draw(st.sampled_from([0.5, 1.5, 2.5])))
+    center = draw(st.sampled_from([0.0, 1e3, -1e6, 1e6]))
+    side = draw(st.sampled_from([2.0, 8.0, 20.0]))
+    local = np.array(draw(st.lists(st.floats(-side, side), min_size=n * dim,
+                                   max_size=n * dim))).reshape(n, dim)
+    radii = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    step = draw(st.sampled_from([1e-3, 0.05, 0.5]))
+    move = np.array(draw(st.lists(st.floats(-step, step), min_size=n * dim,
+                                  max_size=n * dim))).reshape(n, dim)
+    u = np.zeros(dim)
+    u[draw(st.integers(0, dim - 1))] = 1.0
+    gain = draw(st.sampled_from([1e-6, 1e-3, 0.1]))
+    head_on = draw(st.booleans())
+    local[1] = local[0] + u * (radii[0] + radii[1] + profile.delta + 2.0 * gain)
+    move[0] = gain * u if head_on else 0.0
+    move[1] = -gain * u if head_on else -3.0 * gain * u
+    for row in draw(st.lists(st.integers(2, max(2, n - 1)), max_size=4)):
+        if row < n:
+            move[row] = draw(st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
+    return center + local, move, radii, profile, head_on
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stage_layouts())
+def test_stage_pass_is_bit_identical_to_a_full_pass(layout):
+    start, move, radii, profile, head_on = layout
+    with np.errstate(invalid="ignore", over="ignore"):
+        positions = start + move
+        got = stage_pairs(near_pairs(start, radii, profile), start, positions, radii, profile)
+        want = near_pairs(positions, radii, profile)
+    assert_same_near_pairs(got, want)
+    if not head_on:
+        assert ((want.rows == 1) & (want.cols == 0)).any()
+    if not np.isfinite(move).all():
+        # a step of unknown size measures every pair
+        assert np.array_equal(got.table, want.table)
+
+
+@pytest.mark.parametrize("start, move, radii, delta", [
+    ([[993.113548626327, 991.357423918879], [994.9040580979021, 990.887550463651]],
+     [[0.08676317739980145, -0.02276877871835289], [-0.08676317739980145, 0.02276877871835289]],
+     [0.732240523489667, 0.43949371199493137], 0.5),
+    ([[1006.3297905849948, 1001.8490419827544, 991.649224836011],
+      [1006.3254757593393, 1004.6610286118427, 992.6439793221585]],
+     [[-1.2429997040625165e-06, 0.0008100671560723615, 0.0002865653517865721],
+      [1.2429997040625165e-06, -0.0008100671560723615, -0.0002865653517865721]],
+     [0.5379325052820658, 0.9431033882867983], 1.5),
+], ids=["2d", "3d"])
+def test_stage_pass_keeps_a_pair_that_rounding_brings_in(start, move, radii, delta):
+    # the two close a gap of delta + 2 m by exactly 2 m; the full pass at the
+    # end finds the pair within the cut-off, which delta + 2 m computed in
+    # floating point alone would miss: the slack is what keeps it
+    start, radii = np.array(start), np.array(radii)
+    positions = start + move
+    profile = WeightProfile(LINEAR, delta=delta)
+    full = near_pairs(start, radii, profile)
+    d = positions - start
+    assert full.table_gap[0] > delta + 2.0 * math.sqrt(float((d * d).sum(axis=1).max()))
+    got = stage_pairs(full, start, positions, radii, profile)
+    assert got.rows.tolist() == [1, 0]
+    assert got.gap.tobytes() == near_pairs(positions, radii, profile).gap.tobytes()
+
+
+def test_stage_pass_measures_only_pairs_the_step_can_bring_in():
+    start = np.array([[0.0, 0.0], [3.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
+    radii = np.ones(4)
+    profile = WeightProfile(LINEAR, delta=1.5)
+    full = near_pairs(start, radii, profile)
+    positions = start + [[0.0, 0.0], [0.0, 0.0], [-4.0, 0.0], [0.0, 0.0]]
+    got = stage_pairs(full, start, positions, radii, profile)
+    # gaps at the start 1, 8, 28, 5, 25, 18: a move of 4 can close a gap of
+    # up to 1.5 + 2 * 4, and brings agent 2 within the cut-off of agent 1
+    assert got.table.T.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert got.rows.tolist() == [1, 2, 0, 1]
+    assert got.cols.tolist() == [0, 1, 1, 2]
+    # apart and barely moving: nothing to measure, and nothing near
+    start, positions = 10.0 * start, 10.0 * start + 0.01
+    got = stage_pairs(near_pairs(start, radii, profile), start, positions, radii, profile)
+    assert got.table.shape == (2, 0)
+    assert_same_near_pairs(got, near_pairs(positions, radii, profile))
 
 
 def test_weight_sums_of_crowded_rows_match_dense_pairwise_sums():
