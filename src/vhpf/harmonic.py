@@ -10,14 +10,12 @@ whole rectangle.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-import scipy.fft
-import scipy.ndimage as ndi
+import numpy.fft  # NumPy loads it lazily, at the first solve otherwise
 
-from .world import ConfigError, GridSpec
+from .world import ConfigError, GridSpec, dilate, disk
 
 FREE = 0
 OBSTACLE_BC = 1
@@ -50,6 +48,7 @@ class ScalarGridField:
         self.residual = np.inf
         self.iterations = 0
         self._gradients = None
+        self._sine = None     # the preconditioner's _SineTransform, made at the first solve
         # the grid's bounds as floats, for sampling: the same sums as GridSpec.contains
         self._h = float(grid.h)
         self._lo = tuple(map(float, grid.origin))
@@ -70,25 +69,99 @@ class ScalarGridField:
 
 
 def _neighbor_sum(v, out=None):
-    """Sum of the 2*dim axis neighbors. Rim cells get partial sums, but the
-    rim is always pinned, so those entries are never read."""
+    """Sum of the 2*dim axis neighbors, into out (C order, like v). Rim cells
+    get partial sums, but the rim is always pinned, so those entries are
+    never read. Each cell adds its neighbors axis by axis, the upper one
+    first. Along the last axis the shifted sums run over the flat arrays,
+    which is several times faster than row by row; that adds across the
+    ends of the rows too, so the rim cells it reaches there are put back."""
     if out is None:
         out = np.zeros_like(v)
     else:
         out.fill(0.0)
-    for ax in range(v.ndim):
-        lo = [slice(None)] * v.ndim
-        hi = [slice(None)] * v.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        out[tuple(lo)] += v[tuple(hi)]
-        out[tuple(hi)] += v[tuple(lo)]
+    for ax in range(v.ndim - 1):
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        np.add(out[lo], v[hi], out=out[lo])
+        np.add(out[hi], v[lo], out=out[hi])
+    flat, src = out.reshape(-1), np.ascontiguousarray(v).reshape(-1)
+    rim = out[..., -1].copy()
+    np.add(flat[:-1], src[1:], out=flat[:-1])
+    out[..., -1] = rim
+    rim = out[..., 0].copy()
+    np.add(flat[1:], src[:-1], out=flat[1:])
+    out[..., 0] = rim
     return out
 
 
 def _dot(a, b):
     """Inner product in einsum's own loop: unlike BLAS, it sums in one fixed order."""
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+class _SineTransform:
+    """The orthonormal DST-I over every axis of arrays of one shape, its own
+    inverse, with the bits of `scipy.fft.dstn(x, type=1, norm="ortho")` and
+    of `idstn`, from NumPy's real FFT alone.
+
+    The axes are taken in order. Along an axis, the DST-I of a line x of n
+    values is the negated imaginary part of bins 1..n of the rfft of its odd
+    extension [0, x, 0, -x reversed], of length 2(n + 1). The orthonormal
+    factor, 1 / sqrt of the product of those lengths, is applied once, on
+    the first axis. Each axis keeps its extension and spectrum buffers, and
+    the views into them, from one call to the next: the zeros of an
+    extension are written once, and each pass writes its result straight
+    into the next axis's extension, starting with `input`. (SciPy's
+    transform runs several lines at once in vector registers, NumPy's one
+    at a time, so this one is slower per call.)
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self._ext, self._spec, self._line, self._mirror, self._tail, self._bins = \
+            [], [], [], [], [], []
+        length = 1
+        spec_shapes = [self.shape[:ax] + (n + 2,) + self.shape[ax + 1:]
+                       for ax, n in enumerate(self.shape)]
+        # one buffer holds every spectrum: a pass has read its own before the next writes
+        spectra = np.empty(max(map(math.prod, spec_shapes)), dtype=complex)
+        for ax, n in enumerate(self.shape):
+            def along(index):
+                return (slice(None),) * ax + (index,)
+            ext = np.zeros(self.shape[:ax] + (2 * (n + 1),) + self.shape[ax + 1:])
+            spec = spectra[:math.prod(spec_shapes[ax])].reshape(spec_shapes[ax])
+            self._ext.append(ext)
+            self._spec.append(spec)
+            self._line.append(ext[along(slice(1, n + 1))])
+            self._mirror.append(ext[along(slice(n, 0, -1))])
+            self._tail.append(ext[along(slice(n + 2, None))])
+            self._bins.append(spec.imag[along(slice(1, n + 1))])
+            length *= 2 * (n + 1)
+        self._factor = float(1 / np.sqrt(np.longdouble(length)))
+        self.input = self._line[0]
+
+    def __call__(self, x, out, op=np.multiply, negated=-1.0):
+        """Write op(T x, operand) into out, T the transform, given the
+        operand negated; by default T x itself. T negates the last pass's
+        bins, so op takes them and the negated operand as they are, which
+        rounds the same: -a * b is a * -b and -a / b is a / -b, zeros
+        included. x may be `input`, which the passes read from."""
+        if x is not self.input:
+            self.input[...] = x
+        last = len(self.shape) - 1
+        for ax in range(last + 1):
+            np.negative(self._mirror[ax], out=self._tail[ax])
+            np.fft.rfft(self._ext[ax], axis=ax, out=self._spec[ax])
+            bins = self._bins[ax]
+            if ax == last:
+                if ax == 0:     # one axis: the factor first, -(T x) after it
+                    bins = np.multiply(bins, self._factor, out=out)
+                op(bins, negated, out=out)
+            elif ax == 0:
+                np.multiply(bins, -self._factor, out=self._line[1])
+            else:
+                np.negative(bins, out=self._line[ax + 1])
+        return out
 
 
 def _rect_eigenvalues(shape):
@@ -113,10 +186,10 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
     keeps the free cells, and L_rect is the same operator on the whole
     interior with only the rim pinned, which a DST-I diagonalizes. It is a
     principal block of the SPD inverse of L_rect, so it stays SPD wherever
-    the goal, wall and inflated cells are pinned. An empty interior (an axis
-    of fewer than 3 cells) has no free cell, so the solve stops before the
-    first transform. One worker keeps the transforms' bits fixed.
-    `max_sweeps` caps the iterations.
+    the goal, wall and inflated cells are pinned. The DST-I is the field's
+    `_SineTransform`, made at its first solve and kept. An empty interior (an
+    axis of fewer than 3 cells) has no free cell, so the solve stops before
+    the first transform. `max_sweeps` caps the iterations.
     """
     v = field.values
     free = (field.cell_class == FREE).astype(float)
@@ -145,12 +218,13 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
                               f"after {max_sweeps} iterations (tol {tol:.1e})")
         if eig is None:
             eig = _rect_eigenvalues(v.shape)
-        # z = F L_rect^-1 F r; r is already 0 off the free cells. The inverse
-        # transform may overwrite the coefficients, which saves an array
-        coef = scipy.fft.dstn(r[interior], type=1, norm="ortho", workers=1)
-        coef /= eig
-        z[interior] = scipy.fft.idstn(coef, type=1, norm="ortho", workers=1, overwrite_x=True)
-        z *= free
+            if field._sine is None:
+                field._sine = _SineTransform(eig.shape)
+            sine, neg_eig, neg_free = field._sine, -eig, -free[interior]
+        # z = F L_rect^-1 F r: r is already 0 off the free cells, and z is 0 on
+        # the rim. The coefficients stay in the transform's input
+        sine(r[interior], sine.input, np.divide, neg_eig)
+        sine(sine.input, z[interior], np.multiply, neg_free)
         rz = _dot(r, z)
         if p is None:
             p = z.copy()
@@ -174,18 +248,6 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
         field.iterations += 1
 
 
-@functools.lru_cache(maxsize=16)
-def _disk(radius: float, h: float, dim: int) -> np.ndarray:
-    """The cell offsets within euclidean distance `radius`, as a read-only
-    boolean (2k + 1)^dim footprint centered on k = floor(radius / h) (with a
-    1e-9 allowance on both tests). Made once per (radius, h, dim)."""
-    reach = int(np.floor(radius / h + 1e-9))
-    offsets = np.indices((2 * reach + 1,) * dim) - reach
-    disk = np.sqrt((offsets * offsets).sum(axis=0)) * h <= radius + 1e-9
-    disk.flags.writeable = False
-    return disk
-
-
 def _inflate_mask(mask, grid: GridSpec, radius: float):
     """Cells within euclidean distance `radius` of any masked cell center.
 
@@ -195,8 +257,8 @@ def _inflate_mask(mask, grid: GridSpec, radius: float):
     sees every masked cell."""
     if radius <= 0 or not np.any(mask):
         return mask.copy()
-    disk = _disk(float(radius), float(grid.h), grid.dim)
-    reach = disk.shape[0] // 2
+    footprint = disk(float(radius), float(grid.h), grid.dim)
+    reach = footprint.shape[0] // 2
     if reach == 0:
         return mask.copy()
     cells = np.argwhere(mask)
@@ -204,7 +266,7 @@ def _inflate_mask(mask, grid: GridSpec, radius: float):
     hi = np.minimum(cells.max(axis=0) + reach + 1, mask.shape)
     window = tuple(slice(a, b) for a, b in zip(lo.tolist(), hi.tolist()))
     out = np.zeros(mask.shape, dtype=bool)
-    out[window] = ndi.binary_dilation(mask[window], disk)
+    out[window] = dilate(mask[window], footprint)
     return out
 
 

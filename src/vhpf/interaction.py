@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .world import ConfigError, GridSpec, axis_norms, reach_dilation, require_finite
 
@@ -426,8 +425,19 @@ def _pair_force_terms(rel, dist, w, params: InteractionParams, setup: PairSetup)
 # Obstacle repulsion
 # ---------------------------------------------------------------------------
 
+class NearestRows(NamedTuple):
+    """A `KnownBoundaryIndex`'s nearest-box table for one reach, over the
+    grid padded by `pad` + 1 cells on each side."""
+    boxes: np.ndarray       # the rows' box numbers one after another, then sentinels
+    start: np.ndarray       # flat padded cell -> where its row starts (the sentinels if empty)
+    columns: np.ndarray     # 0, 1, ... up to the widest row's length
+    origin: np.ndarray      # the padded grid's lower corner
+    top: np.ndarray         # the padded grid's highest cell index per axis, as floats
+    strides: np.ndarray     # of the padded grid, as floats
+
+
 class KnownBoundaryIndex:
-    """Nearest-cell lookup over the cells of a boolean grid mask, an agent's
+    """Nearest-box lookup over the cells of a boolean grid mask, an agent's
     discovered boundary cells. The index keeps its own copy of the mask and
     orders the cells as `np.argwhere` does, in C order.
 
@@ -438,21 +448,29 @@ class KnownBoundaryIndex:
     of a known cell box from those that cannot, on a boolean grid: the known
     cells' `world.reach_dilation`. A point outside the grid counts as in its
     nearest rim cell, which is no farther from any known box.
+
+    `clearance_normal` finds the exact nearest box of each point that has a
+    box within `reach`, from a table of candidate boxes per cell
+    (`_nearest_rows`). Both grids are made once per reach, at the first
+    query that needs them.
     """
 
     def __init__(self, grid: GridSpec, mask):
         self.grid = grid
         self.mask = np.array(mask, dtype=bool)     # a copy: the agent's map grows on
         # argwhere's rows are a column-major view; row-major boxes are faster to take from
-        idx = np.ascontiguousarray(np.argwhere(self.mask))
-        self.centers = np.asarray(grid.origin) + (idx + 0.5) * grid.h
+        self.cells = np.ascontiguousarray(np.argwhere(self.mask))
+        self.centers = np.asarray(grid.origin) + (self.cells + 0.5) * grid.h
         self.half = grid.h / 2.0
-        # each cell box's lower and upper corner
-        self.box_lo = self.centers - self.half
-        self.box_hi = self.centers + self.half
-        self.tree = cKDTree(self.centers) if len(self.centers) else None
+        # each cell box's lower and upper corner, then those of a sentinel box
+        # at +inf, which pads the rows of the nearest-box tables
+        sentinel = np.full((1, grid.dim), np.inf)
+        self._box_lo = np.concatenate((self.centers - self.half, sentinel))
+        self._box_hi = np.concatenate((self.centers + self.half, sentinel))
+        self.box_lo, self.box_hi = self._box_lo[:-1], self._box_hi[:-1]
         self._axes = tuple(zip(map(float, grid.origin), grid.shape))
         self._reach = {}    # reach -> the within-reach grid, flat bytes
+        self._nearest = {}  # reach -> NearestRows
 
     def _reach_cells(self, reach) -> bytes:
         """The known cells' reach dilation, one byte per cell in C order,
@@ -484,36 +502,132 @@ class KnownBoundaryIndex:
                 return True
         return False
 
+    def _nearest_rows(self, reach) -> NearestRows:
+        """For each cell, the known boxes that can be nearest to some point
+        of it within reach + h; made once per reach.
+
+        In units of h, a cell is [0, 1] along each axis and a box at offset
+        o from it is [o, o + 1], at distance max(o - t, 0, t - o - 1) from
+        the point t of the cell along that axis. The difference of the
+        squared distances to two boxes is a sum of terms in one coordinate
+        each, and each term is least at t = 0 or t = 1. So box o is farther
+        than box w from every point of the cell exactly when the sum of
+        those least terms, an integer, is positive. A row holds its cell's
+        boxes within reach + h that are not farther everywhere than the
+        cell's witness, its box of least farthest distance. A box that is
+        nearest to some point of the cell is never farther everywhere than
+        the witness, so no box in reach of a point is nearer than its row's
+        best. The margin of h and the integer gap keep that true for a point
+        that floor rounding puts in a neighbouring cell. Rows list their
+        boxes by farthest distance, then by center distance from the cell,
+        one row after another, and the grid is padded by cells with empty
+        rows, to which every point off the padded grid is clipped.
+        """
+        table = self._nearest.get(reach)
+        if table is not None:
+            return table
+        dim, shape = self.grid.dim, np.asarray(self.grid.shape)
+        span = reach / float(self.grid.h) + 1.0
+        pad = math.floor(span) + 1      # the largest offset along an axis within span
+        axis = np.arange(-pad, pad + 1)
+        off = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        gap = np.maximum(np.abs(off) - 1, 0)
+        off = off[(gap * gap).sum(axis=1) <= span * span]
+        farthest = ((np.abs(off) + 1) ** 2).sum(axis=1)
+        off = off[np.lexsort(((off * off).sum(axis=1), farthest))]
+        # least[u, v]: the least over t in {0, 1} of the squared distance along
+        # an axis to a box at offset u minus that to a box at offset v
+        t = np.array([0, 1])
+        u = axis[:, None]
+        sq = np.maximum(np.maximum(u - t, 0), t - u - 1) ** 2
+        least = (sq[:, None, :] - sq[None, :, :]).min(axis=2).ravel()
+
+        padded = shape + 2 * pad + 2
+        strides = np.ones(dim, dtype=np.int64)
+        for a in range(dim - 2, -1, -1):
+            strides[a] = strides[a + 1] * padded[a + 1]
+        n_off, n_box = len(off), len(self.cells)
+        box_key = (self.cells + pad + 1) @ strides
+        # one slab of offsets (one offset along axis 0) at a time, which keeps
+        # the (offsets, boxes) arrays small for a large 3-D map
+        slabs = [np.flatnonzero(off[:, 0] == k) for k in axis]
+
+        def pairs(slab):
+            # the flat padded cell from which each box lies at each offset
+            return box_key[None, :] - (off[slab] @ strides)[:, None]
+
+        witness = np.full(int(padded.prod()), n_off)
+        for slab in slabs:
+            key = pairs(slab)
+            np.minimum.at(witness, key.ravel(), np.repeat(slab, n_box))
+        found = []
+        for slab in slabs:
+            key = pairs(slab)
+            w = witness[key]
+            excess = np.zeros(key.shape, dtype=np.int64)
+            for a in range(dim):
+                excess += least[(off[slab, a, None] + pad) * len(axis) + off[w, a] + pad]
+            keep = excess <= 0
+            found.append((key[keep], np.broadcast_to(slab[:, None], key.shape)[keep],
+                          np.broadcast_to(np.arange(n_box), key.shape)[keep]))
+        cells, offsets, boxes = (np.concatenate(a) for a in zip(*found))
+        # grouped by cell, each group in offset order
+        order = np.lexsort((offsets, cells))
+        cells, boxes = cells[order], boxes[order]
+        first = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+        width = int(np.diff(np.append(first, len(cells))).max())
+        start = np.full(int(padded.prod()), len(cells))
+        start[cells[first]] = first
+        h = float(self.grid.h)
+        table = NearestRows(np.concatenate((boxes, np.full(width, n_box))), start,
+                            np.arange(width), np.asarray(self.grid.origin, float) - (pad + 1) * h,
+                            (padded - 1).astype(float), strides.astype(float))
+        self._nearest[reach] = table
+        return table
+
     def __len__(self):
         return len(self.centers)
 
-    def clearance_normal(self, points):
-        """(distance, outward unit normal) from each point to its nearest known cell."""
+    def clearance_normal(self, points, reach):
+        """(distance, outward unit normal) from each point to its nearest
+        known cell box; (inf, 0) where no box lies within `reach`. A
+        non-finite point raises ValueError."""
         X = np.atleast_2d(np.asarray(points, float))
         L = X.shape[0]
-        if self.tree is None:
+        if not L or not len(self.centers):
             return np.full(L, np.inf), np.zeros_like(X)
-        k = min(4, len(self.centers))
-        _, ii = self.tree.query(X, k=k)
-        ii = ii.reshape(L, k)
-        # each point's offset from its nearest spot on each candidate box (L, k, dim)
+        if not np.isfinite(X).all():
+            raise ValueError(f"cushion query points must be finite, got {X.tolist()}")
+        table = self._nearest_rows(reach)
+        cell = np.floor_divide(X - table.origin, self.grid.h)
+        np.clip(cell, 0.0, table.top, out=cell)
+        # each point's row, read to the widest row's length: past its end lie
+        # boxes of later rows, no nearer than the row's best when that is
+        # within reach, or sentinels
+        ii = table.boxes[table.start[(cell @ table.strides).astype(np.intp)][:, None]
+                         + table.columns]
+        # each point's offset from its nearest spot on each candidate box (L, width, dim)
         Xk = X[:, None, :]
-        vec = Xk - np.minimum(np.maximum(Xk, self.box_lo.take(ii, axis=0)),
-                             self.box_hi.take(ii, axis=0))
+        vec = Xk - np.minimum(np.maximum(Xk, self._box_lo.take(ii, axis=0)),
+                             self._box_hi.take(ii, axis=0))
         d = axis_norms(vec)
         best = d.argmin(axis=1)
         rows = np.arange(L)
         dist = d[rows, best]
         normal = vec[rows, best]
+        far = dist > reach
+        if far.any():
+            dist[far] = np.inf
+            normal[far] = 0.0
         inside = dist < 1e-12
         if inside.any():
             # point sits inside the cell box: fall back to the center direction
-            centers = self.centers[ii[rows, best]]
-            alt = X - centers
+            at = np.flatnonzero(inside)
+            alt = X[at] - self.centers[ii[at, best[at]]]
             alt_n = np.linalg.norm(alt, axis=1)
-            for i in np.where(inside)[0]:
-                if alt_n[i] > 1e-12:
-                    normal[i] = alt[i] / alt_n[i]
+            for k, i in enumerate(at):
+                if alt_n[k] > 1e-12:
+                    normal[i] = alt[k] / alt_n[k]
                 else:
                     normal[i] = np.eye(X.shape[1])[0]
             dist[inside] = 0.0
@@ -528,11 +642,14 @@ def repulsion_batch(points, radii, index: KnownBoundaryIndex,
     The clearance is measured from each body surface to the nearest known
     boundary cell; the magnitude falls off quadratically and is exactly zero
     at clearance >= influence. Negative clearance gives the peak force and
-    flags a penetration.
+    flags a penetration. A body with no known cell within the largest radius
+    plus the influence gets a force of +0.0.
     """
     X = np.asarray(points, float)
-    dist, normal = index.clearance_normal(X)
-    d = dist - np.asarray(radii, float)
+    radii = np.asarray(radii, float)
+    reach = max(radii.tolist(), default=0.0) + params.influence
+    dist, normal = index.clearance_normal(X, reach)
+    d = dist - radii
     active = d < params.influence
     mag = np.where(active, params.strength * (1.0 - np.maximum(d, 0.0) / params.influence) ** 2, 0.0)
     return mag[:, None] * normal, d < 0

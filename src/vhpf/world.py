@@ -12,12 +12,11 @@ order of `np.argwhere`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
-from scipy.spatial import cKDTree
 
 
 class ConfigError(ValueError):
@@ -140,6 +139,71 @@ class GridSpec:
         return bool(np.all(x >= lo) and np.all(x <= hi))
 
 
+def _along(axis: int, index) -> tuple:
+    """An index tuple that applies `index` to one axis and keeps the others whole."""
+    return (slice(None),) * axis + (index,)
+
+
+def _window_any(mask, w: int, axis: int) -> np.ndarray:
+    """The cells of a boolean mask with a masked cell within w cells along
+    one axis (a 1-D dilation by 2w + 1 cells; none outside the grid), from
+    window counts: the running count of masked cells, padded by w + 1 zeros
+    in front and by its total behind, read 2w + 1 apart."""
+    n = mask.shape[axis]
+    shape = list(mask.shape)
+    shape[axis] = n + 2 * w + 1
+    counts = np.zeros(shape, dtype=np.int32)
+    np.cumsum(mask, axis=axis, dtype=np.int32, out=counts[_along(axis, slice(w + 1, w + 1 + n))])
+    counts[_along(axis, slice(w + 1 + n, None))] = counts[_along(axis, slice(w + n, w + n + 1))]
+    return counts[_along(axis, slice(2 * w + 1, None))] > counts[_along(axis, slice(0, n))]
+
+
+def _shifted_or(out, src, offset) -> None:
+    """out[x] |= src[x - offset] for every cell x whose source lies on the grid."""
+    dst_sl, src_sl = [], []
+    for o, n in zip(offset, src.shape):
+        if abs(o) >= n:
+            return
+        dst_sl.append(slice(max(o, 0), n + min(o, 0)))
+        src_sl.append(slice(max(-o, 0), n - max(o, 0)))
+    out[tuple(dst_sl)] |= src[tuple(src_sl)]
+
+
+@functools.lru_cache(maxsize=16)
+def disk(radius: float, h: float, dim: int) -> np.ndarray:
+    """The cell offsets within euclidean distance `radius`, as a read-only
+    boolean (2k + 1)^dim footprint centered on k = floor(radius / h) (with a
+    1e-9 allowance on both tests). Made once per (radius, h, dim)."""
+    reach = int(np.floor(radius / h + 1e-9))
+    offsets = np.indices((2 * reach + 1,) * dim) - reach
+    footprint = np.sqrt((offsets * offsets).sum(axis=0)) * h <= radius + 1e-9
+    footprint.flags.writeable = False
+    return footprint
+
+
+def dilate(mask, footprint) -> np.ndarray:
+    """Binary dilation of a boolean mask by a footprint centered on its
+    middle cell and symmetric about it, such as `disk`'s; cells off the grid
+    count as clear.
+
+    Each row of the footprint along the last axis is a run of cells centered
+    on that axis, so the dilation is decomposed by rows: the mask is dilated
+    along the last axis once per run length (`_window_any`), and each row
+    ORs its run's dilation into the result, shifted by the row's offset."""
+    k = np.asarray(footprint.shape[:-1]) // 2
+    runs = footprint.sum(axis=-1)
+    lines = {}    # half-width -> the mask dilated along the last axis
+    out = np.zeros(mask.shape, dtype=bool)
+    for row in np.ndindex(runs.shape):
+        if not runs[row]:
+            continue
+        w = int(runs[row]) // 2
+        if w not in lines:
+            lines[w] = _window_any(mask, w, mask.ndim - 1)
+        _shifted_or(out, lines[w], tuple((np.asarray(row) - k).tolist()) + (0,))
+    return out
+
+
 def reach_dilation(mask, h: float, reach: float) -> np.ndarray:
     """The cells of a boolean grid mask dilated in the Chebyshev sense by
     k = ceil(reach / h) + 1 cells.
@@ -149,10 +213,13 @@ def reach_dilation(mask, h: float, reach: float) -> np.ndarray:
     at least k h >= reach + h from every masked box, and farther still from
     its center. The extra ring of cells covers the floor rounding at cell
     faces and keeps a float test against reach well clear of its boundary.
+    A box is separable: one window count per axis (`_window_any`).
     """
     k = math.ceil(reach / h) + 1
-    # a box filter is separable: one 1-D maximum per axis
-    return ndi.maximum_filter(mask, size=2 * k + 1, mode="constant", cval=0)
+    out = np.asarray(mask, dtype=bool)
+    for axis in range(out.ndim):
+        out = _window_any(out, k, axis)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +266,26 @@ class Workspace:
             raise ConfigError("workspace has no free space")
 
     def _rasterize(self):
-        axes = [self.lo[k] + (np.arange(n) + 0.5) * self.h for k, n in enumerate(self.grid.shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        centers = np.stack(mesh, axis=-1)
         occupied = np.zeros(self.grid.shape, dtype=bool)
-        for ob in self.obstacles:
-            occupied |= ob.signed_distance(centers) <= 0.0
+        if self.obstacles:   # the cell centers serve only to test the shapes
+            axes = [self.lo[k] + (np.arange(n) + 0.5) * self.h
+                    for k, n in enumerate(self.grid.shape)]
+            centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            for ob in self.obstacles:
+                occupied |= ob.signed_distance(centers) <= 0.0
         self.obstacle_mask = occupied
         self.free_mask = ~occupied
 
         # the occupied cells among the free cells' axis neighbors; an empty
-        # raster has none and skips the dilation, which costs 0.1-0.2 ms
+        # raster has none and skips the shifts
         self.boundary_mask = np.zeros_like(occupied)
         if occupied.any():
-            axis_step = ndi.generate_binary_structure(self.dim, 1)
-            self.boundary_mask = occupied & ndi.binary_dilation(self.free_mask, axis_step)
+            touches_free = np.zeros_like(occupied)
+            for axis in range(self.dim):
+                for step in (-1, 1):
+                    _shifted_or(touches_free, self.free_mask,
+                                tuple(step if a == axis else 0 for a in range(self.dim)))
+            self.boundary_mask = occupied & touches_free
         # the boundary cells' index rows and centers, for sensing
         self._boundary_idx = np.argwhere(self.boundary_mask)
         self._boundary_centers = self.grid.cell_centers(self._boundary_idx)
@@ -273,20 +345,18 @@ def passage_width_audit(ws: Workspace, radius: float) -> np.ndarray:
     `radius` of x have obstacle clearance >= radius?  Obstacle shapes only; the
     outer bounds do not count against the disc.  A flagged cell marks a
     passage too tight for the two largest agents to resolve a conflict in.
+    The centers within `radius` are the `disk` footprint, so the free cells
+    that pass are the fitting cells' dilation by it.
     """
     if radius <= 0:
         raise ConfigError(f"passage audit radius must be positive, got {radius}")
-    flagged = np.zeros(ws.grid.shape, dtype=bool)
     if not ws.obstacles:
-        return flagged
+        return np.zeros(ws.grid.shape, dtype=bool)
     centers = ws.grid.cell_centers(np.argwhere(ws.free_mask))
-    fits = ws.obstacle_clearance(centers) >= radius
-    if not np.any(fits):
-        return ws.free_mask.copy()
-    nearest, _ = cKDTree(centers[fits]).query(centers, k=1)
+    fits = np.zeros(ws.grid.shape, dtype=bool)
     # the free cells' centers are in C order, and so is a mask's assignment
-    flagged[ws.free_mask] = nearest > radius + 1e-9
-    return flagged
+    fits[ws.free_mask] = ws.obstacle_clearance(centers) >= radius
+    return ws.free_mask & ~dilate(fits, disk(float(radius), ws.h, ws.dim))
 
 
 def validate_scenario(ws: Workspace, agents) -> list:

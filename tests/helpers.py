@@ -3,9 +3,12 @@ error bound from the solver tolerance, random workspaces, a scalar,
 one-pair-at-a-time evaluation of the pair force, the dense all-pairs
 evaluation of the pair forces and weight sums, array-at-a-time field
 sampling, one-agent-at-a-time goal terms and potentials, control evaluation
-with the wall cushion always queried, the full-scan sensing ring and
-brute-force grid dilations; a fault injector, a short-hand agent record and
-a strategy for valid scenario files."""
+with the wall cushion always queried, the full-scan sensing ring,
+brute-force grid dilations, the slice-by-slice neighbor sum, the nearest
+known box by a scan of every box and the passage audit by a k-d tree; a
+fault injector, a short-hand agent record and a strategy for valid scenario
+files. SciPy serves only these oracles: the package itself needs NumPy
+alone."""
 
 import itertools
 import math
@@ -14,6 +17,7 @@ import numpy as np
 import scipy.ndimage as ndi
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
+from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 
 from vhpf import controller, engine
@@ -30,7 +34,7 @@ from vhpf.interaction import (
     repulsion_batch,
 )
 from vhpf.scenarios import AgentSpec, GoalSpec
-from vhpf.world import Ball, Box, ConfigError, Workspace, row_norms
+from vhpf.world import Ball, Box, ConfigError, Workspace, axis_norms, row_norms
 
 
 def agent(aid, x, radius=1.0, ring=1.5, goal=None, r_target=None, **kw) -> AgentSpec:
@@ -120,6 +124,25 @@ def chebyshev_dilation(mask, h: float, reach: float) -> np.ndarray:
     return (far <= k).reshape(mask.shape)
 
 
+def grid_masks(rng, dim: int, top: int, count: int):
+    """Random boolean masks of random shapes with 1 to top - 1 cells per
+    axis, so some windows are narrower than any footprint: dense ones, and
+    sparse ones with some cells on the rim along one axis."""
+    for k in range(count):
+        shape = tuple(int(n) for n in rng.integers(1, top, size=dim))
+        if k % 2:
+            yield rng.random(shape) < rng.uniform(0.02, 0.4)
+            continue
+        mask = np.zeros(shape, dtype=bool)
+        for _ in range(int(rng.integers(1, 5))):
+            cell = [int(rng.integers(0, n)) for n in shape]
+            if rng.random() < 0.5:
+                ax = int(rng.integers(0, dim))
+                cell[ax] = int(rng.choice([0, shape[ax] - 1]))
+            mask[tuple(cell)] = True
+        yield mask
+
+
 def euclidean_inflation(mask, h: float, radius: float) -> np.ndarray:
     """`harmonic._inflate_mask` by brute force, for radius > 0: the cells
     whose center lies within radius (+1e-9) of some masked cell center."""
@@ -128,6 +151,45 @@ def euclidean_inflation(mask, h: float, radius: float) -> np.ndarray:
     off = _nearest_cell_offsets(mask)
     near = np.sqrt((off * off).sum(axis=2)).min(axis=1) * h <= radius + 1e-9
     return near.reshape(mask.shape)
+
+
+def neighbor_sum_by_slices(v):
+    """`harmonic._neighbor_sum` one shifted slice at a time, axis by axis,
+    the upper neighbor first, in a fresh array of zeros."""
+    out = np.zeros_like(v)
+    for ax in range(v.ndim):
+        lo = [slice(None)] * v.ndim
+        hi = [slice(None)] * v.ndim
+        lo[ax] = slice(None, -1)
+        hi[ax] = slice(1, None)
+        out[tuple(lo)] += v[tuple(hi)]
+        out[tuple(hi)] += v[tuple(lo)]
+    return out
+
+
+def nearest_box_scan(index, points):
+    """Each point's distance to every known cell box of a
+    `KnownBoundaryIndex` (points, boxes), and its offset from its nearest
+    spot on each box (points, boxes, dim), with the index's own arithmetic."""
+    X = np.asarray(points, float)[:, None, :]
+    vec = X - np.minimum(np.maximum(X, index.box_lo), index.box_hi)
+    return axis_norms(vec), vec
+
+
+def passage_audit_tree(ws: Workspace, radius: float) -> np.ndarray:
+    """`world.passage_width_audit` by a k-d tree over the fitting cell
+    centers: a free cell is flagged when the nearest fitting center lies
+    farther than radius (+1e-9)."""
+    flagged = np.zeros(ws.grid.shape, dtype=bool)
+    if not ws.obstacles:
+        return flagged
+    centers = ws.grid.cell_centers(np.argwhere(ws.free_mask))
+    fits = ws.obstacle_clearance(centers) >= radius
+    if not np.any(fits):
+        return ws.free_mask.copy()
+    nearest, _ = cKDTree(centers[fits]).query(centers, k=1)
+    flagged[ws.free_mask] = nearest > radius + 1e-9
+    return flagged
 
 
 def component(passable, seed):

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,3 +304,25 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sweep-delta" in proc.stdout
+
+
+def test_runs_import_no_scipy(tmp_path):
+    # the package needs NumPy alone (SciPy serves the tests' oracles); a run
+    # through walls, discoveries, re-solves and the wall cushion imports none
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from vhpf import cli\n"
+        "assert cli.main(['run', 'case1', '--out', sys.argv[1] + '/a']) == 0\n"
+        "assert cli.main(['run', 'case7_unknown', '--tmax', '3', '--plot',"
+        " '--out', sys.argv[1] + '/b']) == 4\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    events = (tmp_path / "b" / "events.jsonl").read_text()
+    assert '"discovery"' in events and '"audit_warning"' in events

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import component as _component
 from helpers import (
     direct_solve,
     euclidean_inflation,
+    grid_masks,
+    neighbor_sum_by_slices,
     oracle_gradient_at,
     oracle_value_at,
     random_workspace,
@@ -22,13 +27,14 @@ from vhpf.harmonic import (
     SolverError,
     _inflate_mask,
     _neighbor_sum,
+    _SineTransform,
     gradient_at,
     max_gradient,
     resolve_incremental,
     solve_dirichlet,
     value_at,
 )
-from vhpf.world import Box, GridSpec, Workspace
+from vhpf.world import Box, GridSpec, Workspace, dilate, disk
 
 TOL = 1e-10
 
@@ -138,6 +144,61 @@ def test_non_finite_value_raises_at_once():
     with pytest.raises(SolverError, match="not finite"):
         resolve_incremental(f, set())
     assert f.iterations - before < 5  # the cap is 100 * (5 + 5) iterations
+
+
+# ---------------------------------------------------------------------------
+# the preconditioner's sine transform and the neighbor sum
+# ---------------------------------------------------------------------------
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_sine_transform(shape, rng):
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.2] = 0.0       # the residual is 0 on every pinned cell
+    x[rng.random(shape) < 0.05] = -0.0
+    sine = _SineTransform(shape)
+    want = scipy.fft.dstn(x, type=1, norm="ortho", workers=1)
+    _assert_same_bits(want, scipy.fft.idstn(x, type=1, norm="ortho", workers=1))
+    out = np.empty(shape)
+    _assert_same_bits(sine(x, out), want)
+    _assert_same_bits(sine(x, out), want)              # the buffers are reused
+    # the fused division and product of `_relax`, from the negated operand
+    eig = rng.uniform(0.01, 12.0, size=shape)
+    _assert_same_bits(sine(x, out, np.divide, -eig), want / eig)
+    free = (rng.random(shape) < 0.7).astype(float)
+    _assert_same_bits(sine(x, out, np.multiply, -free), want * free)
+    # reading the input buffer in place, as the inverse does
+    sine.input[...] = want
+    _assert_same_bits(sine(sine.input, out),
+                      scipy.fft.idstn(want, type=1, norm="ortho", workers=1))
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (30,), (3, 7), (1, 1), (158, 94), (158, 62),
+                                   (159, 95), (46, 46, 46), (40, 1, 3)])
+def test_sine_transform_is_scipys_dst_bit_for_bit(shape):
+    # (158, 94) is the case7_unknown interior, 46^3 the case3_3d one
+    _check_sine_transform(shape, np.random.default_rng(sum(shape)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_sine_transform_matches_scipy_on_any_shape(shape, seed):
+    _check_sine_transform(tuple(shape), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (1, 5), (5, 1), (3, 4), (160, 96),
+                                   (1, 1, 3), (3, 1, 1), (4, 5, 6)])
+def test_neighbor_sum_matches_slice_by_slice_oracle(shape):
+    # rim cells included, and -0.0, whose sum with 0.0 is +0.0
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.2] = -0.0
+    want = neighbor_sum_by_slices(v)
+    _assert_same_bits(_neighbor_sum(v), want)
+    _assert_same_bits(_neighbor_sum(v, np.full(shape, np.nan)), want)
 
 
 # preconditioned conjugate-gradient iterations of the solves below when these
@@ -272,16 +333,20 @@ def test_inflation_pins_cells_within_radius():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_inflation_matches_euclidean_oracle(dim):
+    # `world.dilate` by the disk too; windows from one cell wide, narrower
+    # than the disk, and cells on the rim
     rng = np.random.default_rng(dim)
-    for _ in range(6):
-        shape = tuple(int(n) for n in rng.integers(3, 12 if dim == 2 else 8, size=dim))
-        mask = rng.random(shape) < rng.uniform(0.02, 0.3)
+    for mask in grid_masks(rng, dim, 12 if dim == 2 else 8, 20):
+        shape = mask.shape
         h = float(rng.choice([0.1, 0.25, 0.5]))
         grid = GridSpec((0.0,) * dim, h, shape)
         # radii on, just off and between the offsets' lengths, and one below a cell
         for radius in (0.5 * h, h, np.sqrt(2) * h, 1.5 * h, 2.0 * h - 1e-12, 2.5 * h, 0.75):
+            want = euclidean_inflation(mask, h, radius)
             got = _inflate_mask(mask, grid, radius)
-            assert np.array_equal(got, euclidean_inflation(mask, h, radius)), (shape, h, radius)
+            assert np.array_equal(got, want), (shape, h, radius)
+            got = dilate(mask, disk(radius, h, dim))
+            assert got.dtype == bool and np.array_equal(got, want), (shape, h, radius)
         assert not _inflate_mask(np.zeros(shape, bool), grid, 1.0).any()
 
 

@@ -11,6 +11,7 @@ from helpers import (
     dense_crf_forces,
     dense_sigma_activity,
     goal_term,
+    nearest_box_scan,
     neighbors,
     pair_force,
     radial_direction,
@@ -643,6 +644,105 @@ def test_points_out_of_reach_feel_no_cushion(dim, seed, radius, influence):
     assert not np.any(F) and not np.any(pen)
     # a non-finite point is never ruled out
     assert index.within_reach([[np.nan] * dim], reach)
+
+
+def _cornered_cells(rng, shape):
+    """Known cells with concave corners: two or three wall segments along
+    the axes that meet at a cell, as the rasterized rooms' walls do, and a
+    few stray cells."""
+    mask = np.zeros(shape, dtype=bool)
+    corner = [int(rng.integers(0, n)) for n in shape]
+    for ax in rng.permutation(len(shape))[:int(rng.integers(2, len(shape) + 1))]:
+        wall = list(corner)
+        wall[ax] = slice(corner[ax], None) if rng.random() < 0.5 else slice(0, corner[ax] + 1)
+        mask[tuple(wall)] = True
+    for _ in range(int(rng.integers(0, 4))):
+        mask[tuple(int(rng.integers(0, n)) for n in shape)] = True
+    return mask
+
+
+def _probe_points(rng, grid, reach, mask, count):
+    """Points around the grid: anywhere within reach + 2h of it, on cell
+    faces, where floor rounds, and on the diagonals of known cells, where
+    two walls of a corner are equally near."""
+    dim, h = grid.dim, grid.h
+    lo = np.asarray(grid.origin)
+    hi = lo + np.asarray(grid.shape) * h
+    pts = rng.uniform(lo - reach - 2 * h, hi + reach + 2 * h, size=(count, dim))
+    pts[::4] = lo + np.round((pts[::4] - lo) / h) * h
+    cells = np.argwhere(mask)
+    pick = cells[rng.integers(0, len(cells), size=len(pts[1::4]))]
+    step = rng.uniform(0.0, reach + h, size=(len(pick), 1)) * rng.choice([-1.0, 1.0], size=(len(pick), dim))
+    pts[1::4] = lo + (pick + 0.5) * h + step
+    return pts
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cushion_index_finds_the_exact_nearest_box_within_reach(dim):
+    rng = np.random.default_rng(60 + dim)
+    checked = 0
+    for _ in range(12 if dim == 2 else 6):
+        h = float(rng.choice([0.125, 0.25, 0.5]))
+        shape = tuple(int(n) for n in rng.integers(3, 30 if dim == 2 else 12, size=dim))
+        grid = GridSpec(tuple(rng.uniform(-3.0, 3.0, size=dim).tolist()), h, shape)
+        mask = _cornered_cells(rng, shape)
+        index = KnownBoundaryIndex(grid, mask)
+        for reach in (0.5 * h, 0.75, 1.5):
+            pts = _probe_points(rng, grid, reach, mask, 400)
+            dist, normal = index.clearance_normal(pts, reach)
+            d, vec = nearest_box_scan(index, pts)
+            nearest = d.min(axis=1)
+            within = nearest <= reach
+            want = np.where(nearest < 1e-12, 0.0, nearest)    # inside a box: 0
+            assert dist[within].tobytes() == want[within].tobytes()
+            assert np.all(np.isposinf(dist[~within])) and not normal[~within].any()
+            # the normal points away from one of the nearest boxes
+            for i in np.flatnonzero(within & (nearest >= 1e-12)):
+                ties = vec[i, d[i] == nearest[i]] / nearest[i]
+                assert any(t.tobytes() == normal[i].tobytes() for t in ties)
+            checked += int(within.sum())
+    assert checked > 1000
+
+
+def test_cushion_rows_hold_only_boxes_that_can_be_nearest():
+    # along a straight wall a cell can be nearest only to the box facing it
+    # and, on its side faces, to that box's two neighbours
+    grid, index = wall_index()
+    table = index._nearest_rows(1.5)
+    assert len(table.columns) == 3
+
+
+def test_cushion_beyond_reach_is_positive_zero():
+    grid, index = wall_index()
+    params = ObstacleRepulsionParams(strength=6.0, influence=0.25)
+    # a body 0.75 + reach above the wall, and one far off the grid
+    pts = np.array([[0.0, -2.0 + 0.5 + 0.25 + 0.75], [0.3, -1.0], [40.0, -60.0]])
+    F, pen = repulsion_batch(pts, np.full(3, 0.5), index, params)
+    assert F.shape == (3, 2) and not F.any() and not np.signbit(F).any() and not pen.any()
+    dist, normal = index.clearance_normal(pts, 0.75)
+    assert np.all(np.isposinf(dist)) and not np.signbit(normal).any()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cushion_takes_no_points_and_an_empty_index(dim):
+    grid = GridSpec((0.0,) * dim, 0.25, (8,) * dim)
+    params = ObstacleRepulsionParams()
+    full = KnownBoundaryIndex(grid, np.ones(grid.shape, dtype=bool))
+    F, pen = repulsion_batch(np.zeros((0, dim)), np.zeros(0), full, params)
+    assert F.shape == (0, dim) and pen.shape == (0,)
+    empty = KnownBoundaryIndex(grid, np.zeros(grid.shape, dtype=bool))
+    assert len(empty) == 0 and not empty.within_reach([[1.0] * dim], 10.0)
+    F, pen = repulsion_batch(np.full((2, dim), 1.0), np.full(2, 0.5), empty, params)
+    assert F.shape == (2, dim) and not F.any() and not np.signbit(F).any() and not pen.any()
+    F, pen = repulsion_batch(np.zeros((0, dim)), np.zeros(0), empty, params)
+    assert F.shape == (0, dim) and pen.shape == (0,)
+
+
+def test_cushion_query_rejects_non_finite_points():
+    grid, index = wall_index()
+    for bad in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            index.clearance_normal(np.array([[0.0, -1.0], bad]), 1.0)
 
 
 # ---------------------------------------------------------------------------

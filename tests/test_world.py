@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import agent as make_agent
-from helpers import chebyshev_dilation, neighbors, sense_full_scan
+from helpers import (
+    chebyshev_dilation,
+    grid_masks,
+    neighbors,
+    passage_audit_tree,
+    random_workspace,
+    sense_full_scan,
+)
 from vhpf import harmonic
 from vhpf.controller import HARMONIC_GOAL, UNIT_DRIVE, AgentController, on_tick_sense
 from vhpf.scenarios import AgentSpec, GoalSpec
@@ -67,16 +74,37 @@ def test_workspace_boundary_cells_touch_free_space():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_boundary_cells_are_the_occupied_cells_touching_free_space(dim):
+    rng = np.random.default_rng(30 + dim)
+    for _ in range(5):
+        size = 4.0 if dim == 2 else 3.0
+        shapes = []
+        for r in rng.uniform(0.3, 0.8, size=2):
+            shapes.append(Ball(tuple(rng.uniform(r, size - r, size=dim)), float(r)))
+        shapes.append(Box((0.0,) * dim, tuple([0.75] + [size] * (dim - 1))))   # on the rim
+        ws = Workspace((0.0,) * dim, (size,) * dim, shapes, h=0.25)
+        occupied, free = ws.obstacle_mask, ws.free_mask
+        want = np.zeros_like(occupied)
+        for cell in map(tuple, np.argwhere(occupied)):
+            for ax, step in itertools.product(range(dim), (-1, 1)):
+                nb = list(cell)
+                nb[ax] += step
+                if 0 <= nb[ax] < free.shape[ax] and free[tuple(nb)]:
+                    want[cell] = True
+        assert want.any() and np.array_equal(ws.boundary_mask, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_reach_dilation_matches_chebyshev_oracle(dim):
+    # windows from one cell wide, narrower than the box, and cells on the rim
     rng = np.random.default_rng(10 + dim)
-    for _ in range(6):
-        shape = tuple(int(n) for n in rng.integers(3, 16 if dim == 2 else 9, size=dim))
-        mask = rng.random(shape) < rng.uniform(0.01, 0.2)
+    for mask in grid_masks(rng, dim, 16 if dim == 2 else 9, 20):
         h = float(rng.choice([0.1, 0.25, 0.5]))
         for reach in (0.05, h, 1.0, 1.5):
             got = reach_dilation(mask, h, reach)
-            assert np.array_equal(got, chebyshev_dilation(mask, h, reach)), (shape, h, reach)
-        assert not reach_dilation(np.zeros(shape, bool), h, 1.0).any()
+            assert got.dtype == bool
+            assert np.array_equal(got, chebyshev_dilation(mask, h, reach)), (mask.shape, h, reach)
+        assert not reach_dilation(np.zeros(mask.shape, bool), h, 1.0).any()
 
 
 @pytest.mark.parametrize("lo, hi, h", [
@@ -349,6 +377,16 @@ def test_audit_flags_narrow_corridor():
     assert corridor_cell in report
     oracle = _audit_oracle(ws, radius)
     assert corridor_cell in oracle
+
+
+def test_passage_audit_matches_tree_oracle():
+    rng = np.random.default_rng(40)
+    for _ in range(12):
+        ws, _ = random_workspace(rng)
+        for radius in (0.3, 0.5, 0.75, 1.0, 1.25, 2.0):
+            got = passage_width_audit(ws, radius)
+            assert got.dtype == bool
+            assert np.array_equal(got, passage_audit_tree(ws, radius)), radius
 
 
 def test_audit_rejects_nonpositive_radius():
