@@ -11,6 +11,7 @@ for every agent, so `engine.Runtime` holds them once for the group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ class AgentController:
 def goal_term(ctrl: AgentController, x) -> np.ndarray:
     """The harmonic goal term of the agent at position x, from its spec's
     control settings and goal and its field. `engine.Runtime` stacks the
-    spring and drift terms itself."""
+    spring and drift terms itself. Each length is sqrt(v . v), which is
+    what `np.linalg.norm` of a vector computes, without its wrapper's cost."""
     x = np.asarray(x, float)
     spec, control = ctrl.spec, ctrl.spec.control
     if control.drive == UNIT_DRIVE:
@@ -55,10 +57,10 @@ def goal_term(ctrl: AgentController, x) -> np.ndarray:
         # zone (obstacle-free by validation) park with a terminal spring
         # whose magnitude matches the cruise speed at the zone boundary
         offset = spec.goal_array - x
-        if float(np.linalg.norm(offset)) <= spec.target_radius:
+        if math.sqrt(offset.dot(offset)) <= spec.target_radius:
             return (control.cruise / spec.target_radius) * offset
         g = harmonic.gradient_at(ctrl.field, x)
-        n = np.linalg.norm(g)
+        n = math.sqrt(g.dot(g))
         if n < 1e-12:
             return np.zeros_like(g)
         return -control.cruise * g / n

@@ -297,6 +297,8 @@ class Runtime:
         if self._goal_kind == ctl.SPRING_GOAL:
             r = world.row_norms(positions - self._spring_goal)
             return (0.5 * self._spring_gain[:, 0] * r * r).tolist()
+        if self._goal_kind == ctl.HARMONIC_GOAL:
+            return [agent_potential(c, positions[i]) for i, c in self._harmonic]
         out = [None] * self.n_agents
         r = world.row_norms(positions[self._spring_rows] - self._spring_goal)
         springs = 0.5 * self._spring_gain[:, 0] * r * r
@@ -365,18 +367,23 @@ def step(runtime: Runtime, positions, k1=None, pairs=None):
     `pairs`, each RK4 stage measures only the pairs that its displacement
     from the snapshot can bring within the cut-off
     (`interaction.stage_pairs`), so a tick makes one pass over the whole
-    pair table; without it, each evaluation makes its own. Either way the
-    stages see the same near pairs and the step returns the same bits."""
+    pair table; a stage that no far pair of the pass can reach measures only
+    the pass's near pairs (`interaction.stage_room`). Without it, each
+    evaluation makes its own pass. Either way the stages see the same near
+    pairs and the step returns the same bits."""
     dt = runtime.config.dt
     if k1 is None:
         k1, _ = runtime.eval_controls(positions, pairs)
     if runtime.config.integrator == EULER:
         return positions + dt * k1
 
+    if pairs is not None:
+        room = interaction.stage_room(pairs, runtime.profile)
+
     def slope(y):
         if pairs is not None:
             return runtime.eval_controls(y, interaction.stage_pairs(
-                pairs, positions, y, runtime.radii, runtime.profile))[0]
+                pairs, positions, y, runtime.radii, runtime.profile, room))[0]
         return runtime.eval_controls(y)[0]
 
     k2 = slope(positions + 0.5 * dt * k1)
@@ -403,6 +410,10 @@ def detect_deadlock(slow_time, speeds, outside_target, cfg: SimConfig, v_eps):
     return slow_time, bool(slow_time >= cfg.w_dead and np.any(outside_target))
 
 
+_NO_PAIRS = np.empty((0, 2), dtype=np.intp)
+_NO_PAIRS.flags.writeable = False
+
+
 class CollisionAudit(NamedTuple):
     pair_clearance: np.ndarray              # (L (L - 1) / 2,) in np.triu_indices order
     obstacle_clearance: np.ndarray | None   # (L,); None without obstacles
@@ -419,8 +430,11 @@ def collision_audit(positions, radii, ws: Workspace, collision_tol: float,
     second half lists each pair i < j as (row i, column j) in table order."""
     positions = np.asarray(positions, float)
     half = len(pairs.rows) // 2
-    over = pairs.gap[half:] < -collision_tol
-    overlapping = np.stack([pairs.rows[half:][over], pairs.cols[half:][over]], axis=1)
+    overlapping = _NO_PAIRS
+    if half:
+        over = pairs.gap[half:] < -collision_tol
+        if over.any():
+            overlapping = np.stack([pairs.rows[half:][over], pairs.cols[half:][over]], axis=1)
     obstacle_clearance = None
     agents = np.empty(0, dtype=int)
     if ws.obstacles:

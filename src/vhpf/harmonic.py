@@ -49,10 +49,12 @@ class ScalarGridField:
         self.iterations = 0
         self._gradients = None
         self._sine = None     # the preconditioner's _SineTransform, made at the first solve
-        # the grid's bounds as floats, for sampling: the same sums as GridSpec.contains
+        # for sampling, per axis: the grid's bounds as floats (the same sums
+        # as GridSpec.contains), its last cell and the first cell of its last block
         self._h = float(grid.h)
-        self._lo = tuple(map(float, grid.origin))
-        self._hi = tuple(lo + float(n) * self._h for lo, n in zip(self._lo, grid.shape))
+        lo = tuple(map(float, grid.origin))
+        self._axes = (lo, tuple(a + float(n) * self._h for a, n in zip(lo, grid.shape)),
+                      tuple(n - 1 for n in grid.shape), tuple(max(n - 2, 0) for n in grid.shape))
 
     # -- internals ----------------------------------------------------------
 
@@ -347,46 +349,52 @@ def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGr
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _lerp(block, frac):
-    """Multilinear interpolation of a 2 x ... x 2 nested list: (1 - f) * a + f * b
-    over each axis, the innermost axis last."""
-    f = frac[0]
-    if len(frac) == 1:
-        a, b = block
-    else:
-        a, b = _lerp(block[0], frac[1:]), _lerp(block[1], frac[1:])
-    return (1 - f) * a + f * b
+def _lerp(corners, frac):
+    """Multilinear interpolation of 2 x ... x 2 blocks of corner values,
+    listed flat in C order with the block axes last: (1 - f) * a + f * b
+    folded over each axis, the innermost first. One value per block."""
+    for f in reversed(frac):
+        g = 1 - f
+        pairs = iter(corners)
+        corners = [g * a + f * b for a, b in zip(pairs, pairs)]
+    return corners
 
 
 def _sample_block(field: ScalarGridField, x, array):
     """The 2 x ... x 2 block of `array` (trailing axes the grid axes) around x
-    between cell centers, as nested lists, and the fractions along each axis.
-    Raises FieldQueryError outside the grid (NaN included) and in a known cell."""
+    between cell centers, flat in C order as a list, and the fractions along
+    each axis. Raises FieldQueryError outside the grid (NaN included) and in
+    a known cell."""
     h = field._h
     cell, base, frac = [], [], []
-    for xk, lo, hi, n in zip(map(float, x), field._lo, field._hi, field.grid.shape):
+    coords = x.tolist() if isinstance(x, np.ndarray) else map(float, x)
+    for xk, lo, hi, last, top in zip(coords, *field._axes):
         if not lo <= xk <= hi:
             raise FieldQueryError(f"query point {x} outside the grid")
-        t = (xk - lo) / h
-        cell.append(min(math.floor(t), n - 1))
-        rel = t - 0.5
-        b = min(max(math.floor(rel), 0), max(n - 2, 0))
+        t = (xk - lo) / h           # t >= 0, so int() is floor()
+        c = int(t)
+        cell.append(c if c < last else last)
+        rel = t - 0.5               # rel >= -0.5: int() is floor() clipped at 0
+        b = int(rel)
+        if b > top:
+            b = top
         base.append(slice(b, b + 2))
-        frac.append(min(max(rel - b, 0.0), 1.0))
+        f = rel - b
+        frac.append(0.0 if f < 0.0 else 1.0 if f > 1.0 else f)
     if field.known_mask[tuple(cell)]:
         raise FieldQueryError(f"query point {x} inside a known obstacle cell")
-    return array[(..., *base)].tolist(), frac
+    return array[(..., *base)].ravel().tolist(), frac
 
 
 def gradient_at(field: ScalarGridField, x) -> np.ndarray:
     """Potential gradient at a point, multilinearly interpolated between cell centers."""
-    blocks, frac = _sample_block(field, x, field.gradients())
-    return np.array([_lerp(b, frac) for b in blocks])
+    corners, frac = _sample_block(field, x, field.gradients())
+    return np.array(_lerp(corners, frac))
 
 
 def value_at(field: ScalarGridField, x) -> float:
-    block, frac = _sample_block(field, x, field.values)
-    return _lerp(block, frac)
+    corners, frac = _sample_block(field, x, field.values)
+    return _lerp(corners, frac)[0]
 
 
 def max_gradient(field: ScalarGridField) -> float:

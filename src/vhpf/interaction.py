@@ -234,7 +234,28 @@ def near_pairs(positions, radii, profile: WeightProfile, table=None) -> NearPair
                      table, table_gap)
 
 
-def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfile) -> NearPairs:
+class StageRoom(NamedTuple):
+    """What the RK4 stages of a tick read of the tick's full `near_pairs`
+    pass besides its table, made once per tick by `stage_room`."""
+
+    far_gap: float              # the smallest gap of a pair beyond the cut-off (inf without one)
+    near_table: np.ndarray      # (2, n): the pass's near pairs i < j, in table order
+
+
+def stage_room(pairs: NearPairs, profile: WeightProfile) -> StageRoom:
+    """The `StageRoom` of a full pass. A gap that is not within the cut-off
+    (NaN included) counts as far, so a NaN gap makes `far_gap` NaN."""
+    half = len(pairs.rows) // 2     # the number of near pairs
+    gap = pairs.table_gap
+    if not half:
+        return StageRoom(float(gap.min()) if len(gap) else math.inf, pairs.table[:, :0])
+    far = gap[~(gap <= profile.delta)]
+    return StageRoom(float(far.min()) if len(far) else math.inf,
+                     np.stack((pairs.rows[half:], pairs.cols[half:])))
+
+
+def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfile,
+                room: StageRoom | None = None) -> NearPairs:
     """`near_pairs` at `positions`, measured only on the pairs that can be
     within the cut-off there: `pairs` is the full pass at `start`, and no
     body moved farther than m = max_i |positions_i - start_i|, so no gap
@@ -244,17 +265,25 @@ def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfil
     A pair is measured unless its gap at `start` is greater than
     delta + 2 m + slack, with slack = 1e-9 (1 + delta + max |coordinate| + m):
     the roundings in the gaps and in m are relative to those magnitudes, so
-    the slack dominates them at any scale, and it only adds pairs. The test
-    is written as "not greater", so a NaN or infinite displacement measures
-    every pair. The near pairs, their
-    relative positions, distances, gaps and weights equal those of
-    `near_pairs(positions, radii, profile)` bit for bit.
+    the slack dominates them at any scale, and it only adds pairs. When the
+    smallest far gap of `room` (`stage_room` of `pairs`, made here without
+    it) is greater than that bound, the pairs measured are the pass's near
+    pairs, read from `room` without a look at the table. The tests are
+    written as "greater", so a NaN or infinite displacement measures every
+    pair. The near pairs, their relative positions, distances, gaps and
+    weights equal those of `near_pairs(positions, radii, profile)` bit for
+    bit.
     """
+    if room is None:
+        room = stage_room(pairs, profile)
     d = positions - start
     moved = math.sqrt(float((d * d).sum(axis=1).max()))
     scale = 1.0 + profile.delta + float(np.abs(positions).max()) + moved
     bound = profile.delta + 2.0 * moved + 1e-9 * scale
-    table = pairs.table.compress(~(pairs.table_gap > bound), axis=1)
+    if room.far_gap > bound:
+        table = room.near_table
+    else:
+        table = pairs.table.compress(~(pairs.table_gap > bound), axis=1)
     return near_pairs(positions, radii, profile, table)
 
 

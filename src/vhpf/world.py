@@ -2,8 +2,10 @@
 
 The workspace keeps two views of the obstacle set: the exact primitive shapes
 (used for collision checks and clearance queries) and a rasterized occupancy
-grid (used by the potential solver). Boundary cells are the obstacle cells of
-the raster that touch free space along a grid axis.
+grid (used by the potential solver). The shapes' numbers are also stacked by
+kind once, so a clearance query measures every box, and every ball, in one
+broadcast. Boundary cells are the obstacle cells of the raster that touch
+free space along a grid axis.
 
 A set of grid cells is a boolean array of the grid's shape. A batch of cells
 in transit (what one sensing call sees) is that array's index rows, in the C
@@ -72,12 +74,7 @@ class Box:
 
     def signed_distance(self, points):
         """Signed distance from points (..., dim); negative inside."""
-        p = np.asarray(points, float)
-        lo, hi = self._corners
-        q = np.maximum(lo - p, p - hi)
-        outside = axis_norms(np.maximum(q, 0.0))
-        inside = np.minimum(q.max(axis=-1), 0.0)
-        return outside + inside
+        return _box_distance(np.asarray(points, float), *self._corners)
 
 
 @dataclass(frozen=True)
@@ -98,12 +95,26 @@ class Ball:
         return c - self.radius, c + self.radius
 
     def signed_distance(self, points):
-        p = np.asarray(points, float)
-        c = np.asarray(self.center, float)
-        return np.linalg.norm(p - c, axis=-1) - self.radius
+        """Signed distance from points (..., dim); negative inside."""
+        return _ball_distance(np.asarray(points, float), np.asarray(self.center, float),
+                              self.radius)
 
 
 Shape = Box | Ball
+
+
+def _box_distance(p, lo, hi):
+    """Signed distance from points p to the boxes lo..hi, broadcast over
+    their leading axes (the coordinates on the last)."""
+    q = np.maximum(lo - p, p - hi)
+    outside = axis_norms(np.maximum(q, 0.0))
+    inside = np.minimum(q.max(axis=-1), 0.0)
+    return outside + inside
+
+
+def _ball_distance(p, center, radius):
+    """Signed distance from points p to the balls, broadcast like `_box_distance`."""
+    return axis_norms(p - center) - radius
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +271,14 @@ class Workspace:
                 raise ConfigError(f"obstacle dimension {blo.size} != workspace dimension {self.dim}")
             if np.any(blo < self.lo - 1e-9) or np.any(bhi > self.hi + 1e-9):
                 raise ConfigError(f"obstacle {ob} extends outside workspace bounds")
+        # the shapes' numbers stacked by kind, made once: every clearance
+        # query measures all shapes of a kind in one broadcast
+        boxes = [ob for ob in self.obstacles if isinstance(ob, Box)]
+        balls = [ob for ob in self.obstacles if isinstance(ob, Ball)]
+        self._boxes = None if not boxes else (np.array([b.lo for b in boxes], float),
+                                              np.array([b.hi for b in boxes], float))
+        self._balls = None if not balls else (np.array([b.center for b in balls], float),
+                                              np.array([b.radius for b in balls], float))
 
         self._rasterize()
         if not np.any(self.free_mask):
@@ -295,13 +314,20 @@ class Workspace:
     # -- queries ------------------------------------------------------------
 
     def obstacle_clearance(self, points):
-        """Signed distance from points to the nearest obstacle shape (inf if none)."""
+        """Signed distance from points (..., dim) to the nearest obstacle
+        shape (inf if none): each kind of shape is measured in one broadcast
+        over (points, shapes), with each shape's `signed_distance`
+        arithmetic, and the nearest is the smallest."""
         p = np.asarray(points, float)
         if not self.obstacles:
             return np.full(p.shape[:-1], np.inf) if p.ndim > 1 else np.inf
-        d = self.obstacles[0].signed_distance(p)
-        for ob in self.obstacles[1:]:
-            d = np.minimum(d, ob.signed_distance(p))
+        each = p[..., None, :]
+        d = None
+        if self._boxes is not None:
+            d = _box_distance(each, *self._boxes).min(axis=-1)
+        if self._balls is not None:
+            b = _ball_distance(each, *self._balls).min(axis=-1)
+            d = b if d is None else np.minimum(d, b)
         return d
 
     def bounds_clearance(self, points):

@@ -5,9 +5,10 @@ evaluation of the pair forces and weight sums, array-at-a-time field
 sampling, one-agent-at-a-time goal terms and potentials, control evaluation
 with the wall cushion always queried, the full-scan sensing ring,
 brute-force grid dilations, the slice-by-slice neighbor sum, the nearest
-known box by a scan of every box and the passage audit by a k-d tree; a
-fault injector, a short-hand agent record and a strategy for valid scenario
-files. SciPy serves only these oracles: the package itself needs NumPy
+known box by a scan of every box, the obstacle clearance one shape at a
+time, the unit-drive goal term by `np.linalg.norm` and the passage audit by
+a k-d tree; a fault injector, a short-hand agent record and a strategy for
+valid scenario files. SciPy serves only these oracles: the package itself needs NumPy
 alone."""
 
 import itertools
@@ -174,6 +175,29 @@ def nearest_box_scan(index, points):
     X = np.asarray(points, float)[:, None, :]
     vec = X - np.minimum(np.maximum(X, index.box_lo), index.box_hi)
     return axis_norms(vec), vec
+
+
+def shape_distance(shape, points):
+    """A box's or ball's signed distance from points (..., dim), written out
+    with `np.linalg.norm`."""
+    p = np.asarray(points, float)
+    if isinstance(shape, Box):
+        lo, hi = shape.bbox
+        q = np.maximum(lo - p, p - hi)
+        return np.linalg.norm(np.maximum(q, 0.0), axis=-1) + np.minimum(q.max(axis=-1), 0.0)
+    return np.linalg.norm(p - np.asarray(shape.center, float), axis=-1) - shape.radius
+
+
+def obstacle_clearance_by_shape(ws: Workspace, points):
+    """`Workspace.obstacle_clearance` one shape at a time: `shape_distance`
+    folded with `np.minimum` in the order of `ws.obstacles`."""
+    p = np.asarray(points, float)
+    if not ws.obstacles:
+        return np.full(p.shape[:-1], np.inf) if p.ndim > 1 else np.inf
+    d = shape_distance(ws.obstacles[0], p)
+    for ob in ws.obstacles[1:]:
+        d = np.minimum(d, shape_distance(ob, p))
+    return d
 
 
 def passage_audit_tree(ws: Workspace, radius: float) -> np.ndarray:
@@ -499,6 +523,24 @@ def goal_term(ctrl, x) -> np.ndarray:
     if control.kind == controller.CONSTANT_DRIFT:
         return np.array(control.velocity, float)
     return controller.goal_term(ctrl, x)
+
+
+def unit_goal_term(ctrl, x) -> np.ndarray:
+    """The harmonic unit-drive goal term with its lengths from
+    `np.linalg.norm` and its gradient from `oracle_gradient_at`: the
+    terminal spring inside the target zone, else -cruise times the unit
+    gradient, zero where the gradient vanishes."""
+    x = np.asarray(x, float)
+    spec, control = ctrl.spec, ctrl.spec.control
+    assert control.drive == controller.UNIT_DRIVE
+    offset = spec.goal_array - x
+    if float(np.linalg.norm(offset)) <= spec.target_radius:
+        return (control.cruise / spec.target_radius) * offset
+    g = oracle_gradient_at(ctrl.field, x)
+    n = np.linalg.norm(g)
+    if n < 1e-12:
+        return np.zeros_like(g)
+    return -control.cruise * g / n
 
 
 def goal_potential(ctrl, x) -> float | None:

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
-from helpers import goal_term
-from vhpf import harmonic
+from helpers import goal_term, oracle_value_at, unit_goal_term
+from vhpf import controller, harmonic
 from vhpf.controller import (
     CONSTANT_DRIFT,
     HARMONIC_GOAL,
@@ -13,7 +15,7 @@ from vhpf.controller import (
 )
 from vhpf.engine import Runtime, SimConfig
 from vhpf.interaction import SPRING, SPRING_MODE, InteractionParams, WeightProfile
-from vhpf.scenarios import AgentSpec, GoalSpec
+from vhpf.scenarios import AgentSpec, GoalSpec, build_runtime, builtin
 from vhpf.world import Box, ConfigError, Workspace, sense_obstacles
 
 CASE_PARAMS = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
@@ -225,6 +227,68 @@ def test_unit_drive_parks_inside_target_zone():
     assert np.linalg.norm(u) < 0.8
     far = np.array([-3.0, -3.0])
     assert np.linalg.norm(goal_term(ctrl, far)) == pytest.approx(0.8, abs=1e-12)
+
+
+def _bits(value):
+    return type(value), np.asarray(value).dtype, np.shape(value), np.asarray(value).tobytes()
+
+
+def _free_points(ctrl, ws, rng, count):
+    """Random points of the workspace where the agent's field can be sampled."""
+    points = []
+    while len(points) < count:
+        x = rng.uniform(ws.lo, ws.hi)
+        try:
+            harmonic.value_at(ctrl.field, x)
+        except harmonic.FieldQueryError:
+            continue
+        points.append(x)
+    return points
+
+
+def _on_radius(goal, r, axis, sign):
+    """A point off the goal along one axis whose distance from it, as
+    sqrt(offset . offset), is exactly r; None if the floats near it skip r."""
+    x = goal.copy()
+    x[axis] += sign * r
+    for _ in range(16):
+        offset = goal - x
+        d = np.linalg.norm(offset)
+        if d == r:
+            return x
+        x[axis] = np.nextafter(x[axis], goal[axis] if d > r else sign * np.inf)
+    return None
+
+
+@pytest.mark.parametrize("name", ["case7_unknown", "case8_tight"])
+def test_unit_goal_term_and_value_are_bit_identical_to_the_oracles(name):
+    rt = build_runtime(builtin(name))
+    rng = np.random.default_rng(11)
+    for c in rt.controllers:
+        assert c.spec.control.drive == UNIT_DRIVE
+        goal, r = c.spec.goal_array, c.spec.target_radius
+        points = _free_points(c, rt.ws, rng, 200)
+        inside = rng.normal(size=(40, rt.dim))
+        inside *= rng.uniform(0.0, r, size=(40, 1)) / np.linalg.norm(inside, axis=1, keepdims=True)
+        points += list(goal + inside)
+        on_radius = [x for k in range(rt.dim) for sign in (-1.0, 1.0)
+                     if (x := _on_radius(goal, r, k, sign)) is not None]
+        assert len(on_radius) >= 2
+        points += on_radius + [goal]
+        for x in points:
+            assert _bits(controller.goal_term(c, x)) == _bits(unit_goal_term(c, x)), x
+            assert _bits(harmonic.value_at(c.field, x)) == _bits(oracle_value_at(c.field, x)), x
+        # where the gradient vanishes, a plateau of the potential around a free cell far
+        # from the goal, the term is zero
+        x = max(points[:200], key=lambda p: np.linalg.norm(p - goal))
+        cell = c.field.grid.point_to_cell(x)
+        flat = AgentController(c.spec, copy.copy(c.field))
+        flat.field.values = c.field.values.copy()
+        flat.field.values[tuple(slice(max(k - 3, 0), k + 4) for k in cell)] = 0.5
+        flat.field._invalidate()
+        x = c.field.grid.cell_centers([cell])[0]
+        assert not controller.goal_term(flat, x).any()
+        assert _bits(controller.goal_term(flat, x)) == _bits(unit_goal_term(flat, x))
 
 
 def test_controller_validation():

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import always_query_controls, goal_potential, goal_term, raising, scenario_dicts
+from helpers import (
+    always_query_controls,
+    goal_potential,
+    goal_term,
+    oracle_value_at,
+    raising,
+    scenario_dicts,
+)
 from vhpf import cli, engine, harmonic, interaction, scenarios, svgplot, world
 from vhpf.controller import SPRING_GOAL, AgentController
 from vhpf.engine import (
@@ -596,6 +603,24 @@ def test_group_goal_terms_and_potentials_match_each_agent(name):
         assert U[i].tobytes() == goal_term(c, pos[i]).tobytes()
         want = goal_potential(c, pos[i])
         assert potentials[i] == want and type(potentials[i]) is type(want)
+
+
+@pytest.mark.parametrize("name", ["case7_unknown", "case8_tight"])
+def test_harmonic_group_potentials_are_bit_identical_to_the_oracle(name):
+    # an all-harmonic group takes its own path: each agent's field value
+    rt = build_runtime(builtin(name))
+    rng = np.random.default_rng(13)
+    snapshots = 0
+    while snapshots < 50:
+        pos = rt.ws.lo + rng.uniform(size=(rt.n_agents, rt.dim)) * (rt.ws.hi - rt.ws.lo)
+        try:
+            want = [oracle_value_at(c.field, pos[i]) for i, c in enumerate(rt.controllers)]
+        except harmonic.FieldQueryError:
+            continue
+        got = rt.goal_potentials(pos)
+        assert [(type(v), np.float64(v).tobytes()) for v in got] == \
+            [(type(v), np.float64(v).tobytes()) for v in want]
+        snapshots += 1
 
 
 def test_single_agent_descent_is_monotone():

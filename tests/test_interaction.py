@@ -40,6 +40,7 @@ from vhpf.interaction import (
     repulsion_batch,
     sigma_activity,
     stage_pairs,
+    stage_room,
     weight_can_jump,
 )
 from vhpf.world import Box, ConfigError, GridSpec, Workspace
@@ -432,20 +433,58 @@ def stage_layouts(draw):
     return center + local, move, radii, profile, head_on
 
 
+def stage_bound(start, positions, profile):
+    """The displacement bound of `stage_pairs`: delta + 2 m + slack."""
+    d = positions - start
+    moved = math.sqrt(float((d * d).sum(axis=1).max()))
+    return profile.delta + 2.0 * moved + 1e-9 * (
+        1.0 + profile.delta + float(np.abs(positions).max()) + moved)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(stage_layouts())
 def test_stage_pass_is_bit_identical_to_a_full_pass(layout):
     start, move, radii, profile, head_on = layout
+    full = near_pairs(start, radii, profile)
+    room = stage_room(full, profile)
+
+    def check(positions):
+        """The stage pass at positions, with and without the room, against
+        a full pass; True when it read the near pairs from the room."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = stage_pairs(full, start, positions, radii, profile, room)
+            want = near_pairs(positions, radii, profile)
+            assert_same_near_pairs(stage_pairs(full, start, positions, radii, profile), want)
+            bound = stage_bound(start, positions, profile)
+        assert_same_near_pairs(got, want)
+        # the far-gap test measures the pass's near pairs exactly when the
+        # displacement bound keeps no other pair of the table
+        kept = full.table.compress(~(full.table_gap > bound), axis=1)
+        assert np.array_equal(got.table, kept)
+        assert (room.far_gap > bound) == np.array_equal(kept, room.near_table)
+        return room.far_gap > bound
+
     with np.errstate(invalid="ignore", over="ignore"):
         positions = start + move
-        got = stage_pairs(near_pairs(start, radii, profile), start, positions, radii, profile)
         want = near_pairs(positions, radii, profile)
-    assert_same_near_pairs(got, want)
+    # agent 1 comes within the cut-off: no step this long reads the room
+    assert not check(positions)
     if not head_on:
         assert ((want.rows == 1) & (want.cols == 0)).any()
     if not np.isfinite(move).all():
         # a step of unknown size measures every pair
-        assert np.array_equal(got.table, want.table)
+        assert np.array_equal(stage_pairs(full, start, positions, radii, profile).table,
+                              full.table)
+        return
+    # the same step scaled to half of the room that the far pairs leave: no far
+    # pair can come in, so it reads the room unless the slack fills the rest
+    d = move * (0.25 * (room.far_gap - profile.delta)
+                / math.sqrt(float((move * move).sum(axis=1).max())))
+    positions = start + d
+    reads_room = check(positions)
+    slack = stage_bound(start, positions, profile) - profile.delta - 2.0 * math.sqrt(
+        float(((positions - start) ** 2).sum(axis=1).max()))
+    assert reads_room or slack > 0.2 * (room.far_gap - profile.delta)
 
 
 @pytest.mark.parametrize("start, move, radii, delta", [
@@ -490,6 +529,46 @@ def test_stage_pass_measures_only_pairs_the_step_can_bring_in():
     got = stage_pairs(near_pairs(start, radii, profile), start, positions, radii, profile)
     assert got.table.shape == (2, 0)
     assert_same_near_pairs(got, near_pairs(positions, radii, profile))
+
+
+@pytest.mark.parametrize("near", [False, True])
+def test_stage_pass_reads_the_near_pairs_until_a_far_pair_can_come_in(near):
+    # agents 0 and 1 are in range when `near`; agent 2 is far, at gap 3 from agent 1
+    start = np.array([[0.0, 0.0], [2.5 if near else 6.0, 0.0], [11.0, 0.0]])
+    radii = np.ones(3)
+    profile = WeightProfile(LINEAR, delta=1.5)
+    full = near_pairs(start, radii, profile)
+    room = stage_room(full, profile)
+    far = 11.0 - start[1, 0] - 2.0
+    assert room.far_gap == far
+    assert room.near_table.T.tolist() == ([[0, 1]] if near else [])
+    room_edge = 0.5 * (far - profile.delta)    # the displacement that can close the far gap
+    for m, falls_back in ((room_edge * (1 - 1e-6), False), (room_edge, True),
+                          (room_edge * (1 + 1e-6), True), (math.nan, True), (math.inf, True)):
+        positions = start.copy()
+        positions[2, 0] -= m
+        with np.errstate(invalid="ignore"):
+            got = stage_pairs(full, start, positions, radii, profile, room)
+            want = near_pairs(positions, radii, profile)
+        assert_same_near_pairs(got, want)
+        measured = {tuple(p) for p in got.table.T.tolist()}
+        assert ((1, 2) in measured) == falls_back, m
+        if not falls_back:
+            assert np.array_equal(got.table, room.near_table)
+        if not math.isfinite(m):
+            assert np.array_equal(got.table, full.table)
+
+
+def test_stage_room_of_passes_without_far_pairs():
+    profile = WeightProfile(LINEAR, delta=1.5)
+    for start in (np.zeros((1, 2)), np.array([[0.0, 0.0], [2.5, 0.0]])):
+        room = stage_room(near_pairs(start, np.ones(len(start)), profile), profile)
+        assert room.far_gap == math.inf and room.near_table.shape == (2, len(start) - 1)
+    # a NaN gap is not near, so it is far, and no displacement can pass it
+    start = np.array([[0.0, 0.0], [math.nan, 0.0], [2.5, 0.0]])
+    with np.errstate(invalid="ignore"):
+        room = stage_room(near_pairs(start, np.ones(3), profile), profile)
+    assert math.isnan(room.far_gap) and room.near_table.T.tolist() == [[0, 2]]
 
 
 def test_weight_sums_of_crowded_rows_match_dense_pairwise_sums():

@@ -11,9 +11,11 @@ from helpers import (
     chebyshev_dilation,
     grid_masks,
     neighbors,
+    obstacle_clearance_by_shape,
     passage_audit_tree,
     random_workspace,
     sense_full_scan,
+    shape_distance,
 )
 from vhpf import harmonic
 from vhpf.controller import HARMONIC_GOAL, UNIT_DRIVE, AgentController, on_tick_sense
@@ -54,6 +56,70 @@ def test_axis_norms_has_the_bits_of_linalg_norm(dim):
     v = np.random.default_rng(dim).normal(size=(5, 7, dim)) * scale
     assert axis_norms(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
     assert axis_norms(v[0, 0]).tobytes() == np.linalg.norm(v[0, 0], axis=-1).tobytes()
+
+
+@st.composite
+def clearance_cases(draw):
+    """A workspace [0, 8]^dim with up to four boxes and balls on a quarter
+    lattice, and points inside, outside, on the faces and at the corners of
+    its shapes, on the workspace's bounds and off the lattice."""
+    dim = draw(st.sampled_from([2, 3]))
+    quarters = st.integers(0, 32)
+    shapes = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            lo = draw(st.lists(st.integers(0, 28), min_size=dim, max_size=dim))
+            size = draw(st.lists(st.integers(1, 12), min_size=dim, max_size=dim))
+            shapes.append(Box(tuple(0.25 * a for a in lo),
+                              tuple(0.25 * min(a + s, 32) for a, s in zip(lo, size))))
+        else:
+            center = draw(st.lists(st.integers(4, 28), min_size=dim, max_size=dim))
+            room = min(min(c, 32 - c) for c in center)
+            shapes.append(Ball(tuple(0.25 * c for c in center),
+                               0.25 * draw(st.integers(1, min(room, 8)))))
+    points = [[0.25 * a for a in draw(st.lists(quarters, min_size=dim, max_size=dim))]
+              for _ in range(draw(st.integers(1, 12)))]
+    points += draw(st.lists(st.lists(st.floats(0.0, 8.0), min_size=dim, max_size=dim),
+                            max_size=6))
+    for ob in shapes:
+        if isinstance(ob, Box):
+            corners = list(itertools.product(*zip(ob.lo, ob.hi)))
+            points += corners
+            for corner in corners:    # a face point: one coordinate moved inside the box
+                k = draw(st.integers(0, dim - 1))
+                points.append([0.5 * (ob.lo[a] + ob.hi[a]) if a == k else corner[a]
+                               for a in range(dim)])
+            points.append([0.5 * (a + b) for a, b in zip(ob.lo, ob.hi)])
+        else:
+            points.append(ob.center)
+            for k in range(dim):      # on the sphere along each axis
+                for sign in (-1.0, 1.0):
+                    points.append([c + sign * ob.radius if a == k else c
+                                   for a, c in enumerate(ob.center)])
+    order = draw(st.permutations(range(len(points))))
+    return Workspace((0.0,) * dim, (8.0,) * dim, shapes, h=0.5), np.array(points)[list(order)]
+
+
+def _bits(value):
+    return type(value), np.asarray(value).dtype, np.shape(value), np.asarray(value).tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(clearance_cases())
+def test_obstacle_clearance_is_bit_identical_to_one_shape_at_a_time(case):
+    ws, points = case
+    for p in (points, points[:1].reshape(1, 1, -1), points[0]):
+        assert _bits(ws.obstacle_clearance(p)) == _bits(obstacle_clearance_by_shape(ws, p))
+    for ob in ws.obstacles:
+        assert _bits(ob.signed_distance(points)) == _bits(shape_distance(ob, points))
+        assert _bits(ob.signed_distance(points[0])) == _bits(shape_distance(ob, points[0]))
+
+
+def test_obstacle_clearance_without_obstacles_is_infinite():
+    ws = Workspace((0.0, 0.0), (4.0, 4.0), h=0.5)
+    assert ws.obstacle_clearance(np.array([1.0, 2.0])) == np.inf
+    out = ws.obstacle_clearance(np.zeros((3, 2)))
+    assert _bits(out) == _bits(np.full(3, np.inf))
 
 
 def test_workspace_boundary_cells_touch_free_space():
