@@ -379,9 +379,17 @@ def passage_width_audit(ws: Workspace, radius: float) -> np.ndarray:
     if not ws.obstacles:
         return np.zeros(ws.grid.shape, dtype=bool)
     centers = ws.grid.cell_centers(np.argwhere(ws.free_mask))
+    # measured one slab of the first axis at a time: a clearance query
+    # broadcasts over (points, shapes), and over the whole grid that would
+    # hold several arrays of cells x shapes x dim at once
+    clearance = np.empty(len(centers))
+    start = 0
+    for end in np.cumsum(ws.free_mask.reshape(ws.grid.shape[0], -1).sum(axis=1)).tolist():
+        clearance[start:end] = ws.obstacle_clearance(centers[start:end])
+        start = end
     fits = np.zeros(ws.grid.shape, dtype=bool)
     # the free cells' centers are in C order, and so is a mask's assignment
-    fits[ws.free_mask] = ws.obstacle_clearance(centers) >= radius
+    fits[ws.free_mask] = clearance >= radius
     return ws.free_mask & ~dilate(fits, disk(float(radius), ws.h, ws.dim))
 
 

@@ -17,7 +17,7 @@ the number of rounds whose run it won, and the sha256 of its outputs
 (positions, controls, events, outcome and metrics); each side's digest must
 be the same in every run, and the two sides' digests agree exactly when the
 runs are bit-identical. The last line is a JSON object with the same
-numbers. Exit code 0 when every run of both sides gave the same digest,
+numbers and every run's µs per tick. Exit code 0 when every run of both sides gave the same digest,
 1 when any differs.
 """
 
@@ -104,7 +104,8 @@ def main(argv=None) -> int:
         report[side] = {"root": str(sides[side]), "ticks": runs[side][0]["ticks"],
                         "min_us_per_tick": round(min(per_tick), 1),
                         "median_us_per_tick": round(statistics.median(per_tick), 1),
-                        "wins": wins, "digest": sorted(digests)}
+                        "wins": wins, "us_per_tick": [round(v, 1) for v in per_tick],
+                        "digest": sorted(digests)}
         print(f"{side}: {sides[side]}: min {min(per_tick):.1f}, "
               f"median {statistics.median(per_tick):.1f} us/tick over {report[side]['ticks']} "
               f"ticks, won {wins} of {args.rounds}, outputs {', '.join(sorted(digests))}")
