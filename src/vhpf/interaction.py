@@ -268,7 +268,8 @@ def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfil
     the slack dominates them at any scale, and it only adds pairs. When the
     smallest far gap of `room` (`stage_room` of `pairs`, made here without
     it) is greater than that bound, the pairs measured are the pass's near
-    pairs, read from `room` without a look at the table. The tests are
+    pairs, read from `room` without a look at the table; so are they when
+    the pass found no far pair, without a look at the step. The tests are
     written as "greater", so a NaN or infinite displacement measures every
     pair. The near pairs, their relative positions, distances, gaps and
     weights equal those of `near_pairs(positions, radii, profile)` bit for
@@ -276,14 +277,14 @@ def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfil
     """
     if room is None:
         room = stage_room(pairs, profile)
-    d = positions - start
-    moved = math.sqrt(float((d * d).sum(axis=1).max()))
-    scale = 1.0 + profile.delta + float(np.abs(positions).max()) + moved
-    bound = profile.delta + 2.0 * moved + 1e-9 * scale
-    if room.far_gap > bound:
-        table = room.near_table
-    else:
-        table = pairs.table.compress(~(pairs.table_gap > bound), axis=1)
+    table = room.near_table
+    if table.shape[1] < len(pairs.table_gap):   # some pair is far: can this stage bring one in?
+        d = positions - start
+        moved = math.sqrt(float((d * d).sum(axis=1).max()))
+        scale = 1.0 + profile.delta + float(np.abs(positions).max()) + moved
+        bound = profile.delta + 2.0 * moved + 1e-9 * scale
+        if not room.far_gap > bound:
+            table = pairs.table.compress(~(pairs.table_gap > bound), axis=1)
     return near_pairs(positions, radii, profile, table)
 
 

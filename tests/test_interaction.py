@@ -564,6 +564,16 @@ def test_stage_room_of_passes_without_far_pairs():
     for start in (np.zeros((1, 2)), np.array([[0.0, 0.0], [2.5, 0.0]])):
         room = stage_room(near_pairs(start, np.ones(len(start)), profile), profile)
         assert room.far_gap == math.inf and room.near_table.shape == (2, len(start) - 1)
+    # without a far pair every stage measures the near pairs, the whole table, whatever its step
+    start = np.array([[0.0, 0.0], [2.5, 0.0]])
+    full = near_pairs(start, np.ones(2), profile)
+    for m in (0.0, 10.0, math.nan, math.inf):
+        positions = start + [[m, 0.0], [0.0, 0.0]]
+        with np.errstate(invalid="ignore"):
+            got = stage_pairs(full, start, positions, np.ones(2), profile,
+                              stage_room(full, profile))
+            assert_same_near_pairs(got, near_pairs(positions, np.ones(2), profile))
+        assert np.array_equal(got.table, full.table)
     # a NaN gap is not near, so it is far, and no displacement can pass it
     start = np.array([[0.0, 0.0], [math.nan, 0.0], [2.5, 0.0]])
     with np.errstate(invalid="ignore"):
