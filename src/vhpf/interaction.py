@@ -247,15 +247,13 @@ def stage_room(pairs: NearPairs, profile: WeightProfile) -> StageRoom:
     (NaN included) counts as far, so a NaN gap makes `far_gap` NaN."""
     half = len(pairs.rows) // 2     # the number of near pairs
     gap = pairs.table_gap
-    if not half:
-        return StageRoom(float(gap.min()) if len(gap) else math.inf, pairs.table[:, :0])
     far = gap[~(gap <= profile.delta)]
     return StageRoom(float(far.min()) if len(far) else math.inf,
                      np.stack((pairs.rows[half:], pairs.cols[half:])))
 
 
 def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfile,
-                room: StageRoom | None = None) -> NearPairs:
+                room: StageRoom) -> NearPairs:
     """`near_pairs` at `positions`, measured only on the pairs that can be
     within the cut-off there: `pairs` is the full pass at `start`, and no
     body moved farther than m = max_i |positions_i - start_i|, so no gap
@@ -266,17 +264,14 @@ def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfil
     delta + 2 m + slack, with slack = 1e-9 (1 + delta + max |coordinate| + m):
     the roundings in the gaps and in m are relative to those magnitudes, so
     the slack dominates them at any scale, and it only adds pairs. When the
-    smallest far gap of `room` (`stage_room` of `pairs`, made here without
-    it) is greater than that bound, the pairs measured are the pass's near
-    pairs, read from `room` without a look at the table; so are they when
-    the pass found no far pair, without a look at the step. The tests are
-    written as "greater", so a NaN or infinite displacement measures every
-    pair. The near pairs, their relative positions, distances, gaps and
-    weights equal those of `near_pairs(positions, radii, profile)` bit for
-    bit.
+    smallest far gap of `room` (`stage_room` of `pairs`) is greater than
+    that bound, the pairs measured are the pass's near pairs, read from
+    `room` without a look at the table; so are they when the pass found no
+    far pair, without a look at the step. The tests are written as
+    "greater", so a NaN or infinite displacement measures every pair. The
+    near pairs, their relative positions, distances, gaps and weights equal
+    those of `near_pairs(positions, radii, profile)` bit for bit.
     """
-    if room is None:
-        room = stage_room(pairs, profile)
     table = room.near_table
     if table.shape[1] < len(pairs.table_gap):   # some pair is far: can this stage bring one in?
         d = positions - start

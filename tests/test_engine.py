@@ -260,7 +260,8 @@ def test_step_is_the_same_with_and_without_the_ticks_pairs(name):
         assert step(rt, x, k1=k1, pairs=pairs).tobytes() == want.tobytes()
         assert step(rt, x, k1=k1).tobytes() == want.tobytes()
         y = x + 0.5 * rt.config.dt * k1
-        filtered += len(interaction.stage_pairs(pairs, x, y, rt.radii, rt.profile).table_gap)
+        room = interaction.stage_room(pairs, rt.profile)
+        filtered += len(interaction.stage_pairs(pairs, x, y, rt.radii, rt.profile, room).table_gap)
         filtered -= len(pairs.table_gap)
     if name == "crowd1":
         assert filtered < 0     # the filter leaves pairs out
