@@ -200,6 +200,7 @@ class Runtime:
         drifts = [a for a in agents if a.control.kind == ctl.CONSTANT_DRIFT]
         self._spring_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.SPRING_GOAL], int)
         self._spring_gain = np.array([a.control.gain for a in springs], float).reshape(-1, 1)
+        self._half_gain = 0.5 * self._spring_gain[:, 0]     # of the potentials
         self._spring_goal = np.array([a.goal for a in springs], float).reshape(-1, self.dim)
         self._drift_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.CONSTANT_DRIFT], int)
         self._drift = np.array([a.control.velocity for a in drifts], float).reshape(-1, self.dim)
@@ -208,8 +209,8 @@ class Runtime:
         # agents whose own pair-force sum is dropped
         self._suppressed = [i for i, a in enumerate(agents) if not a.cooperative]
         self.tracks_switches = interaction.weight_can_jump(profile, self.radii, self.reach)
-        self._pair_setup = interaction.pair_setup(self.radii, params, profile, self._suppressed,
-                                                  self.reach)
+        self._pair_setup = interaction.pair_setup(self.radii, self.dim, params, profile,
+                                                  self._suppressed, self.reach)
         self._last_key = None       # switch key of the latest control evaluation
         self._step_key = None       # switch key at the start of the current step
         self._switched = np.zeros(len(agents), dtype=bool)
@@ -248,22 +249,22 @@ class Runtime:
                                            pairs=pairs, setup=self._pair_setup)
                 if self.tracks_switches:
                     F, key = F
-                    # comparing bytes is the cheap exact test; find rows only on a change
-                    if self._step_key is not None and key.tobytes() != self._step_key.tobytes():
-                        self._switched |= np.any(key != self._step_key, axis=1)
+                    # the same object is the same key (a pass without near pairs);
+                    # else comparing bytes is the cheap exact test; rows only on a change
+                    step_key = self._step_key
+                    if (step_key is not None and key is not step_key
+                            and key.tobytes() != step_key.tobytes()):
+                        self._switched |= np.any(key != step_key, axis=1)
                     self._last_key = key
                 U += F
         groups = self._cushion_groups()
         x = positions.tolist() if groups else None
-        u = None
         for index, rows, members, radii, reach in groups:
             if not index.within_reach([x[i] for i in members], reach):
-                # out of reach the force is exactly zero, and adding it changes
-                # U only where U holds -0.0 (-0.0 + 0.0 is +0.0). The groups'
-                # rows are disjoint: this group's rows of U are still as listed
-                u = U.tolist() if u is None else u
-                if not _negative_zero([u[i] for i in members]):
-                    continue
+                # out of reach the force is exactly +0.0, and adding it changes
+                # only a -0.0, which becomes +0.0
+                U[rows] += 0.0
+                continue
             F, p = interaction.repulsion_batch(positions[rows], radii, index, self.repulsion)
             U[rows] += F
             pen[rows] |= p
@@ -296,12 +297,12 @@ class Runtime:
         None for a drift agent."""
         if self._goal_kind == ctl.SPRING_GOAL:
             r = world.row_norms(positions - self._spring_goal)
-            return (0.5 * self._spring_gain[:, 0] * r * r).tolist()
+            return (self._half_gain * r * r).tolist()
         if self._goal_kind == ctl.HARMONIC_GOAL:
             return [agent_potential(c, positions[i]) for i, c in self._harmonic]
         out = [None] * self.n_agents
         r = world.row_norms(positions[self._spring_rows] - self._spring_goal)
-        springs = 0.5 * self._spring_gain[:, 0] * r * r
+        springs = self._half_gain * r * r
         for i, v in zip(self._spring_rows.tolist(), springs.tolist()):
             out[i] = v
         for i, c in self._harmonic:
@@ -350,12 +351,8 @@ class Runtime:
     def sigma_activity(self, positions, pairs=None):
         """Per-agent sum of interaction weights against all other agents;
         `pairs` as for `eval_controls`."""
-        return interaction.sigma_activity(positions, self.radii, self.profile, pairs=pairs)
-
-
-def _negative_zero(rows) -> bool:
-    """True when some entry of the rows (lists of floats) is -0.0."""
-    return any(math.copysign(1.0, v) < 0.0 for row in rows for v in row if v == 0.0)
+        return interaction.sigma_activity(positions, self.radii, self.profile, pairs=pairs,
+                                          setup=self._pair_setup)
 
 
 def step(runtime: Runtime, positions, k1=None, pairs=None):
@@ -364,8 +361,8 @@ def step(runtime: Runtime, positions, k1=None, pairs=None):
 
     `k1` is the control at the snapshot and `pairs` its full
     `interaction.near_pairs` pass, when the caller already has them. With
-    `pairs`, each RK4 stage measures only the pairs that its displacement
-    from the snapshot can bring within the cut-off
+    `pairs`, each RK4 stage x + h k measures only the pairs that a
+    displacement of |h| max_i |k_i| can bring within the cut-off
     (`interaction.stage_pairs`), so a tick makes one pass over the whole
     pair table; a stage that no far pair of the pass can reach measures only
     the pass's near pairs (`interaction.stage_room`). Without it, each
@@ -377,18 +374,20 @@ def step(runtime: Runtime, positions, k1=None, pairs=None):
     if runtime.config.integrator == EULER:
         return positions + dt * k1
 
+    setup = runtime._pair_setup
     if pairs is not None:
-        room = interaction.stage_room(pairs, runtime.profile)
+        room = interaction.stage_room(pairs, positions, runtime.profile, setup)
 
-    def slope(y):
+    def slope(h, k):
+        y = positions + h * k
         if pairs is not None:
             return runtime.eval_controls(y, interaction.stage_pairs(
-                pairs, positions, y, runtime.radii, runtime.profile, room))[0]
+                pairs, y, h, k, runtime.radii, runtime.profile, room, setup))[0]
         return runtime.eval_controls(y)[0]
 
-    k2 = slope(positions + 0.5 * dt * k1)
-    k3 = slope(positions + 0.5 * dt * k2)
-    k4 = slope(positions + dt * k3)
+    k2 = slope(0.5 * dt, k1)
+    k3 = slope(0.5 * dt, k2)
+    k4 = slope(dt, k3)
     return positions + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -396,14 +395,15 @@ def step(runtime: Runtime, positions, k1=None, pairs=None):
 # Monitors
 # ---------------------------------------------------------------------------
 
-def detect_deadlock(slow_time, speeds, outside_target, cfg: SimConfig, v_eps):
+def detect_deadlock(slow_time, slow, outside_target, cfg: SimConfig):
     """Advance the deadlock window by one tick. Returns (slow_time, deadlocked).
 
-    slow_time is the consecutive time every agent has stayed below v_eps; any
+    `slow` flags the agents whose speed is below the run's v_eps this tick.
+    slow_time is the consecutive time every agent has stayed slow; any
     fast tick (or an empty group) resets it. The group is deadlocked once that
     time reaches w_dead while someone is still outside its target.
     """
-    if len(speeds) and speeds.max() < v_eps:
+    if len(slow) and slow.all():
         slow_time += cfg.dt
     else:
         slow_time = 0.0
@@ -547,11 +547,11 @@ def _failed(log: TrajectoryLog, t, phase: str, exc: Exception) -> SimulationErro
     return SimulationError(f"{phase} failed at t={t:g}: {exc}", log)
 
 
-def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, bad) -> SimulationError:
-    """Log an `error` event naming the agents whose `what` is not finite, and
-    return the error that ends the run: a NaN state must never run on to a
-    timeout whose clearances read as safe."""
-    agents = [runtime.agents[i].id for i in np.flatnonzero(bad)]
+def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, values) -> SimulationError:
+    """Log an `error` event naming the agents whose row of `values` (their
+    `what`) is not finite, and return the error that ends the run: a NaN
+    state must never run on to a timeout whose clearances read as safe."""
+    agents = [runtime.agents[i].id for i in np.flatnonzero(~np.isfinite(values).all(axis=1))]
     message = f"non-finite {what} of agents {agents}"
     log.add_event(t, "error", message=message, agents=agents)
     return SimulationError(f"{message} at t={t:g}", log)
@@ -615,13 +615,13 @@ def run(scenario):
     min_pair = np.inf
     min_obstacle = np.inf
     trace = [] if not len(runtime._drift_rows) else None
+    no_goal = ~runtime.has_goal
     outcome = None
 
     with _quiet_overflow():
         while True:
-            bad = ~np.isfinite(positions).all(axis=1)
-            if bad.any():
-                raise _non_finite(log, t, "position", runtime, bad)
+            if not np.isfinite(positions).all():
+                raise _non_finite(log, t, "position", runtime, positions)
             for i, c in runtime._harmonic:
                 iterations = c.field.iterations
                 try:
@@ -634,20 +634,20 @@ def run(scenario):
                                   residual=c.field.residual)
 
             # the tick's one pass over the whole pair table
-            pairs = interaction.near_pairs(positions, runtime.radii, runtime.profile)
+            pairs = interaction.near_pairs(positions, runtime.radii, runtime.profile,
+                                           setup=runtime._pair_setup)
             try:
                 U, pen = runtime.eval_controls(positions, pairs)
             except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
                 raise _failed(log, t, "control evaluation", exc) from exc
-            bad = ~np.isfinite(U).all(axis=1)
-            if bad.any():
-                raise _non_finite(log, t, "control", runtime, bad)
+            if not np.isfinite(U).all():
+                raise _non_finite(log, t, "control", runtime, U)
 
             switched = runtime.begin_step()
             if switched is not None:
                 log.switches.append((log.n_ticks - 1, switched))
             log.append(t, positions, U, runtime.sigma_activity(positions, pairs))
-            for i in np.flatnonzero(pen):
+            for i in pen.nonzero()[0]:
                 log.add_event(t, "penetration", agent=runtime.agents[i].id)
 
             hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol,
@@ -672,13 +672,12 @@ def run(scenario):
             if trace is not None:
                 trace.append(sum(runtime.goal_potentials(positions)))
 
-            speeds = np.linalg.norm(U, axis=1)
+            slow = world.axis_norms(U) < v_eps
             inside = runtime.in_target(positions)
-            if (success_kind == "converge"
-                    and ((inside & (speeds < v_eps)) | ~runtime.has_goal).all()):
+            if success_kind == "converge" and ((inside & slow) | no_goal).all():
                 outcome = CONVERGED
                 break
-            slow_time, deadlocked = detect_deadlock(slow_time, speeds, ~inside, config, v_eps)
+            slow_time, deadlocked = detect_deadlock(slow_time, slow, ~inside, config)
             if deadlocked:
                 outcome = DEADLOCK
                 log.add_event(t, "deadlock")

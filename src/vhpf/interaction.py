@@ -192,7 +192,7 @@ class NearPairs(NamedTuple):
     table_gap: np.ndarray   # (m,) their gaps
 
 
-def near_pairs(positions, radii, profile: WeightProfile, table=None) -> NearPairs:
+def near_pairs(positions, radii, profile: WeightProfile, table=None, setup=None) -> NearPairs:
     """The pairs of a snapshot whose gap dist - contact is at most the
     profile width delta, with their weights, from one pass over a pair
     table: rel = x_i - x_j, dist = |rel| and the surface gap
@@ -208,29 +208,41 @@ def near_pairs(positions, radii, profile: WeightProfile, table=None) -> NearPair
     elementwise arithmetic whatever else the table holds, so a table that
     holds every pair within the cut-off gives the same near pairs, bit for
     bit, as the full pass (`stage_pairs` relies on it).
+
+    `setup` is the group's `pair_setup`, from a caller that makes many
+    passes: the full pass then reads its table and contact sums, and a pass
+    over an empty table returns its read-only `no_pairs`.
     """
+    contact = None
     if table is None:
-        table = pair_index(len(positions))
+        if setup is None:
+            table = pair_index(len(positions))
+        else:
+            table, contact = setup.table, setup.contact
     i, j = table
     if not len(i):  # nothing to measure, as on most RK4 stages of a sparse group
+        if setup is not None:
+            return setup.no_pairs
         none = np.empty(0)
         return NearPairs(i, j, np.empty((0, positions.shape[1])), none, none, none, table, none)
     rel = positions.take(i, axis=0) - positions.take(j, axis=0)
     dist = axis_norms(rel)
-    table_gap = gap = dist - (radii.take(i) + radii.take(j))
-    near = np.flatnonzero(gap <= profile.delta)
-    if not len(near):
+    if contact is None:
+        contact = radii.take(i) + radii.take(j)
+    table_gap = gap = dist - contact
+    near = (gap <= profile.delta).nonzero()[0]
+    n = len(near)
+    if not n:
         none = dist[:0]
         return NearPairs(i[:0], j[:0], rel[:0], none, none, none, table, table_gap)
-    if len(near) < len(gap):
-        rel = rel.take(near, axis=0)
-        dist = dist.take(near)
-        gap = gap.take(near)
-        i, j = i.take(near), j.take(near)
-    gap = np.concatenate([gap, gap])
-    # x_j - x_i is the exact negation of x_i - x_j
-    return NearPairs(np.concatenate([j, i]), np.concatenate([i, j]), np.concatenate([-rel, rel]),
-                     np.concatenate([dist, dist]), gap, gap_weights(gap, profile),
+    # each near pair twice: the first half acts on j, the second on i
+    twice = np.concatenate((near, near))
+    ends = table.take(twice, axis=1)
+    ends[:, :n] = ends[::-1, :n]
+    rel = rel.take(twice, axis=0)
+    np.negative(rel[:n], out=rel[:n])   # x_j - x_i is the exact negation of x_i - x_j
+    gap = gap.take(twice)
+    return NearPairs(ends[0], ends[1], rel, dist.take(twice), gap, gap_weights(gap, profile),
                      table, table_gap)
 
 
@@ -240,47 +252,59 @@ class StageRoom(NamedTuple):
 
     far_gap: float              # the smallest gap of a pair beyond the cut-off (inf without one)
     near_table: np.ndarray      # (2, n): the pass's near pairs i < j, in table order
+    x_max: float                # the snapshot's largest |coordinate|; inf without a far pair
 
 
-def stage_room(pairs: NearPairs, profile: WeightProfile) -> StageRoom:
-    """The `StageRoom` of a full pass. A gap that is not within the cut-off
-    (NaN included) counts as far, so a NaN gap makes `far_gap` NaN."""
-    half = len(pairs.rows) // 2     # the number of near pairs
+def stage_room(pairs: NearPairs, positions, profile: WeightProfile, setup=None) -> StageRoom:
+    """The `StageRoom` of a full pass at `positions`. A gap that is not
+    within the cut-off (NaN included) counts as far, so a NaN gap makes
+    `far_gap` NaN. Without a near pair every gap is far, and the near table
+    is the read-only empty table of `setup` (the group's `pair_setup`) when
+    it is given. `x_max` is measured only when some pair is far: the stages
+    read it only then."""
     gap = pairs.table_gap
-    far = gap[~(gap <= profile.delta)]
-    return StageRoom(float(far.min()) if len(far) else math.inf,
-                     np.stack((pairs.rows[half:], pairs.cols[half:])))
+    half = len(pairs.rows) // 2     # the number of near pairs
+    if half:
+        far = gap[~(gap <= profile.delta)]
+        near_table = np.stack((pairs.rows[half:], pairs.cols[half:]))
+    else:
+        far = gap
+        near_table = pairs.table[:, :0] if setup is None else setup.no_pairs.table
+    if not len(far):
+        return StageRoom(math.inf, near_table, math.inf)
+    return StageRoom(float(far.min()), near_table, float(np.abs(positions).max()))
 
 
-def stage_pairs(pairs: NearPairs, start, positions, radii, profile: WeightProfile,
-                room: StageRoom) -> NearPairs:
-    """`near_pairs` at `positions`, measured only on the pairs that can be
-    within the cut-off there: `pairs` is the full pass at `start`, and no
-    body moved farther than m = max_i |positions_i - start_i|, so no gap
-    shrank by more than 2 m (the Verlet list with a skin, the skin here
-    being the displacement itself).
+def stage_pairs(pairs: NearPairs, positions, h: float, k, radii, profile: WeightProfile,
+                room: StageRoom, setup=None) -> NearPairs:
+    """`near_pairs` at the stage positions x + h * k, measured only on the
+    pairs that can be within the cut-off there: `pairs` is the full pass at
+    x, `room` its `stage_room`, `positions` the stage's x + h * k and k its
+    slope, one row per agent. No body moved farther than
+    m = |h| max_i |k_i| (up to rounding), so no gap shrank by more than 2 m
+    (the Verlet list with a skin, the skin here being the displacement
+    bound itself).
 
-    A pair is measured unless its gap at `start` is greater than
-    delta + 2 m + slack, with slack = 1e-9 (1 + delta + max |coordinate| + m):
-    the roundings in the gaps and in m are relative to those magnitudes, so
-    the slack dominates them at any scale, and it only adds pairs. When the
-    smallest far gap of `room` (`stage_room` of `pairs`) is greater than
-    that bound, the pairs measured are the pass's near pairs, read from
-    `room` without a look at the table; so are they when the pass found no
-    far pair, without a look at the step. The tests are written as
-    "greater", so a NaN or infinite displacement measures every pair. The
-    near pairs, their relative positions, distances, gaps and weights equal
-    those of `near_pairs(positions, radii, profile)` bit for bit.
+    A pair is measured unless its gap at x is greater than
+    delta + 2 m + slack, with slack = 1e-9 (1 + delta + max |x| + m): the
+    roundings in the gaps, in x + h * k and in m are relative to those
+    magnitudes, so the slack dominates them at any scale, and it only adds
+    pairs. When the smallest far gap of `room` is greater than that bound,
+    the pairs measured are the pass's near pairs, read from `room` without
+    a look at the table; so are they when the pass found no far pair,
+    without a look at the slope. The tests are written as "greater", so a
+    NaN or infinite slope measures every pair. The near pairs, their
+    relative positions, distances, gaps and weights equal those of
+    `near_pairs(positions, radii, profile)` bit for bit; with `setup`, a
+    stage that measures no pair returns its read-only `no_pairs`.
     """
     table = room.near_table
     if table.shape[1] < len(pairs.table_gap):   # some pair is far: can this stage bring one in?
-        d = positions - start
-        moved = math.sqrt(float((d * d).sum(axis=1).max()))
-        scale = 1.0 + profile.delta + float(np.abs(positions).max()) + moved
-        bound = profile.delta + 2.0 * moved + 1e-9 * scale
+        moved = abs(h) * math.sqrt(float((k * k).sum(axis=1).max()))
+        bound = profile.delta + 2.0 * moved + 1e-9 * (1.0 + profile.delta + room.x_max + moved)
         if not room.far_gap > bound:
             table = pairs.table.compress(~(pairs.table_gap > bound), axis=1)
-    return near_pairs(positions, radii, profile, table)
+    return near_pairs(positions, radii, profile, table, setup)
 
 
 def _row_sums(rows, cols, values, n: int) -> np.ndarray:
@@ -306,48 +330,74 @@ def _row_sums(rows, cols, values, n: int) -> np.ndarray:
     return total
 
 
-def sigma_activity(positions, radii, profile: WeightProfile, pairs=None) -> np.ndarray:
+def sigma_activity(positions, radii, profile: WeightProfile, pairs=None, setup=None) -> np.ndarray:
     """Per-agent sum of the interaction weights against all other agents
     (no sensing-ring cut), summed over the near pairs only: the weight of
     every other pair is exactly zero. The sums equal those of the dense
     (L, L) weight matrix bit for bit (see `_row_sums`). `pairs` is the
-    snapshot's `near_pairs` when the caller already has them."""
+    snapshot's `near_pairs` when the caller already has them. `setup` is
+    the group's `pair_setup`, from a caller that evaluates many snapshots:
+    a pass without near pairs then returns its read-only `no_sigma`, the
+    zeros that the sums would make."""
     pos = np.asarray(positions, float)
     if pairs is None:
-        pairs = near_pairs(pos, np.asarray(radii, float), profile)
+        pairs = near_pairs(pos, np.asarray(radii, float), profile, setup=setup)
+    if setup is not None and not len(pairs.rows):
+        return setup.no_sigma
     return _row_sums(pairs.rows, pairs.cols, pairs.weight, len(pos))
 
 
 class PairSetup(NamedTuple):
-    """What `crf_forces` reads of a group besides the snapshot: made once per
-    group by `pair_setup`, so that evaluating many snapshots does not make
-    it again."""
+    """What the pair law reads of a group besides the snapshot: made once
+    per group by `pair_setup`, so that evaluating many snapshots does not
+    make it again. The `no_*` arrays are read-only: the results of a pass
+    without near pairs, which most passes are, returned as they are."""
 
     reach: np.ndarray | None    # each agent's sensing reach; None without rings
     narrow: np.ndarray | None   # rows whose ring ends inside the support; None when none does
     suppressed: list            # rows whose own sum is dropped
     turn: np.ndarray            # 2-D: rel[:, ::-1] times this is rel turned by 90 degrees
     axis: np.ndarray            # 3-D: the circulation axis
-    diagonal: np.ndarray | bool | None  # the switch key's diagonal; None when all False
+    table: np.ndarray           # (2, m): the full pair table, `pair_index`
+    contact: np.ndarray         # (m,): radius_i + radius_j of its pairs
+    no_forces: np.ndarray       # (L, dim) zeros: `crf_forces`
+    no_switch: np.ndarray       # (L, L): the switch key, its diagonal and suppressed rows set
+    no_sigma: np.ndarray        # (L,) zeros: `sigma_activity`
+    no_pairs: NearPairs         # the pass over an empty table; its table is the empty near table
 
 
-def pair_setup(radii, params: InteractionParams, profile: WeightProfile, suppressed=None,
-               reach=None) -> PairSetup:
-    """The `PairSetup` of `crf_forces` for these bodies and settings."""
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def pair_setup(radii, dim: int, params: InteractionParams, profile: WeightProfile,
+               suppressed=None, reach=None) -> PairSetup:
+    """The `PairSetup` of these bodies, in `dim` dimensions, and settings."""
     radii = np.asarray(radii, float)
+    L = len(radii)
     if reach is not None:
         reach = np.asarray(reach, float)
     narrow = _narrow_rings(radii, reach, profile)
     if narrow is not None and not np.count_nonzero(narrow):
         narrow = None
-    diagonal = None
+    suppressed = list(suppressed) if suppressed else []
+    no_switch = np.zeros((L, L), dtype=bool)
     if profile.kind == SPRING:
         # an agent is at distance 0 < contact from itself: inside the step,
         # unless its narrow ring cuts the zero self-weight
-        diagonal = True if narrow is None else ~narrow
-    return PairSetup(reach, narrow, list(suppressed) if suppressed else [],
-                     _CW_TURN if params.circulation == CW else _CCW_TURN,
-                     np.asarray(params.axis, float), diagonal)
+        no_switch.flat[::L + 1] = True if narrow is None else ~narrow
+    no_switch[suppressed] = False
+    table = pair_index(L)
+    contact = radii.take(table[0]) + radii.take(table[1])
+    empty = np.empty((2, 0), dtype=table.dtype)
+    none = np.empty(0)
+    rel = np.empty((0, dim))
+    no_forces, no_sigma = np.zeros((L, dim)), np.zeros(L)
+    _read_only(contact, no_forces, no_switch, no_sigma, empty, none, rel)
+    return PairSetup(reach, narrow, suppressed, _CW_TURN if params.circulation == CW else _CCW_TURN,
+                     np.asarray(params.axis, float), table, contact, no_forces, no_switch,
+                     no_sigma, NearPairs(empty[0], empty[1], rel, none, none, none, empty, none))
 
 
 def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,
@@ -383,39 +433,39 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
     of their keys differs. Suppressed rows never switch.
 
     `setup` is `pair_setup` of the same radii, params, profile, suppressed
-    and reach, from a caller that evaluates many snapshots of one
-    group; without it the call makes its own.
+    and reach, from a caller that evaluates many snapshots of one group;
+    without it the call makes its own. A pass without near pairs returns
+    the setup's read-only `no_forces` (and `no_switch`) as they are, so two
+    such keys are the same object.
     """
     pos = np.asarray(positions, float)
     radii = np.asarray(radii, float)
-    L, dim = pos.shape
     if setup is None:
-        setup = pair_setup(radii, params, profile, suppressed, reach)
+        setup = pair_setup(radii, pos.shape[1], params, profile, suppressed, reach)
     if pairs is None:
-        pairs = near_pairs(pos, radii, profile)
+        pairs = near_pairs(pos, radii, profile, setup=setup)
     rows, cols, rel, dist, gap, w = pairs[:6]
+    if not len(rows):
+        return (setup.no_forces, setup.no_switch) if switch_key else setup.no_forces
+    # a coincident pair has no direction; a partner outside the ring is unseen
+    keep = dist >= 1e-12
+    if setup.reach is not None:
+        keep &= dist <= setup.reach.take(rows) + radii.take(cols)
+    w = w * keep
+    force = _pair_force_terms(rel, dist, w, params, setup)
+    force *= w[:, None]
+    L, dim = pos.shape
     total = np.zeros((L, dim))
-    if len(rows):
-        # a coincident pair has no direction; a partner outside the ring is unseen
-        keep = dist >= 1e-12
-        if setup.reach is not None:
-            keep &= dist <= setup.reach.take(rows) + radii.take(cols)
-        w = w * keep
-        force = _pair_force_terms(rel, dist, w, params, setup)
-        force *= w[:, None]
-        for a in range(dim):
-            total[:, a] = np.bincount(rows, force[:, a], minlength=L)
-        if setup.suppressed:
-            total[setup.suppressed] = 0.0
+    for a in range(dim):
+        total[:, a] = np.bincount(rows, force[:, a], minlength=L)
+    if setup.suppressed:
+        total[setup.suppressed] = 0.0
     if not switch_key:
         return total
 
-    key = np.zeros((L, L), dtype=bool)
-    if setup.diagonal is not None:
-        key.flat[::L + 1] = setup.diagonal
-    if len(rows):
-        narrow = setup.narrow
-        key[rows, cols] = _jump_inner(w, gap, profile, None if narrow is None else narrow.take(rows))
+    key = setup.no_switch.copy()
+    narrow = setup.narrow
+    key[rows, cols] = _jump_inner(w, gap, profile, None if narrow is None else narrow.take(rows))
     if setup.suppressed:
         key[setup.suppressed] = False
     return total, key
@@ -431,17 +481,16 @@ def _pair_force_terms(rel, dist, w, params: InteractionParams, setup: PairSetup)
         # rel parallel to the axis: cross with x instead, and with y if rel
         # is parallel to x as well
         for fallback in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-            bad = (np.linalg.norm(tan, axis=1) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
+            bad = (axis_norms(tan) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
             if not np.count_nonzero(bad):
                 break
             tan[bad] = np.cross(np.array(fallback), rel[bad])
         if params.circulation == CW:
             tan = -tan
     if params.mode == UNIT_MODE:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(dist > 0, 1.0 / dist, 0.0)
-            tnorm = np.linalg.norm(tan, axis=1)
-            tinv = np.where(tnorm > 0, 1.0 / tnorm, 0.0)
+        inv = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
+        tnorm = axis_norms(tan)
+        tinv = np.divide(1.0, tnorm, out=np.zeros_like(tnorm), where=tnorm > 0)
         return params.kr * (rel * inv[:, None]) + params.kt * (tan * tinv[:, None])
     return params.kr * rel + params.kt * tan
 

@@ -37,12 +37,15 @@ from vhpf.interaction import (
     crf_forces,
     interaction_weights,
     near_pairs,
+    pair_index,
+    pair_setup,
     repulsion_batch,
     sigma_activity,
     stage_pairs,
     stage_room,
     weight_can_jump,
 )
+from vhpf.scenarios import AgentSpec, GoalSpec
 from vhpf.world import Box, ConfigError, GridSpec, Workspace
 
 
@@ -395,6 +398,90 @@ def test_pair_pass_is_bit_identical_to_dense_oracle(layout):
     assert sigma.tobytes() == dense_sigma_activity(pos, radii, profile).tobytes()
 
 
+@st.composite
+def empty_pass_groups(draw):
+    """Groups of 1 to 8 agents with no pair within the cut-off: lattice
+    sites far enough apart for the widest pair and the widest profile, in
+    2-D and 3-D, with narrow and wide rings, suppressed rows and drift
+    velocities that hold -0.0."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 8))
+    profile = WeightProfile(draw(st.sampled_from([LINEAR, SINUSOIDAL, EXPONENTIAL, SPRING])),
+                            delta=draw(st.sampled_from([0.5, 1.5, 2.5])))
+    sites = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                          min_size=n, max_size=n, unique_by=tuple))
+    # two radii of 1.0 and delta 2.5 need a gap above 4.5; the sites are 6 apart
+    pos = 6.0 * np.array(sites, float) + np.array(draw(st.lists(
+        st.floats(-0.5, 0.5), min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    radii = draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))
+    rings = draw(st.lists(st.sampled_from([0.4, 1.5, 3.0]), min_size=n, max_size=n))
+    drifts = draw(st.lists(st.lists(st.sampled_from([-0.0, 0.0, 0.7, -1.2]), min_size=dim,
+                                    max_size=dim), min_size=n, max_size=n))
+    suppressed = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    params = InteractionParams(mode=draw(st.sampled_from([UNIT_MODE, SPRING_MODE])),
+                               circulation=draw(st.sampled_from([CCW, CW])))
+    agents = [AgentSpec(i + 1, tuple(pos[i]), radii[i], rings[i],
+                        GoalSpec("drift", velocity=tuple(drifts[i])),
+                        cooperative=i not in suppressed) for i in range(n)]
+    return pos, agents, sorted(suppressed), profile, params
+
+
+def assert_read_only(*arrays):
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(empty_pass_groups())
+def test_a_pass_without_near_pairs_returns_the_setups_constants(group):
+    pos, agents, suppressed, profile, params = group
+    n, dim = pos.shape
+    radii = np.array([a.radius for a in agents])
+    reach = np.array([a.reach for a in agents])
+    setup = pair_setup(radii, dim, params, profile, suppressed, reach)
+    pairs = near_pairs(pos, radii, profile, setup=setup)
+    assert not len(pairs.rows) and np.array_equal(pairs.table, pair_index(n))
+    want_forces, want_key = dense_crf_forces(pos, radii, params, profile, suppressed=suppressed,
+                                             reach=reach, switch_key=True)
+    for given_pairs in (pairs, None):
+        forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
+                                 switch_key=True, pairs=given_pairs, setup=setup)
+        assert forces is setup.no_forces and key is setup.no_switch
+        assert forces.tobytes() == want_forces.tobytes() and key.tobytes() == want_key.tobytes()
+        assert crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
+                          pairs=given_pairs, setup=setup) is setup.no_forces
+        sigma = sigma_activity(pos, radii, profile, pairs=given_pairs, setup=setup)
+        assert sigma is setup.no_sigma
+        assert sigma.tobytes() == dense_sigma_activity(pos, radii, profile).tobytes()
+    # without a setup the same numbers come as new arrays
+    forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
+                             switch_key=True)
+    assert forces.tobytes() == want_forces.tobytes() and key.tobytes() == want_key.tobytes()
+    assert sigma_activity(pos, radii, profile).tobytes() == setup.no_sigma.tobytes()
+    # a stage that measures no pair is the setup's empty pass
+    room = stage_room(pairs, pos, profile, setup)
+    assert room.near_table is setup.no_pairs.table
+    slope = np.zeros_like(pos)
+    stage = stage_pairs(pairs, pos + 0.005 * slope, 0.005, slope, radii, profile, room, setup)
+    assert stage is setup.no_pairs
+    assert_same_near_pairs(stage, near_pairs(pos, radii, profile, setup.no_pairs.table))
+    no = setup.no_pairs
+    assert_read_only(setup.no_forces, setup.no_switch, setup.no_sigma, setup.contact,
+                     no.rows, no.cols, no.rel, no.dist, no.gap, no.weight, no.table, no.table_gap)
+
+    rt = Runtime(Workspace((-30.0,) * dim, (30.0,) * dim), [AgentController(a) for a in agents],
+                 params, profile, None, None, SimConfig())
+    U, pen = rt.eval_controls(pos, pairs)
+    want = np.array([goal_term(c, pos[i]) for i, c in enumerate(rt.controllers)])
+    if n >= 2 and len(suppressed) < n:
+        want += want_forces
+        # adding the +0.0 forces turns a drift's -0.0 into +0.0
+        assert not np.signbit(U[U == 0.0]).any()
+    assert U.tobytes() == want.tobytes() and not pen.any()
+    assert rt.sigma_activity(pos, pairs) is rt._pair_setup.no_sigma
+
+
 def assert_same_near_pairs(got, want):
     for name in ("rows", "cols", "rel", "dist", "gap", "weight"):
         a, b = getattr(got, name), getattr(want, name)
@@ -403,11 +490,11 @@ def assert_same_near_pairs(got, want):
 
 @st.composite
 def stage_layouts(draw):
-    """A snapshot far from the origin (coordinates up to 1e6), a step from
-    it and the profile: agent 1 enters agent 0's support within the step, or
-    the two close their gap by exactly the displacement bound and end on the
-    support's edge; the other rows move by a small step, not at all, or by
-    NaN or +-inf."""
+    """A snapshot far from the origin (coordinates up to 1e6), a stage slope
+    k and step h, and the profile: agent 1 enters agent 0's support within
+    the stage, or the two close their gap by the displacement bound and end
+    on the support's edge; the other rows of k are small, zero, huge, NaN
+    or +-inf."""
     dim = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(2, 24))
     profile = WeightProfile(draw(st.sampled_from([LINEAR, SINUSOIDAL, EXPONENTIAL, SPRING])),
@@ -417,45 +504,56 @@ def stage_layouts(draw):
     local = np.array(draw(st.lists(st.floats(-side, side), min_size=n * dim,
                                    max_size=n * dim))).reshape(n, dim)
     radii = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
-    step = draw(st.sampled_from([1e-3, 0.05, 0.5]))
-    move = np.array(draw(st.lists(st.floats(-step, step), min_size=n * dim,
-                                  max_size=n * dim))).reshape(n, dim)
+    h = draw(st.sampled_from([0.005, 0.01, 0.5, -0.01]))
+    speed = draw(st.sampled_from([0.2, 10.0, 100.0]))
+    k = np.array(draw(st.lists(st.floats(-speed, speed), min_size=n * dim,
+                               max_size=n * dim))).reshape(n, dim)
     u = np.zeros(dim)
     u[draw(st.integers(0, dim - 1))] = 1.0
     gain = draw(st.sampled_from([1e-6, 1e-3, 0.1]))
     head_on = draw(st.booleans())
     local[1] = local[0] + u * (radii[0] + radii[1] + profile.delta + 2.0 * gain)
-    move[0] = gain * u if head_on else 0.0
-    move[1] = -gain * u if head_on else -3.0 * gain * u
+    k[0] = (gain / h) * u if head_on else 0.0
+    k[1] = -(gain / h) * u if head_on else -(3.0 * gain / h) * u
     for row in draw(st.lists(st.integers(2, max(2, n - 1)), max_size=4)):
         if row < n:
-            move[row] = draw(st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
-    return center + local, move, radii, profile, head_on
+            k[row] = draw(st.sampled_from([0.0, 1e150, -1e200, math.nan, math.inf, -math.inf]))
+    return center + local, h, k, radii, profile, head_on
 
 
-def stage_bound(start, positions, profile):
-    """The displacement bound of `stage_pairs`: delta + 2 m + slack."""
-    d = positions - start
-    moved = math.sqrt(float((d * d).sum(axis=1).max()))
-    return profile.delta + 2.0 * moved + 1e-9 * (
-        1.0 + profile.delta + float(np.abs(positions).max()) + moved)
+def stage_bound(h, k, room, profile):
+    """The displacement bound of `stage_pairs`: delta + 2 m + slack, with
+    m = |h| max_i |k_i|."""
+    moved = abs(h) * math.sqrt(float((k * k).sum(axis=1).max()))
+    return profile.delta + 2.0 * moved + 1e-9 * (1.0 + profile.delta + room.x_max + moved)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(stage_layouts())
 def test_stage_pass_is_bit_identical_to_a_full_pass(layout):
-    start, move, radii, profile, head_on = layout
+    start, h, k, radii, profile, head_on = layout
     full = near_pairs(start, radii, profile)
-    room = stage_room(full, profile)
+    room = stage_room(full, start, profile)
+    setup = pair_setup(radii, start.shape[1], InteractionParams(), profile)
+    with_setup = stage_room(near_pairs(start, radii, profile, setup=setup), start, profile, setup)
+    assert (with_setup.far_gap, with_setup.x_max) == (room.far_gap, room.x_max)
+    assert np.array_equal(with_setup.near_table, room.near_table)
 
-    def check(positions):
-        """The stage pass at positions against a full pass; True when it
-        read the near pairs from the room."""
+    def check(h, k):
+        """The stage pass at x + h k against a full pass there; True when
+        it read the near pairs from the room."""
         with np.errstate(invalid="ignore", over="ignore"):
-            got = stage_pairs(full, start, positions, radii, profile, room)
+            positions = start + h * k
+            got = stage_pairs(full, positions, h, k, radii, profile, room)
+            with_setup = stage_pairs(full, positions, h, k, radii, profile, room, setup)
             want = near_pairs(positions, radii, profile)
-            bound = stage_bound(start, positions, profile)
+            bound = stage_bound(h, k, room, profile)
         assert_same_near_pairs(got, want)
+        assert_same_near_pairs(with_setup, want)
+        # the measured table holds every pair within the cut-off at x + h k
+        half = len(want.rows) // 2
+        measured = set(zip(*got.table.tolist()))
+        assert set(zip(want.rows[half:].tolist(), want.cols[half:].tolist())) <= measured
         # the far-gap test measures the pass's near pairs exactly when the
         # displacement bound keeps no other pair of the table
         kept = full.table.compress(~(full.table_gap > bound), axis=1)
@@ -463,28 +561,33 @@ def test_stage_pass_is_bit_identical_to_a_full_pass(layout):
         assert (room.far_gap > bound) == np.array_equal(kept, room.near_table)
         return room.far_gap > bound
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        positions = start + move
-        want = near_pairs(positions, radii, profile)
-    # agent 1 comes within the cut-off: no step this long reads the room
-    assert not check(positions)
+    # agent 1 comes within the cut-off: no stage this long reads the room
+    assert not check(h, k)
     if not head_on:
-        assert ((want.rows == 1) & (want.cols == 0)).any()
-    if not np.isfinite(move).all():
-        # a step of unknown size measures every pair
         with np.errstate(invalid="ignore", over="ignore"):
-            got = stage_pairs(full, start, positions, radii, profile, room)
+            want = near_pairs(start + h * k, radii, profile)
+        assert ((want.rows == 1) & (want.cols == 0)).any()
+    with np.errstate(invalid="ignore", over="ignore"):
+        squares = k * k
+        got = stage_pairs(full, start + h * k, h, k, radii, profile, room)
+    if not np.isfinite(squares).all():
+        # a slope of unknown or overflowing size measures every pair
         assert np.array_equal(got.table, full.table)
         return
-    # the same step scaled to half of the room that the far pairs leave: no far
-    # pair can come in, so it reads the room unless the slack fills the rest
-    d = move * (0.25 * (room.far_gap - profile.delta)
-                / math.sqrt(float((move * move).sum(axis=1).max())))
-    positions = start + d
-    reads_room = check(positions)
-    slack = stage_bound(start, positions, profile) - profile.delta - 2.0 * math.sqrt(
-        float(((positions - start) ** 2).sum(axis=1).max()))
-    assert reads_room or slack > 0.2 * (room.far_gap - profile.delta)
+    # the same slope scaled so that |h| max |k| is just below, at and just
+    # above the room that the far pairs leave, (far_gap - delta) / 2: at and
+    # above, a far pair can come in; below, only the slack can fill the rest
+    edge = 0.5 * (room.far_gap - profile.delta)
+    longest = abs(h) * math.sqrt(float((k * k).sum(axis=1).max()))
+    for f in (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6):
+        scaled = k * (f * edge / longest)
+        reads_room = check(h, scaled)
+        slack = stage_bound(h, scaled, room, profile) - profile.delta - 2.0 * abs(h) * math.sqrt(
+            float((scaled * scaled).sum(axis=1).max()))
+        if f < 1.0:
+            assert reads_room or slack > 0.9 * 2.0 * (1.0 - f) * edge
+        else:
+            assert not reads_room
 
 
 @pytest.mark.parametrize("start, move, radii, delta", [
@@ -501,13 +604,14 @@ def test_stage_pass_keeps_a_pair_that_rounding_brings_in(start, move, radii, del
     # the two close a gap of delta + 2 m by exactly 2 m; the full pass at the
     # end finds the pair within the cut-off, which delta + 2 m computed in
     # floating point alone would miss: the slack is what keeps it
-    start, radii = np.array(start), np.array(radii)
-    positions = start + move
+    start, move, radii = np.array(start), np.array(move), np.array(radii)
+    positions = start + 1.0 * move
     profile = WeightProfile(LINEAR, delta=delta)
     full = near_pairs(start, radii, profile)
     d = positions - start
     assert full.table_gap[0] > delta + 2.0 * math.sqrt(float((d * d).sum(axis=1).max()))
-    got = stage_pairs(full, start, positions, radii, profile, stage_room(full, profile))
+    got = stage_pairs(full, positions, 1.0, move, radii, profile,
+                      stage_room(full, start, profile))
     assert got.rows.tolist() == [1, 0]
     assert got.gap.tobytes() == near_pairs(positions, radii, profile).gap.tobytes()
 
@@ -517,17 +621,19 @@ def test_stage_pass_measures_only_pairs_the_step_can_bring_in():
     radii = np.ones(4)
     profile = WeightProfile(LINEAR, delta=1.5)
     full = near_pairs(start, radii, profile)
-    positions = start + [[0.0, 0.0], [0.0, 0.0], [-4.0, 0.0], [0.0, 0.0]]
-    got = stage_pairs(full, start, positions, radii, profile, stage_room(full, profile))
+    k = np.array([[0.0, 0.0], [0.0, 0.0], [-400.0, 0.0], [0.0, 0.0]])
+    got = stage_pairs(full, start + 0.01 * k, 0.01, k, radii, profile,
+                      stage_room(full, start, profile))
     # gaps at the start 1, 8, 28, 5, 25, 18: a move of 4 can close a gap of
     # up to 1.5 + 2 * 4, and brings agent 2 within the cut-off of agent 1
     assert got.table.T.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert got.rows.tolist() == [1, 2, 0, 1]
     assert got.cols.tolist() == [0, 1, 1, 2]
     # apart and barely moving: nothing to measure, and nothing near
-    start, positions = 10.0 * start, 10.0 * start + 0.01
+    start, k = 10.0 * start, np.full((4, 2), 1.0)
     full = near_pairs(start, radii, profile)
-    got = stage_pairs(full, start, positions, radii, profile, stage_room(full, profile))
+    positions = start + 0.01 * k
+    got = stage_pairs(full, positions, 0.01, k, radii, profile, stage_room(full, start, profile))
     assert got.table.shape == (2, 0)
     assert_same_near_pairs(got, near_pairs(positions, radii, profile))
 
@@ -539,17 +645,18 @@ def test_stage_pass_reads_the_near_pairs_until_a_far_pair_can_come_in(near):
     radii = np.ones(3)
     profile = WeightProfile(LINEAR, delta=1.5)
     full = near_pairs(start, radii, profile)
-    room = stage_room(full, profile)
+    room = stage_room(full, start, profile)
     far = 11.0 - start[1, 0] - 2.0
-    assert room.far_gap == far
+    assert room.far_gap == far and room.x_max == 11.0
     assert room.near_table.T.tolist() == ([[0, 1]] if near else [])
     room_edge = 0.5 * (far - profile.delta)    # the displacement that can close the far gap
     for m, falls_back in ((room_edge * (1 - 1e-6), False), (room_edge, True),
                           (room_edge * (1 + 1e-6), True), (math.nan, True), (math.inf, True)):
-        positions = start.copy()
-        positions[2, 0] -= m
+        k = np.zeros((3, 2))
+        k[2, 0] = -m
         with np.errstate(invalid="ignore"):
-            got = stage_pairs(full, start, positions, radii, profile, room)
+            positions = start + 1.0 * k
+            got = stage_pairs(full, positions, 1.0, k, radii, profile, room)
             want = near_pairs(positions, radii, profile)
         assert_same_near_pairs(got, want)
         measured = {tuple(p) for p in got.table.T.tolist()}
@@ -563,22 +670,23 @@ def test_stage_pass_reads_the_near_pairs_until_a_far_pair_can_come_in(near):
 def test_stage_room_of_passes_without_far_pairs():
     profile = WeightProfile(LINEAR, delta=1.5)
     for start in (np.zeros((1, 2)), np.array([[0.0, 0.0], [2.5, 0.0]])):
-        room = stage_room(near_pairs(start, np.ones(len(start)), profile), profile)
+        room = stage_room(near_pairs(start, np.ones(len(start)), profile), start, profile)
         assert room.far_gap == math.inf and room.near_table.shape == (2, len(start) - 1)
-    # without a far pair every stage measures the near pairs, the whole table, whatever its step
+    # without a far pair every stage measures the near pairs, the whole table, whatever its slope
     start = np.array([[0.0, 0.0], [2.5, 0.0]])
     full = near_pairs(start, np.ones(2), profile)
     for m in (0.0, 10.0, math.nan, math.inf):
-        positions = start + [[m, 0.0], [0.0, 0.0]]
+        k = np.array([[m, 0.0], [0.0, 0.0]])
         with np.errstate(invalid="ignore"):
-            got = stage_pairs(full, start, positions, np.ones(2), profile,
-                              stage_room(full, profile))
+            positions = start + 1.0 * k
+            got = stage_pairs(full, positions, 1.0, k, np.ones(2), profile,
+                              stage_room(full, start, profile))
             assert_same_near_pairs(got, near_pairs(positions, np.ones(2), profile))
         assert np.array_equal(got.table, full.table)
     # a NaN gap is not near, so it is far, and no displacement can pass it
     start = np.array([[0.0, 0.0], [math.nan, 0.0], [2.5, 0.0]])
     with np.errstate(invalid="ignore"):
-        room = stage_room(near_pairs(start, np.ones(3), profile), profile)
+        room = stage_room(near_pairs(start, np.ones(3), profile), start, profile)
     assert math.isnan(room.far_gap) and room.near_table.T.tolist() == [[0, 2]]
 
 
