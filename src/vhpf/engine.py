@@ -200,7 +200,6 @@ class Runtime:
         drifts = [a for a in agents if a.control.kind == ctl.CONSTANT_DRIFT]
         self._spring_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.SPRING_GOAL], int)
         self._spring_gain = np.array([a.control.gain for a in springs], float).reshape(-1, 1)
-        self._half_gain = 0.5 * self._spring_gain[:, 0]     # of the potentials
         self._spring_goal = np.array([a.goal for a in springs], float).reshape(-1, self.dim)
         self._drift_rows = np.array([i for i, k in enumerate(kinds) if k == ctl.CONSTANT_DRIFT], int)
         self._drift = np.array([a.control.velocity for a in drifts], float).reshape(-1, self.dim)
@@ -297,12 +296,12 @@ class Runtime:
         None for a drift agent."""
         if self._goal_kind == ctl.SPRING_GOAL:
             r = world.row_norms(positions - self._spring_goal)
-            return (self._half_gain * r * r).tolist()
+            return (0.5 * self._spring_gain[:, 0] * r * r).tolist()
         if self._goal_kind == ctl.HARMONIC_GOAL:
             return [agent_potential(c, positions[i]) for i, c in self._harmonic]
         out = [None] * self.n_agents
         r = world.row_norms(positions[self._spring_rows] - self._spring_goal)
-        springs = self._half_gain * r * r
+        springs = 0.5 * self._spring_gain[:, 0] * r * r
         for i, v in zip(self._spring_rows.tolist(), springs.tolist()):
             out[i] = v
         for i, c in self._harmonic:

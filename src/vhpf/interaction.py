@@ -255,13 +255,14 @@ class StageRoom(NamedTuple):
     x_max: float                # the snapshot's largest |coordinate|; inf without a far pair
 
 
-def stage_room(pairs: NearPairs, positions, profile: WeightProfile, setup=None) -> StageRoom:
+def stage_room(pairs: NearPairs, positions, profile: WeightProfile,
+               setup: PairSetup) -> StageRoom:
     """The `StageRoom` of a full pass at `positions`. A gap that is not
     within the cut-off (NaN included) counts as far, so a NaN gap makes
     `far_gap` NaN. Without a near pair every gap is far, and the near table
-    is the read-only empty table of `setup` (the group's `pair_setup`) when
-    it is given. `x_max` is measured only when some pair is far: the stages
-    read it only then."""
+    is the read-only empty table of `setup`, the group's `pair_setup`.
+    `x_max` is measured only when some pair is far: the stages read it only
+    then."""
     gap = pairs.table_gap
     half = len(pairs.rows) // 2     # the number of near pairs
     if half:
@@ -269,14 +270,14 @@ def stage_room(pairs: NearPairs, positions, profile: WeightProfile, setup=None) 
         near_table = np.stack((pairs.rows[half:], pairs.cols[half:]))
     else:
         far = gap
-        near_table = pairs.table[:, :0] if setup is None else setup.no_pairs.table
+        near_table = setup.no_pairs.table
     if not len(far):
         return StageRoom(math.inf, near_table, math.inf)
     return StageRoom(float(far.min()), near_table, float(np.abs(positions).max()))
 
 
 def stage_pairs(pairs: NearPairs, positions, h: float, k, radii, profile: WeightProfile,
-                room: StageRoom, setup=None) -> NearPairs:
+                room: StageRoom, setup: PairSetup) -> NearPairs:
     """`near_pairs` at the stage positions x + h * k, measured only on the
     pairs that can be within the cut-off there: `pairs` is the full pass at
     x, `room` its `stage_room`, `positions` the stage's x + h * k and k its
@@ -295,8 +296,9 @@ def stage_pairs(pairs: NearPairs, positions, h: float, k, radii, profile: Weight
     without a look at the slope. The tests are written as "greater", so a
     NaN or infinite slope measures every pair. The near pairs, their
     relative positions, distances, gaps and weights equal those of
-    `near_pairs(positions, radii, profile)` bit for bit; with `setup`, a
-    stage that measures no pair returns its read-only `no_pairs`.
+    `near_pairs(positions, radii, profile)` bit for bit; a stage that
+    measures no pair returns the read-only `no_pairs` of `setup`, the
+    group's `pair_setup`.
     """
     table = room.near_table
     if table.shape[1] < len(pairs.table_gap):   # some pair is far: can this stage bring one in?
@@ -481,16 +483,17 @@ def _pair_force_terms(rel, dist, w, params: InteractionParams, setup: PairSetup)
         # rel parallel to the axis: cross with x instead, and with y if rel
         # is parallel to x as well
         for fallback in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-            bad = (axis_norms(tan) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
+            bad = (np.linalg.norm(tan, axis=1) < 1e-9 * np.maximum(dist, 1e-30)) & (w > 0)
             if not np.count_nonzero(bad):
                 break
             tan[bad] = np.cross(np.array(fallback), rel[bad])
         if params.circulation == CW:
             tan = -tan
     if params.mode == UNIT_MODE:
-        inv = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
-        tnorm = axis_norms(tan)
-        tinv = np.divide(1.0, tnorm, out=np.zeros_like(tnorm), where=tnorm > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(dist > 0, 1.0 / dist, 0.0)
+            tnorm = np.linalg.norm(tan, axis=1)
+            tinv = np.where(tnorm > 0, 1.0 / tnorm, 0.0)
         return params.kr * (rel * inv[:, None]) + params.kt * (tan * tinv[:, None])
     return params.kr * rel + params.kt * tan
 

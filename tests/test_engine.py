@@ -265,9 +265,9 @@ def test_step_is_the_same_with_and_without_the_ticks_pairs(name):
         assert step(rt, x, k1=k1, pairs=pairs).tobytes() == want.tobytes()
         assert step(rt, x, k1=k1).tobytes() == want.tobytes()
         h = 0.5 * rt.config.dt
-        room = interaction.stage_room(pairs, x, rt.profile)
+        room = interaction.stage_room(pairs, x, rt.profile, rt._pair_setup)
         filtered += len(interaction.stage_pairs(pairs, x + h * k1, h, k1, rt.radii, rt.profile,
-                                                room).table_gap)
+                                                room, rt._pair_setup).table_gap)
         filtered -= len(pairs.table_gap)
     if name == "crowd1":
         assert filtered < 0     # the filter leaves pairs out

@@ -521,6 +521,11 @@ def stage_layouts(draw):
     return center + local, h, k, radii, profile, head_on
 
 
+def group_setup(radii, positions, profile):
+    """The `pair_setup` of a group of these bodies under this profile."""
+    return pair_setup(radii, positions.shape[1], InteractionParams(), profile)
+
+
 def stage_bound(h, k, room, profile):
     """The displacement bound of `stage_pairs`: delta + 2 m + slack, with
     m = |h| max_i |k_i|."""
@@ -533,23 +538,18 @@ def stage_bound(h, k, room, profile):
 def test_stage_pass_is_bit_identical_to_a_full_pass(layout):
     start, h, k, radii, profile, head_on = layout
     full = near_pairs(start, radii, profile)
-    room = stage_room(full, start, profile)
-    setup = pair_setup(radii, start.shape[1], InteractionParams(), profile)
-    with_setup = stage_room(near_pairs(start, radii, profile, setup=setup), start, profile, setup)
-    assert (with_setup.far_gap, with_setup.x_max) == (room.far_gap, room.x_max)
-    assert np.array_equal(with_setup.near_table, room.near_table)
+    setup = group_setup(radii, start, profile)
+    room = stage_room(full, start, profile, setup)
 
     def check(h, k):
         """The stage pass at x + h k against a full pass there; True when
         it read the near pairs from the room."""
         with np.errstate(invalid="ignore", over="ignore"):
             positions = start + h * k
-            got = stage_pairs(full, positions, h, k, radii, profile, room)
-            with_setup = stage_pairs(full, positions, h, k, radii, profile, room, setup)
+            got = stage_pairs(full, positions, h, k, radii, profile, room, setup)
             want = near_pairs(positions, radii, profile)
             bound = stage_bound(h, k, room, profile)
         assert_same_near_pairs(got, want)
-        assert_same_near_pairs(with_setup, want)
         # the measured table holds every pair within the cut-off at x + h k
         half = len(want.rows) // 2
         measured = set(zip(*got.table.tolist()))
@@ -569,7 +569,7 @@ def test_stage_pass_is_bit_identical_to_a_full_pass(layout):
         assert ((want.rows == 1) & (want.cols == 0)).any()
     with np.errstate(invalid="ignore", over="ignore"):
         squares = k * k
-        got = stage_pairs(full, start + h * k, h, k, radii, profile, room)
+        got = stage_pairs(full, start + h * k, h, k, radii, profile, room, setup)
     if not np.isfinite(squares).all():
         # a slope of unknown or overflowing size measures every pair
         assert np.array_equal(got.table, full.table)
@@ -610,8 +610,9 @@ def test_stage_pass_keeps_a_pair_that_rounding_brings_in(start, move, radii, del
     full = near_pairs(start, radii, profile)
     d = positions - start
     assert full.table_gap[0] > delta + 2.0 * math.sqrt(float((d * d).sum(axis=1).max()))
+    setup = group_setup(radii, start, profile)
     got = stage_pairs(full, positions, 1.0, move, radii, profile,
-                      stage_room(full, start, profile))
+                      stage_room(full, start, profile, setup), setup)
     assert got.rows.tolist() == [1, 0]
     assert got.gap.tobytes() == near_pairs(positions, radii, profile).gap.tobytes()
 
@@ -622,8 +623,9 @@ def test_stage_pass_measures_only_pairs_the_step_can_bring_in():
     profile = WeightProfile(LINEAR, delta=1.5)
     full = near_pairs(start, radii, profile)
     k = np.array([[0.0, 0.0], [0.0, 0.0], [-400.0, 0.0], [0.0, 0.0]])
+    setup = group_setup(radii, start, profile)
     got = stage_pairs(full, start + 0.01 * k, 0.01, k, radii, profile,
-                      stage_room(full, start, profile))
+                      stage_room(full, start, profile, setup), setup)
     # gaps at the start 1, 8, 28, 5, 25, 18: a move of 4 can close a gap of
     # up to 1.5 + 2 * 4, and brings agent 2 within the cut-off of agent 1
     assert got.table.T.tolist() == [[0, 1], [0, 2], [1, 2]]
@@ -633,7 +635,8 @@ def test_stage_pass_measures_only_pairs_the_step_can_bring_in():
     start, k = 10.0 * start, np.full((4, 2), 1.0)
     full = near_pairs(start, radii, profile)
     positions = start + 0.01 * k
-    got = stage_pairs(full, positions, 0.01, k, radii, profile, stage_room(full, start, profile))
+    got = stage_pairs(full, positions, 0.01, k, radii, profile,
+                      stage_room(full, start, profile, setup), setup)
     assert got.table.shape == (2, 0)
     assert_same_near_pairs(got, near_pairs(positions, radii, profile))
 
@@ -645,7 +648,8 @@ def test_stage_pass_reads_the_near_pairs_until_a_far_pair_can_come_in(near):
     radii = np.ones(3)
     profile = WeightProfile(LINEAR, delta=1.5)
     full = near_pairs(start, radii, profile)
-    room = stage_room(full, start, profile)
+    setup = group_setup(radii, start, profile)
+    room = stage_room(full, start, profile, setup)
     far = 11.0 - start[1, 0] - 2.0
     assert room.far_gap == far and room.x_max == 11.0
     assert room.near_table.T.tolist() == ([[0, 1]] if near else [])
@@ -656,7 +660,7 @@ def test_stage_pass_reads_the_near_pairs_until_a_far_pair_can_come_in(near):
         k[2, 0] = -m
         with np.errstate(invalid="ignore"):
             positions = start + 1.0 * k
-            got = stage_pairs(full, positions, 1.0, k, radii, profile, room)
+            got = stage_pairs(full, positions, 1.0, k, radii, profile, room, setup)
             want = near_pairs(positions, radii, profile)
         assert_same_near_pairs(got, want)
         measured = {tuple(p) for p in got.table.T.tolist()}
@@ -670,23 +674,26 @@ def test_stage_pass_reads_the_near_pairs_until_a_far_pair_can_come_in(near):
 def test_stage_room_of_passes_without_far_pairs():
     profile = WeightProfile(LINEAR, delta=1.5)
     for start in (np.zeros((1, 2)), np.array([[0.0, 0.0], [2.5, 0.0]])):
-        room = stage_room(near_pairs(start, np.ones(len(start)), profile), start, profile)
+        room = stage_room(near_pairs(start, np.ones(len(start)), profile), start, profile,
+                          group_setup(np.ones(len(start)), start, profile))
         assert room.far_gap == math.inf and room.near_table.shape == (2, len(start) - 1)
     # without a far pair every stage measures the near pairs, the whole table, whatever its slope
     start = np.array([[0.0, 0.0], [2.5, 0.0]])
     full = near_pairs(start, np.ones(2), profile)
+    setup = group_setup(np.ones(2), start, profile)
     for m in (0.0, 10.0, math.nan, math.inf):
         k = np.array([[m, 0.0], [0.0, 0.0]])
         with np.errstate(invalid="ignore"):
             positions = start + 1.0 * k
             got = stage_pairs(full, positions, 1.0, k, np.ones(2), profile,
-                              stage_room(full, start, profile))
+                              stage_room(full, start, profile, setup), setup)
             assert_same_near_pairs(got, near_pairs(positions, np.ones(2), profile))
         assert np.array_equal(got.table, full.table)
     # a NaN gap is not near, so it is far, and no displacement can pass it
     start = np.array([[0.0, 0.0], [math.nan, 0.0], [2.5, 0.0]])
     with np.errstate(invalid="ignore"):
-        room = stage_room(near_pairs(start, np.ones(3), profile), start, profile)
+        room = stage_room(near_pairs(start, np.ones(3), profile), start, profile,
+                          group_setup(np.ones(3), start, profile))
     assert math.isnan(room.far_gap) and room.near_table.T.tolist() == [[0, 2]]
 
 
