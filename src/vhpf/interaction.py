@@ -210,15 +210,11 @@ def near_pairs(positions, radii, profile: WeightProfile, table=None, setup=None)
     bit, as the full pass (`stage_pairs` relies on it).
 
     `setup` is the group's `pair_setup`, from a caller that makes many
-    passes: the full pass then reads its table and contact sums, and a pass
-    over an empty table returns its read-only `no_pairs`.
+    passes: a pass over an empty table then returns its read-only
+    `no_pairs`.
     """
-    contact = None
     if table is None:
-        if setup is None:
-            table = pair_index(len(positions))
-        else:
-            table, contact = setup.table, setup.contact
+        table = pair_index(len(positions))
     i, j = table
     if not len(i):  # nothing to measure, as on most RK4 stages of a sparse group
         if setup is not None:
@@ -227,9 +223,7 @@ def near_pairs(positions, radii, profile: WeightProfile, table=None, setup=None)
         return NearPairs(i, j, np.empty((0, positions.shape[1])), none, none, none, table, none)
     rel = positions.take(i, axis=0) - positions.take(j, axis=0)
     dist = axis_norms(rel)
-    if contact is None:
-        contact = radii.take(i) + radii.take(j)
-    table_gap = gap = dist - contact
+    table_gap = gap = dist - (radii.take(i) + radii.take(j))
     near = (gap <= profile.delta).nonzero()[0]
     n = len(near)
     if not n:
@@ -360,8 +354,6 @@ class PairSetup(NamedTuple):
     suppressed: list            # rows whose own sum is dropped
     turn: np.ndarray            # 2-D: rel[:, ::-1] times this is rel turned by 90 degrees
     axis: np.ndarray            # 3-D: the circulation axis
-    table: np.ndarray           # (2, m): the full pair table, `pair_index`
-    contact: np.ndarray         # (m,): radius_i + radius_j of its pairs
     no_forces: np.ndarray       # (L, dim) zeros: `crf_forces`
     no_switch: np.ndarray       # (L, L): the switch key, its diagonal and suppressed rows set
     no_sigma: np.ndarray        # (L,) zeros: `sigma_activity`
@@ -389,17 +381,15 @@ def pair_setup(radii, dim: int, params: InteractionParams, profile: WeightProfil
         # an agent is at distance 0 < contact from itself: inside the step,
         # unless its narrow ring cuts the zero self-weight
         no_switch.flat[::L + 1] = True if narrow is None else ~narrow
-    no_switch[suppressed] = False
-    table = pair_index(L)
-    contact = radii.take(table[0]) + radii.take(table[1])
-    empty = np.empty((2, 0), dtype=table.dtype)
-    none = np.empty(0)
-    rel = np.empty((0, dim))
+    if suppressed:
+        no_switch[suppressed] = False
     no_forces, no_sigma = np.zeros((L, dim)), np.zeros(L)
-    _read_only(contact, no_forces, no_switch, no_sigma, empty, none, rel)
+    empty = np.zeros((2, 0), dtype=np.intp)
+    _read_only(no_forces, no_switch, no_sigma, empty)
+    rel, none = no_forces[:0], no_sigma[:0]     # read-only views
     return PairSetup(reach, narrow, suppressed, _CW_TURN if params.circulation == CW else _CCW_TURN,
-                     np.asarray(params.axis, float), table, contact, no_forces, no_switch,
-                     no_sigma, NearPairs(empty[0], empty[1], rel, none, none, none, empty, none))
+                     np.asarray(params.axis, float), no_forces, no_switch, no_sigma,
+                     NearPairs(empty[0], empty[1], rel, none, none, none, empty, none))
 
 
 def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,

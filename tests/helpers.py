@@ -393,7 +393,7 @@ def dense_crf_forces(positions, radii, params: InteractionParams, profile: Weigh
     Returns what `crf_forces` returns, bit for bit."""
     pos = np.asarray(positions, float)
     L, dim = pos.shape
-    if L < 2:
+    if not L:
         zeros = np.zeros_like(pos)
         return (zeros, np.zeros((L, L), dtype=bool)) if switch_key else zeros
     rel = pos[:, None, :] - pos[None, :, :]

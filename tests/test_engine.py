@@ -223,14 +223,9 @@ def test_one_pair_pass_per_control_evaluation(monkeypatch, name, evals_per_step)
             return fn(*args, **kwargs)
         return wrapper
 
-    near_pairs = interaction.near_pairs
-
-    def counted_pass(positions, radii, profile, table=None, setup=None):
-        # a pass given no table is a quadratic pass over the whole pair table
-        counts["table"] = counts.get("table", 0) + (table is None)
-        return near_pairs(positions, radii, profile, table, setup)
-
-    monkeypatch.setattr(interaction, "near_pairs", counted("pass", counted_pass))
+    monkeypatch.setattr(interaction, "near_pairs", counted("pass", interaction.near_pairs))
+    # the full pair table: every quadratic pass over the pairs reads it
+    monkeypatch.setattr(interaction, "pair_index", counted("table", interaction.pair_index))
     monkeypatch.setattr(engine.Runtime, "eval_controls",
                         counted("eval", engine.Runtime.eval_controls))
     spec = builtin(name)

@@ -467,7 +467,7 @@ def test_a_pass_without_near_pairs_returns_the_setups_constants(group):
     assert stage is setup.no_pairs
     assert_same_near_pairs(stage, near_pairs(pos, radii, profile, setup.no_pairs.table))
     no = setup.no_pairs
-    assert_read_only(setup.no_forces, setup.no_switch, setup.no_sigma, setup.contact,
+    assert_read_only(setup.no_forces, setup.no_switch, setup.no_sigma,
                      no.rows, no.cols, no.rel, no.dist, no.gap, no.weight, no.table, no.table_gap)
 
     rt = Runtime(Workspace((-30.0,) * dim, (30.0,) * dim), [AgentController(a) for a in agents],
