@@ -360,11 +360,6 @@ class PairSetup(NamedTuple):
     no_pairs: NearPairs         # the pass over an empty table; its table is the empty near table
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-
-
 def pair_setup(radii, dim: int, params: InteractionParams, profile: WeightProfile,
                suppressed=None, reach=None) -> PairSetup:
     """The `PairSetup` of these bodies, in `dim` dimensions, and settings."""
@@ -385,7 +380,8 @@ def pair_setup(radii, dim: int, params: InteractionParams, profile: WeightProfil
         no_switch[suppressed] = False
     no_forces, no_sigma = np.zeros((L, dim)), np.zeros(L)
     empty = np.zeros((2, 0), dtype=np.intp)
-    _read_only(no_forces, no_switch, no_sigma, empty)
+    for a in (no_forces, no_switch, no_sigma, empty):
+        a.flags.writeable = False
     rel, none = no_forces[:0], no_sigma[:0]     # read-only views
     return PairSetup(reach, narrow, suppressed, _CW_TURN if params.circulation == CW else _CCW_TURN,
                      np.asarray(params.axis, float), no_forces, no_switch, no_sigma,
