@@ -85,15 +85,17 @@ def run_once(root: Path, command: list) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    own, command = (argv[:argv.index("--")], argv[argv.index("--") + 1:]) if "--" in argv \
-        else (argv, None)
+    command = None
+    if "--" in argv:
+        cut = argv.index("--")
+        argv, command = argv[:cut], argv[cut + 1:]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="first checkout (its src/ is imported)")
     parser.add_argument("b", help="second checkout")
     parser.add_argument("scenario", nargs="?",
                         help="builtin scenario name or scenario file, for `run SCENARIO`")
     parser.add_argument("--rounds", type=int, default=8, help="runs per side (default 8)")
-    args = parser.parse_args(own)
+    args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     if (args.scenario is None) == (command is None):
