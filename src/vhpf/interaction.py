@@ -4,6 +4,9 @@ Two agents interact only while their separation sits in the annulus between
 contact distance and contact + delta; inside it a weight profile scales a
 radial push-apart term plus a circulating term orthogonal to it. Every agent
 circulates the same way, which is what lets jams unwind instead of locking.
+
+Every per-agent sum over partners, forces and weights alike, runs left to
+right in increasing partner index.
 """
 
 from __future__ import annotations
@@ -303,44 +306,21 @@ def stage_pairs(pairs: NearPairs, positions, h: float, k, radii, profile: Weight
     return near_pairs(positions, radii, profile, table, setup)
 
 
-def _row_sums(rows, cols, values, n: int) -> np.ndarray:
-    """Row sums of the (n, n) matrix holding `values` at (rows, cols) and
-    zeros elsewhere, bit for bit equal to its dense `.sum(axis=1)`.
-
-    NumPy sums a contiguous row pairwise, not left to right, which matters
-    once a row holds three or more non-zero terms; those rows are summed as
-    dense rows of their own. Up to two, every order gives the same sum.
-    """
-    total = np.bincount(rows, values, minlength=n)
-    live = values != 0
-    if np.count_nonzero(live) < 3:
-        return total
-    many = np.flatnonzero(np.bincount(rows[live], minlength=n) > 2)
-    if len(many):
-        slot = np.full(n, -1)
-        slot[many] = np.arange(len(many))
-        pick = slot[rows] >= 0
-        dense = np.zeros((len(many), n))
-        dense[slot[rows[pick]], cols[pick]] = values[pick]
-        total[many] = dense.sum(axis=1)
-    return total
-
-
 def sigma_activity(positions, radii, profile: WeightProfile, pairs=None, setup=None) -> np.ndarray:
     """Per-agent sum of the interaction weights against all other agents
     (no sensing-ring cut), summed over the near pairs only: the weight of
-    every other pair is exactly zero. The sums equal those of the dense
-    (L, L) weight matrix bit for bit (see `_row_sums`). `pairs` is the
-    snapshot's `near_pairs` when the caller already has them. `setup` is
-    the group's `pair_setup`, from a caller that evaluates many snapshots:
-    a pass without near pairs then returns its read-only `no_sigma`, the
-    zeros that the sums would make."""
+    every other pair is exactly zero. One `np.bincount` adds them in the
+    order of the near pairs, which within an agent's row is increasing
+    partner index. `pairs` is the snapshot's `near_pairs` when the caller
+    already has them. `setup` is the group's `pair_setup`, from a caller
+    that evaluates many snapshots: a pass without near pairs then returns
+    its read-only `no_sigma`, the zeros that the sums would make."""
     pos = np.asarray(positions, float)
     if pairs is None:
         pairs = near_pairs(pos, np.asarray(radii, float), profile, setup=setup)
     if setup is not None and not len(pairs.rows):
         return setup.no_sigma
-    return _row_sums(pairs.rows, pairs.cols, pairs.weight, len(pos))
+    return np.bincount(pairs.rows, pairs.weight, minlength=len(pos))
 
 
 class PairSetup(NamedTuple):

@@ -443,7 +443,8 @@ def dense_crf_forces(positions, radii, params: InteractionParams, profile: Weigh
 
 def dense_sigma_activity(positions, radii, profile: WeightProfile) -> np.ndarray:
     """Per-agent sum of the interaction weights against all other agents,
-    from the dense (L, L) weight matrix."""
+    from the dense (L, L) weight matrix, its columns added left to right:
+    the partner order of `interaction.sigma_activity`."""
     positions = np.asarray(positions, float)
     L = len(positions)
     if L < 2:
@@ -453,7 +454,10 @@ def dense_sigma_activity(positions, radii, profile: WeightProfile) -> np.ndarray
     contact = np.add.outer(radii, radii)
     w = interaction_weights(dist, contact, profile)
     np.fill_diagonal(w, 0.0)
-    return w.sum(axis=1)
+    total = np.zeros(L)
+    for column in w.T:
+        total += column
+    return total
 
 
 # ---------------------------------------------------------------------------
