@@ -34,7 +34,9 @@ class AgentController:
     """What one agent learns while it runs, next to its `scenarios.AgentSpec`:
     its goal field (harmonic control only), whose `known_mask` is the
     agent's map of the boundary cells, and its wall-cushion index over the
-    cells it knows (None without one). An agent without a field never senses."""
+    cells it knows (None without one). An agent without a field never senses.
+    `goal` is the spec's goal as a list of floats (None without one), which
+    the goal term reads."""
 
     spec: object                           # scenarios.AgentSpec
     field: harmonic.ScalarGridField | None = None
@@ -43,35 +45,51 @@ class AgentController:
     def __post_init__(self):
         if self.spec.control.kind == HARMONIC_GOAL and self.field is None:
             raise ConfigError(f"agent {self.spec.id}: harmonic control needs a solved field")
+        goal = self.spec.goal_array
+        self.goal = None if goal is None else goal.tolist()
 
 
-def goal_term(ctrl: AgentController, x) -> np.ndarray:
-    """The harmonic goal term of the agent at position x, from its spec's
-    control settings and goal and its field. `engine.Runtime` stacks the
-    spring and drift terms itself. Each length is sqrt(v . v), which is
-    what `np.linalg.norm` of a vector computes, without its wrapper's cost."""
-    x = np.asarray(x, float)
+def _length(v) -> float:
+    """Euclidean length of a sequence of floats, its squares added left to
+    right: the bits of `world.axis_norms` of the same row."""
+    total = 0.0
+    for a in v:
+        total += a * a
+    return math.sqrt(total)
+
+
+def goal_term(ctrl: AgentController, x) -> list:
+    """The harmonic goal term of the agent at position x (floats, or an
+    array), from its spec's control settings and goal and its field, as a
+    list of floats. `engine.Runtime` stacks the spring and drift terms
+    itself."""
     spec, control = ctrl.spec, ctrl.spec.control
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
     if control.drive == UNIT_DRIVE:
         # constant-speed descent cannot stop on its own: inside the target
         # zone (obstacle-free by validation) park with a terminal spring
         # whose magnitude matches the cruise speed at the zone boundary
-        offset = spec.goal_array - x
-        if math.sqrt(offset.dot(offset)) <= spec.target_radius:
-            return (control.cruise / spec.target_radius) * offset
+        offset = [a - b for a, b in zip(ctrl.goal, x)]
+        if _length(offset) <= spec.target_radius:
+            k = control.cruise / spec.target_radius
+            return [k * a for a in offset]
         g = harmonic.gradient_at(ctrl.field, x)
-        n = math.sqrt(g.dot(g))
+        n = _length(g)
         if n < 1e-12:
-            return np.zeros_like(g)
-        return -control.cruise * g / n
-    return -control.gain * harmonic.gradient_at(ctrl.field, x)
+            return [0.0] * len(g)
+        k = -control.cruise
+        return [k * a / n for a in g]
+    k = -control.gain
+    return [k * a for a in harmonic.gradient_at(ctrl.field, x)]
 
 
 def on_tick_sense(ctrl: AgentController, x, ws: Workspace, cushion: bool) -> int:
-    """Sense from position x with the agent's ring; the sensed cells not yet
-    in its map are new. On novelty, add them to the map and re-solve the
-    field; with `cushion`, also rebuild its wall-cushion index over the grown
-    map. Returns the number of new cells (0 = no event)."""
+    """Sense from position x (floats, or an array) with the agent's ring;
+    the sensed cells not yet in its map are new. On novelty, add them to the
+    map and re-solve the field; with `cushion`, also rebuild its wall-cushion
+    index over the grown map. Returns the number of new cells (0 = no
+    event)."""
     if ctrl.spec.control.kind != HARMONIC_GOAL:
         raise ConfigError("discovery loop only applies to harmonic goal control")
     sensed = world.sense_obstacles(ctrl.spec, x, ws)

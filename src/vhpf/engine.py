@@ -258,27 +258,33 @@ class Runtime:
                 U += F
         groups = self._cushion_groups()
         x = positions.tolist() if groups else None
+        idle = []
         for index, rows, members, radii, reach in groups:
             if not index.within_reach([x[i] for i in members], reach):
-                # out of reach the force is exactly +0.0, and adding it changes
-                # only a -0.0, which becomes +0.0
-                U[rows] += 0.0
+                idle += members
                 continue
             F, p = interaction.repulsion_batch(positions[rows], radii, index, self.repulsion)
             U[rows] += F
             pen[rows] |= p
+        if idle:
+            # out of reach the force is exactly +0.0, and adding it changes
+            # only a -0.0, which becomes +0.0
+            U[idle] += 0.0
         return U, pen
 
     def goal_terms(self, positions):
         """The goal term of every agent on one snapshot, a new array: the
         springs' gain * (goal - x) and the drifts' velocities as one array
-        expression each, and `controller.goal_term` of each harmonic agent.
-        A group of springs only, or of drifts only, is that one expression,
-        row for row the same numbers."""
+        expression each, and `controller.goal_term` of each harmonic agent,
+        from the snapshot's rows as floats. A group of one kind is that
+        kind's expression alone, row for row the same numbers."""
         if self._goal_kind == ctl.SPRING_GOAL:
             return self._spring_gain * (self._spring_goal - positions)
         if self._goal_kind == ctl.CONSTANT_DRIFT:
             return self._drift.copy()
+        x = positions.tolist()
+        if self._goal_kind == ctl.HARMONIC_GOAL:
+            return np.array([ctl.goal_term(c, x[i]) for i, c in self._harmonic])
         U = np.zeros((self.n_agents, self.dim))
         if len(self._spring_rows):
             U[self._spring_rows] = self._spring_gain * (self._spring_goal
@@ -286,26 +292,27 @@ class Runtime:
         if len(self._drift_rows):
             U[self._drift_rows] = self._drift
         for i, c in self._harmonic:
-            U[i] = ctl.goal_term(c, positions[i])
+            U[i] = ctl.goal_term(c, x[i])
         return U
 
     def goal_potentials(self, positions) -> list:
         """Every agent's goal potential, whose negative gradient is its goal
         term, on one snapshot, as floats in agent order: a spring's
-        0.5 * gain * |x - goal|^2, `agent_potential` of a harmonic agent and
-        None for a drift agent."""
+        0.5 * gain * |x - goal|^2, `agent_potential` of a harmonic agent at
+        the snapshot's row as floats and None for a drift agent."""
         if self._goal_kind == ctl.SPRING_GOAL:
-            r = world.row_norms(positions - self._spring_goal)
+            r = world.axis_norms(positions - self._spring_goal)
             return (0.5 * self._spring_gain[:, 0] * r * r).tolist()
+        x = positions.tolist()
         if self._goal_kind == ctl.HARMONIC_GOAL:
-            return [agent_potential(c, positions[i]) for i, c in self._harmonic]
+            return [agent_potential(c, x[i]) for i, c in self._harmonic]
         out = [None] * self.n_agents
-        r = world.row_norms(positions[self._spring_rows] - self._spring_goal)
+        r = world.axis_norms(positions[self._spring_rows] - self._spring_goal)
         springs = 0.5 * self._spring_gain[:, 0] * r * r
         for i, v in zip(self._spring_rows.tolist(), springs.tolist()):
             out[i] = v
         for i, c in self._harmonic:
-            out[i] = agent_potential(c, positions[i])
+            out[i] = agent_potential(c, x[i])
         return out
 
     def begin_step(self):
@@ -510,9 +517,9 @@ def curvature_profile(positions, speeds, v_eps, breaks=None):
 
 def _turning_angle(a, b) -> float:
     """Angle between two direction vectors, accurate for small and large turns."""
-    ua = a / np.linalg.norm(a)
-    ub = b / np.linalg.norm(b)
-    return float(2.0 * np.arctan2(np.linalg.norm(ua - ub), np.linalg.norm(ua + ub)))
+    ua = a / world.axis_norms(a)
+    ub = b / world.axis_norms(b)
+    return float(2.0 * np.arctan2(world.axis_norms(ua - ub), world.axis_norms(ua + ub)))
 
 
 def agent_potential(c: ctl.AgentController, x) -> float:
@@ -527,7 +534,7 @@ def agent_potential(c: ctl.AgentController, x) -> float:
 def _auto_v_eps(runtime: Runtime) -> float:
     """1e-3 x the mean initial goal-term magnitude of the agents that move."""
     with _quiet_overflow():
-        mags = world.row_norms(runtime.goal_terms(runtime.positions()))
+        mags = world.axis_norms(runtime.goal_terms(runtime.positions()))
     mags = mags[mags > 1e-12]
     typical = float(np.mean(mags)) if len(mags) else 1.0
     return 1e-3 * typical
@@ -621,10 +628,11 @@ def run(scenario):
         while True:
             if not np.isfinite(positions).all():
                 raise _non_finite(log, t, "position", runtime, positions)
+            rows = positions.tolist() if runtime._harmonic else None   # for sensing
             for i, c in runtime._harmonic:
                 iterations = c.field.iterations
                 try:
-                    n_new = ctl.on_tick_sense(c, positions[i], runtime.ws, cushion)
+                    n_new = ctl.on_tick_sense(c, rows[i], runtime.ws, cushion)
                 except (harmonic.FieldQueryError, harmonic.SolverError, ConfigError) as exc:
                     raise _failed(log, t, "sensing", exc) from exc
                 if n_new:

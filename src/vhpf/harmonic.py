@@ -50,16 +50,27 @@ class ScalarGridField:
         self._gradients = None
         self._sine = None     # the preconditioner's _SineTransform, made at the first solve
         # for sampling, per axis: the grid's bounds as floats (the same sums
-        # as GridSpec.contains), its last cell and the first cell of its last block
+        # as GridSpec.contains), its last cell, the first cell of its last
+        # block and its length; and each axis's stride in a flat C-order table
         self._h = float(grid.h)
-        lo = tuple(map(float, grid.origin))
-        self._axes = (lo, tuple(a + float(n) * self._h for a, n in zip(lo, grid.shape)),
-                      tuple(n - 1 for n in grid.shape), tuple(max(n - 2, 0) for n in grid.shape))
+        self._axes = tuple((float(a), float(a) + float(n) * self._h, n - 1, max(n - 2, 0), n)
+                           for a, n in zip(grid.origin, grid.shape))
+        self._strides = tuple(math.prod(grid.shape[k + 1:]) for k in range(grid.dim))
+        self._tables = None   # the sampler's flat views, made at the first sample of a solve
 
     # -- internals ----------------------------------------------------------
 
     def _invalidate(self):
         self._gradients = None
+        self._tables = None
+
+    def _make_tables(self):
+        """Flat memoryviews of `values`, `gradients()` and `known_mask`, in C
+        order: indexing one gives a Python float or bool, without NumPy's
+        per-call cost. They see the arrays' memory, and a solve drops them."""
+        self._tables = tuple(memoryview(a.reshape(-1))
+                             for a in (self.values, self.gradients(), self.known_mask))
+        return self._tables
 
     def gradients(self):
         """Per-cell gradient components (central differences, one-sided at the
@@ -349,52 +360,78 @@ def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGr
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _lerp(corners, frac):
-    """Multilinear interpolation of 2 x ... x 2 blocks of corner values,
-    listed flat in C order with the block axes last: (1 - f) * a + f * b
-    folded over each axis, the innermost first. One value per block."""
-    for f in reversed(frac):
-        g = 1 - f
-        pairs = iter(corners)
-        corners = [g * a + f * b for a, b in zip(pairs, pairs)]
-    return corners
+def _sample(field: ScalarGridField, x, gradient: bool) -> list:
+    """The multilinear interpolation between cell centers at x of each
+    gradient component (`gradient`) or of the value, as a list of floats.
 
-
-def _sample_block(field: ScalarGridField, x, array):
-    """The 2 x ... x 2 block of `array` (trailing axes the grid axes) around x
-    between cell centers, flat in C order as a list, and the fractions along
-    each axis. Raises FieldQueryError outside the grid (NaN included) and in
-    a known cell."""
+    x is a point's coordinates as floats (or an array). The 2^dim corners
+    are read by flat C-order index from the field's `_tables`. Each block
+    folds (1 - f) a + f b over its axes, the innermost first, written out
+    per axis count. Raises FieldQueryError outside the grid (NaN included)
+    and in a known cell."""
+    coords = x.tolist() if isinstance(x, np.ndarray) else x
     h = field._h
-    cell, base, frac = [], [], []
-    coords = x.tolist() if isinstance(x, np.ndarray) else map(float, x)
-    for xk, lo, hi, last, top in zip(coords, *field._axes):
+    cell = base = 0
+    frac = []
+    for xk, (lo, hi, last, top, n) in zip(coords, field._axes):
         if not lo <= xk <= hi:
             raise FieldQueryError(f"query point {x} outside the grid")
         t = (xk - lo) / h           # t >= 0, so int() is floor()
         c = int(t)
-        cell.append(c if c < last else last)
+        cell = cell * n + (c if c < last else last)
         rel = t - 0.5               # rel >= -0.5: int() is floor() clipped at 0
         b = int(rel)
         if b > top:
             b = top
-        base.append(slice(b, b + 2))
+        base = base * n + b
         f = rel - b
         frac.append(0.0 if f < 0.0 else 1.0 if f > 1.0 else f)
-    if field.known_mask[tuple(cell)]:
+    tables = field._tables
+    if tables is None:
+        tables = field._make_tables()
+    values, gradients, known = tables
+    if known[cell]:
         raise FieldQueryError(f"query point {x} inside a known obstacle cell")
-    return array[(..., *base)].ravel().tolist(), frac
+    if gradient:
+        table, starts = gradients, range(base, len(gradients), len(values))
+    else:
+        table, starts = values, (base,)
+    out = []
+    if len(frac) == 2:
+        f0, f1 = frac
+        g0, g1 = 1 - f0, 1 - f1
+        s0 = field._strides[0]
+        for i in starts:
+            j = i + s0
+            out.append(g0 * (g1 * table[i] + f1 * table[i + 1])
+                       + f0 * (g1 * table[j] + f1 * table[j + 1]))
+    elif len(frac) == 3:
+        f0, f1, f2 = frac
+        g0, g1, g2 = 1 - f0, 1 - f1, 1 - f2
+        s0, s1 = field._strides[:2]
+        for i in starts:
+            j, k, m = i + s1, i + s0, i + s0 + s1
+            out.append(g0 * (g1 * (g2 * table[i] + f2 * table[i + 1])
+                             + f1 * (g2 * table[j] + f2 * table[j + 1]))
+                       + f0 * (g1 * (g2 * table[k] + f2 * table[k + 1])
+                               + f1 * (g2 * table[m] + f2 * table[m + 1])))
+    else:
+        f0, = frac
+        g0 = 1 - f0
+        for i in starts:
+            out.append(g0 * table[i] + f0 * table[i + 1])
+    return out
 
 
-def gradient_at(field: ScalarGridField, x) -> np.ndarray:
-    """Potential gradient at a point, multilinearly interpolated between cell centers."""
-    corners, frac = _sample_block(field, x, field.gradients())
-    return np.array(_lerp(corners, frac))
+def gradient_at(field: ScalarGridField, x) -> list:
+    """Potential gradient at a point, multilinearly interpolated between cell
+    centers: one float per axis."""
+    return _sample(field, x, True)
 
 
 def value_at(field: ScalarGridField, x) -> float:
-    corners, frac = _sample_block(field, x, field.values)
-    return _lerp(corners, frac)[0]
+    """Potential at a point, multilinearly interpolated between cell centers."""
+    return _sample(field, x, False)[0]
 
 
 def max_gradient(field: ScalarGridField) -> float:

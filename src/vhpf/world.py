@@ -10,6 +10,13 @@ free space along a grid axis.
 A set of grid cells is a boolean array of the grid's shape. A batch of cells
 in transit (what one sensing call sees) is that array's index rows, in the C
 order of `np.argwhere`.
+
+No float reduction in the arithmetic of any output goes through BLAS
+(`dot`, `@`, `matmul`, `inner`, a 1-D `np.linalg.norm`): BLAS picks its
+kernel by CPU, and a kernel that fuses multiply-adds rounds differently.
+Lengths are `axis_norms`, or the same left-to-right sum of squares in
+Python floats. A product of integer-valued floats, such as a flat cell
+index, is exact in any order and may use BLAS.
 """
 
 from __future__ import annotations
@@ -344,9 +351,9 @@ class Workspace:
 def sense_obstacles(agent, x, ws: Workspace) -> np.ndarray:
     """Index rows, in C order, of the boundary cells whose centers fall in the
     sensing ring of the agent (a `scenarios.AgentSpec`: its radius and reach)
-    centered at position x: (k, dim), k = 0 when the ring holds none. Only an
-    agent whose cell lies in the boundary's `reach_dilation` measures its
-    distance to the boundary cells."""
+    centered at position x (floats, or an array): (k, dim), k = 0 when the
+    ring holds none. Only an agent whose cell lies in the boundary's
+    `reach_dilation` measures its distance to the boundary cells."""
     at = 0  # the flat C-order index of the agent's cell
     for xk, (lo, hi, n) in zip(x, ws._axes):
         if not lo <= xk <= hi:
@@ -418,8 +425,8 @@ def validate_scenario(ws: Workspace, agents) -> list:
     goal = np.array([np.full(x.shape[1], np.nan) if a.goal is None else a.goal_array
                      for a in agents])
     r_target = np.array([np.nan if a.goal is None else a.target_radius for a in agents])
-    overlap = row_norms(x[i] - x[j]) < radius[i] + radius[j] - tol
-    conflict = row_norms(goal[i] - goal[j]) < r_target[i] + r_target[j] - tol
+    overlap = axis_norms(x[i] - x[j]) < radius[i] + radius[j] - tol
+    conflict = axis_norms(goal[i] - goal[j]) < r_target[i] + r_target[j] - tol
     for k in np.flatnonzero(overlap | conflict):
         a, b = agents[i[k]], agents[j[k]]
         if overlap[k]:
@@ -438,11 +445,3 @@ def axis_norms(v):
     for a in range(2, sq.shape[-1]):
         s += sq[..., a]
     return np.sqrt(s)
-
-
-def row_norms(d):
-    """Euclidean length of each row of d, (..., dim) -> (...), with the bits
-    of the 1-D `np.linalg.norm` of that row: the square root of a matrix
-    product. Summing the squares along an axis can differ in the last bit."""
-    d = np.asarray(d, float)
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])

@@ -6,10 +6,10 @@ sampling, one-agent-at-a-time goal terms and potentials, control evaluation
 with the wall cushion always queried, the full-scan sensing ring,
 brute-force grid dilations, the slice-by-slice neighbor sum, the nearest
 known box by a scan of every box, the obstacle clearance one shape at a
-time, the unit-drive goal term by `np.linalg.norm` and the passage audit by
-a k-d tree; a fault injector, a short-hand agent record and a strategy for
-valid scenario files. SciPy serves only these oracles: the package itself needs NumPy
-alone."""
+time, the unit-drive goal term by NumPy's elementwise lengths and the
+passage audit by a k-d tree; a fault injector, a short-hand agent record
+and a strategy for valid scenario files. SciPy serves only these oracles:
+the package itself needs NumPy alone."""
 
 import itertools
 import math
@@ -35,7 +35,7 @@ from vhpf.interaction import (
     repulsion_batch,
 )
 from vhpf.scenarios import AgentSpec, GoalSpec
-from vhpf.world import Ball, Box, ConfigError, Workspace, axis_norms, row_norms
+from vhpf.world import Ball, Box, ConfigError, Workspace, axis_norms
 
 
 def agent(aid, x, radius=1.0, ring=1.5, goal=None, r_target=None, **kw) -> AgentSpec:
@@ -518,30 +518,31 @@ def oracle_value_at(field: ScalarGridField, x) -> float:
 # ---------------------------------------------------------------------------
 
 def goal_term(ctrl, x) -> np.ndarray:
-    """The goal term of one agent at x: gain * (goal - x) for a spring, the
-    velocity for a drift, `controller.goal_term` for a harmonic agent."""
+    """The goal term of one agent at x, as an array: gain * (goal - x) for a
+    spring, the velocity for a drift, `controller.goal_term` for a harmonic
+    agent."""
     x = np.asarray(x, float)
     spec, control = ctrl.spec, ctrl.spec.control
     if control.kind == controller.SPRING_GOAL:
         return control.gain * (spec.goal_array - x)
     if control.kind == controller.CONSTANT_DRIFT:
         return np.array(control.velocity, float)
-    return controller.goal_term(ctrl, x)
+    return np.array(controller.goal_term(ctrl, x))
 
 
 def unit_goal_term(ctrl, x) -> np.ndarray:
-    """The harmonic unit-drive goal term with its lengths from
-    `np.linalg.norm` and its gradient from `oracle_gradient_at`: the
-    terminal spring inside the target zone, else -cruise times the unit
+    """The harmonic unit-drive goal term with its lengths as NumPy's
+    elementwise sum of squares and its gradient from `oracle_gradient_at`:
+    the terminal spring inside the target zone, else -cruise times the unit
     gradient, zero where the gradient vanishes."""
     x = np.asarray(x, float)
     spec, control = ctrl.spec, ctrl.spec.control
     assert control.drive == controller.UNIT_DRIVE
     offset = spec.goal_array - x
-    if float(np.linalg.norm(offset)) <= spec.target_radius:
+    if float(np.sqrt((offset * offset).sum())) <= spec.target_radius:
         return (control.cruise / spec.target_radius) * offset
     g = oracle_gradient_at(ctrl.field, x)
-    n = np.linalg.norm(g)
+    n = np.sqrt((g * g).sum())
     if n < 1e-12:
         return np.zeros_like(g)
     return -control.cruise * g / n
@@ -552,7 +553,7 @@ def goal_potential(ctrl, x) -> float | None:
     spring, None for a drift, `engine.agent_potential` for a harmonic agent."""
     control = ctrl.spec.control
     if control.kind == controller.SPRING_GOAL:
-        r = row_norms(np.asarray(x, float) - ctrl.spec.goal_array)
+        r = axis_norms(np.asarray(x, float) - ctrl.spec.goal_array)
         return float(0.5 * control.gain * r * r)
     if control.kind == controller.CONSTANT_DRIFT:
         return None

@@ -306,6 +306,38 @@ def test_console_entry_point():
     assert "run" in proc.stdout and "sweep-delta" in proc.stdout
 
 
+def _openblas_dynamic_arch() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # no output's arithmetic goes through BLAS, so a child made to use
+    # OpenBLAS's Haswell kernels (which fuse no multiply-adds in `ddot`)
+    # writes the same bytes as one on the host's own kernel
+    if not _openblas_dynamic_arch():
+        pytest.skip("NumPy's BLAS is not an OpenBLAS DYNAMIC_ARCH build: OPENBLAS_CORETYPE "
+                    "picks no other kernel, so this test would check nothing")
+    src = Path(cli.__file__).resolve().parents[1]
+    names = ("case1", "case2_exp", "case7_unknown")
+    code = ("import sys\n"
+            "from vhpf import cli\n"
+            "for name in sys.argv[2:]:\n"
+            "    cli.main(['run', name, '--out', sys.argv[1] + '/' + name])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                      os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_CORETYPE", None)
+    for out, kernel in (("host", None), ("haswell", "Haswell")):
+        child = env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / out), *names],
+                              env=child, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    for name in names:
+        for file in ("trajectory.csv", "metrics.json", "events.jsonl"):
+            host = (tmp_path / "host" / name / file).read_bytes()
+            assert host == (tmp_path / "haswell" / name / file).read_bytes(), (name, file)
+
+
 def test_runs_import_no_scipy(tmp_path):
     # the package needs NumPy alone (SciPy serves the tests' oracles); a run
     # through walls, discoveries, re-solves and the wall cushion imports none

@@ -14,9 +14,11 @@ from helpers import (
     oracle_value_at,
     random_workspace,
     solve_error_bound,
+    unit_goal_term,
 )
 
 from vhpf import scenarios
+from vhpf.controller import HARMONIC_GOAL, UNIT_DRIVE, AgentController, goal_term
 from vhpf.harmonic import (
     FREE,
     GOAL_BC,
@@ -34,6 +36,7 @@ from vhpf.harmonic import (
     solve_dirichlet,
     value_at,
 )
+from vhpf.scenarios import AgentSpec, GoalSpec
 from vhpf.world import Box, GridSpec, Workspace, dilate, disk
 
 TOL = 1e-10
@@ -264,12 +267,18 @@ def test_query_inside_known_obstacle_rejected():
 
 
 def _sampled(sample, field, x):
-    """What one sampling call gives: its type and bytes, or its error."""
+    """What one sampling call gives: its shape and bytes as a float array,
+    or its error. The sampler's own results must be Python floats: a float,
+    or a list of one per axis."""
     try:
         out = sample(field, x)
     except FieldQueryError as exc:
         return "error", str(exc)
-    return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
+    if sample in (gradient_at, value_at):
+        each = out if sample is gradient_at else [out]
+        assert type(out) is (list if sample is gradient_at else float)
+        assert all(type(a) is float for a in each), out
+    return np.asarray(out, float).shape, np.asarray(out, float).tobytes()
 
 
 def _probe_points(field, rng):
@@ -319,6 +328,92 @@ def test_sampling_matches_array_oracle_bit_for_bit(grid, known, goal):
                 if got[0] == "error":
                     seen.update(r for r in reasons if got[1].endswith(r))
     assert seen == set(reasons)
+
+
+@st.composite
+def sampled_fields(draw):
+    """A 1-D, 2-D or 3-D grid of 2 to 8 cells per axis, its goal cell, the
+    cells known at the first solve, the cells a later discovery adds and a
+    seed for the query points."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(2, 8), min_size=dim, max_size=dim)))
+    h = draw(st.sampled_from([0.25, 0.5, 0.7, 1.0]))
+    origin = tuple(draw(st.lists(st.sampled_from([-1.1, 0.0, 0.3]), min_size=dim,
+                                 max_size=dim)))
+    cells = st.tuples(*[st.integers(0, n - 1) for n in shape])
+    goal_cell = draw(cells)
+    others = cells.filter(lambda c: c != goal_cell)
+    known = draw(st.sets(others, max_size=4))
+    later = draw(st.sets(others, min_size=1, max_size=4))
+    return GridSpec(origin, h, shape), goal_cell, known, later, draw(st.integers(0, 2**32 - 1))
+
+
+def _query_points(grid, goal, rng):
+    """Points as lists of floats, the form the tick passes: random points a
+    little past the grid, cell faces and corners, the grid's bounds exactly,
+    points of the last block along every axis, points near the goal and a
+    NaN in each coordinate."""
+    lo = np.asarray(grid.origin, float)
+    n = np.asarray(grid.shape)
+    hi = lo + n * grid.h
+    points = list(rng.uniform(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), size=(30, grid.dim)))
+    points += list(lo + rng.integers(0, n + 1, size=(20, grid.dim)) * grid.h)
+    points += list(lo + rng.uniform(n - 1.5, n, size=(20, grid.dim)) * grid.h)
+    points += list(goal + rng.uniform(-2.0, 2.0, size=(10, grid.dim)) * grid.h)
+    for k in range(grid.dim):
+        for edge in (lo[k], hi[k], np.nan):
+            x = points[0].copy()
+            x[k] = edge
+            points.append(x)
+    return [x.tolist() for x in points]
+
+
+def _term(ctrl, x):
+    """`goal_term` of the agent at x as an array's bytes, or the reason of
+    its error (the oracles print the point as an array); the term itself
+    must be a list of Python floats."""
+    try:
+        term = goal_term(ctrl, x)
+    except FieldQueryError as exc:
+        return "error", str(exc).rpartition("] ")[2]
+    assert type(term) is list and all(type(a) is float for a in term), term
+    return np.array(term).tobytes()
+
+
+def _oracle_term(f, *args):
+    try:
+        return np.asarray(f(*args), float).tobytes()
+    except FieldQueryError as exc:
+        return "error", str(exc).rpartition("] ")[2]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(sampled_fields())
+def test_sampler_and_goal_term_match_the_oracles_bit_for_bit(case):
+    # before and after a discovery re-solves the field that was sampled:
+    # the sampler's tables must follow the new values, gradients and map
+    grid, goal_cell, known, later, seed = case
+    goal = tuple(grid.cell_centers([goal_cell])[0].tolist())
+    field = solve_dirichlet(grid, known, goal)
+    unit = AgentController(AgentSpec(1, goal, 0.5 * grid.h, 1.0,
+                                     GoalSpec(HARMONIC_GOAL, drive=UNIT_DRIVE, cruise=0.8),
+                                     goal=goal, r_target=1.5 * grid.h), field)
+    raw = AgentController(AgentSpec(2, goal, 0.5 * grid.h, 1.0, GoalSpec(HARMONIC_GOAL, gain=1.3),
+                                    goal=goal), field)
+    points = _query_points(grid, np.asarray(goal), np.random.default_rng(seed))
+    for discovery in (False, True):
+        if discovery:
+            resolve_incremental(field, later)
+            points += [x.tolist() for x in grid.cell_centers(sorted(later))]
+        for x in points:
+            for sample, oracle in ((gradient_at, oracle_gradient_at), (value_at, oracle_value_at)):
+                assert _sampled(sample, field, x) == _sampled(oracle, field, x), x
+            assert _term(unit, x) == _oracle_term(unit_goal_term, unit, x), x
+            assert _term(raw, x) == _oracle_term(lambda x: -1.3 * oracle_gradient_at(field, x),
+                                                 x), x
+    for cell in later:
+        with pytest.raises(FieldQueryError, match="inside a known obstacle cell"):
+            value_at(field, grid.cell_centers([cell])[0].tolist())
 
 
 def test_inflation_pins_cells_within_radius():
@@ -465,7 +560,7 @@ def test_three_dimensional_solve_matches_oracle():
     assert np.all(f.values[free] > 0.0) and np.all(f.values[free] < 1.0)
     # center of the goal cell: flat minimum up to the pinned corner cell's pull
     g = gradient_at(f, (3.5, 3.5, 3.5))
-    assert g.shape == (3,)
+    assert len(g) == 3
     v_mid = value_at(f, (3.5, 3.5, 3.0))
     assert 0.0 < v_mid < 1.0
 
