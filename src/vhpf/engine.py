@@ -207,7 +207,6 @@ class Runtime:
                           if c.spec.control.kind == ctl.HARMONIC_GOAL]
         # agents whose own pair-force sum is dropped
         self._suppressed = [i for i, a in enumerate(agents) if not a.cooperative]
-        self.tracks_switches = interaction.weight_can_jump(profile, self.radii, self.reach)
         self._pair_setup = interaction.pair_setup(self.radii, self.dim, params, profile,
                                                   self._suppressed, self.reach)
         self._last_key = None       # switch key of the latest control evaluation
@@ -242,19 +241,18 @@ class Runtime:
         if L >= 2:
             suppressed = self._suppressed
             if len(suppressed) < L:
-                F = interaction.crf_forces(positions, self.radii, self.params,
-                                           self.profile, suppressed=suppressed,
-                                           reach=self.reach, switch_key=self.tracks_switches,
-                                           pairs=pairs, setup=self._pair_setup)
-                if self.tracks_switches:
-                    F, key = F
-                    # the same object is the same key (a pass without near pairs);
-                    # else comparing bytes is the cheap exact test; rows only on a change
-                    step_key = self._step_key
-                    if (step_key is not None and key is not step_key
-                            and key.tobytes() != step_key.tobytes()):
-                        self._switched |= np.any(key != step_key, axis=1)
-                    self._last_key = key
+                F, key = interaction.crf_forces(positions, self.radii, self.params,
+                                                self.profile, suppressed=suppressed,
+                                                reach=self.reach, pairs=pairs,
+                                                setup=self._pair_setup)
+                # the same object is the same key (a pass without near pairs, or a
+                # law that cannot jump); else comparing bytes is the cheap exact
+                # test; the switched rows are those of the codes in one key only
+                step_key = self._step_key
+                if (step_key is not None and key is not step_key
+                        and key.tobytes() != step_key.tobytes()):
+                    self._switched[np.setxor1d(key, step_key) // L] = True
+                self._last_key = key
                 U += F
         groups = self._cushion_groups()
         x = positions.tolist() if groups else None
@@ -351,8 +349,7 @@ class Runtime:
     def in_target(self, positions):
         """Per-agent flags: inside its target zone. False for an agent without
         a goal and for a non-finite position."""
-        offset = positions - self.goals
-        return np.sqrt((offset * offset).sum(axis=1)) <= self.r_target
+        return world.axis_norms(positions - self.goals) <= self.r_target
 
     def sigma_activity(self, positions, pairs=None):
         """Per-agent sum of interaction weights against all other agents;
@@ -616,7 +613,7 @@ def run(scenario):
     cushion = runtime.repulsion is not None   # discoveries rebuild the cushion index
     t = 0.0
     slow_time = 0.0
-    pair_reported = np.zeros((runtime.n_agents, runtime.n_agents), dtype=bool)
+    pair_reported = set()      # the (i, j) pairs reported overlapping
     obstacle_reported = np.zeros(runtime.n_agents, dtype=bool)
     min_pair = np.inf
     min_obstacle = np.inf
@@ -664,10 +661,9 @@ def run(scenario):
             if hits.obstacle_clearance is not None and hits.obstacle_clearance.size:
                 min_obstacle = min(min_obstacle, float(hits.obstacle_clearance.min()))
             # each pair or agent is reported once, at its first overlapping tick
-            if len(hits.pairs):
-                new_pairs = hits.pairs[~pair_reported[hits.pairs[:, 0], hits.pairs[:, 1]]]
-                pair_reported[new_pairs[:, 0], new_pairs[:, 1]] = True
-                for a, b_ in new_pairs:
+            for a, b_ in hits.pairs.tolist():
+                if (a, b_) not in pair_reported:
+                    pair_reported.add((a, b_))
                     log.add_event(t, "collision",
                                   agents=[runtime.agents[a].id, runtime.agents[b_].id])
             if len(hits.agents):
@@ -703,7 +699,7 @@ def run(scenario):
                 raise _failed(log, t, "integration", exc) from exc
             t += config.dt
 
-    log.outcome = COLLISION if pair_reported.any() or obstacle_reported.any() else outcome
+    log.outcome = COLLISION if pair_reported or obstacle_reported.any() else outcome
 
     kappa = {}
     corners = {}
@@ -731,8 +727,8 @@ def run(scenario):
     metrics = MetricsReport(
         kappa_max=kappa,
         corner_angle_max=corners,
-        min_pair_clearance=float(min_pair) if np.isfinite(min_pair) else float("inf"),
-        min_obstacle_clearance=float(min_obstacle) if np.isfinite(min_obstacle) else float("inf"),
+        min_pair_clearance=min_pair,
+        min_obstacle_clearance=min_obstacle,
         path_lengths=lengths,
         potential_trace=trace_list,
         potential_rate=rate_list,

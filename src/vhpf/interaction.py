@@ -102,7 +102,7 @@ def interaction_weights(r, contact, profile: WeightProfile):
     at contact + delta and stay zero beyond it. The exponential weight keeps
     its tail value beta at contact + delta and is cut to zero just beyond, so
     its pair force is discontinuous there and a path crossing that
-    separation turns by a finite angle (a corner, see `weight_can_jump`).
+    separation turns by a finite angle (a corner, see `PairSetup.jumps`).
     Below contact the linear/sinusoidal/exponential weights stay clamped at 1,
     so an (invalid) overlapping pair still repels; the spring profile keeps
     its literal step factors and vanishes there instead, which is a second
@@ -132,20 +132,6 @@ def _narrow_rings(radii, reach, profile: WeightProfile):
     if reach is None:
         return None
     return np.asarray(reach, float) < np.asarray(radii, float) + profile.delta
-
-
-def weight_can_jump(profile: WeightProfile, radii, reach=None) -> bool:
-    """True when some pair weight can switch discontinuously for these bodies.
-
-    A jump sits wherever a pair enters or leaves the weight's support at a
-    boundary with a non-zero one-sided limit: the exponential edge (beta),
-    the spring profile's contact step, and any sensing ring narrower than
-    delta (the ring cuts the weight off while it is still positive).
-    """
-    if profile.kind in (EXPONENTIAL, SPRING):
-        return True
-    narrow = _narrow_rings(radii, reach, profile)
-    return narrow is not None and bool(np.any(narrow))
 
 
 def _jump_inner(w, gap, profile: WeightProfile, narrow_rows):
@@ -332,10 +318,14 @@ class PairSetup(NamedTuple):
     reach: np.ndarray | None    # each agent's sensing reach; None without rings
     narrow: np.ndarray | None   # rows whose ring ends inside the support; None when none does
     suppressed: list            # rows whose own sum is dropped
+    # some pair weight can switch discontinuously: a pair enters or leaves the
+    # support at a boundary with a non-zero one-sided limit, the exponential
+    # edge (beta), the spring profile's contact step or a ring narrower than delta
+    jumps: bool
     turn: np.ndarray            # 2-D: rel[:, ::-1] times this is rel turned by 90 degrees
     axis: np.ndarray            # 3-D: the circulation axis
     no_forces: np.ndarray       # (L, dim) zeros: `crf_forces`
-    no_switch: np.ndarray       # (L, L): the switch key, its diagonal and suppressed rows set
+    no_switch: np.ndarray       # (0,): the switch key of `crf_forces`, holding no pair
     no_sigma: np.ndarray        # (L,) zeros: `sigma_activity`
     no_pairs: NearPairs         # the pass over an empty table; its table is the empty near table
 
@@ -351,25 +341,20 @@ def pair_setup(radii, dim: int, params: InteractionParams, profile: WeightProfil
     if narrow is not None and not np.count_nonzero(narrow):
         narrow = None
     suppressed = list(suppressed) if suppressed else []
-    no_switch = np.zeros((L, L), dtype=bool)
-    if profile.kind == SPRING:
-        # an agent is at distance 0 < contact from itself: inside the step,
-        # unless its narrow ring cuts the zero self-weight
-        no_switch.flat[::L + 1] = True if narrow is None else ~narrow
-    if suppressed:
-        no_switch[suppressed] = False
+    jumps = profile.kind in (EXPONENTIAL, SPRING) or narrow is not None
     no_forces, no_sigma = np.zeros((L, dim)), np.zeros(L)
     empty = np.zeros((2, 0), dtype=np.intp)
-    for a in (no_forces, no_switch, no_sigma, empty):
+    for a in (no_forces, no_sigma, empty):
         a.flags.writeable = False
     rel, none = no_forces[:0], no_sigma[:0]     # read-only views
-    return PairSetup(reach, narrow, suppressed, _CW_TURN if params.circulation == CW else _CCW_TURN,
-                     np.asarray(params.axis, float), no_forces, no_switch, no_sigma,
+    return PairSetup(reach, narrow, suppressed, jumps,
+                     _CW_TURN if params.circulation == CW else _CCW_TURN,
+                     np.asarray(params.axis, float), no_forces, empty[0], no_sigma,
                      NearPairs(empty[0], empty[1], rel, none, none, none, empty, none))
 
 
 def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,
-               suppressed=None, reach=None, switch_key=False, pairs=None, setup=None):
+               suppressed=None, reach=None, pairs=None, setup=None):
     """Summed pair forces for all agents at once.
 
     The force on agent i from agent j is w * (kr * radial + kt * circ),
@@ -394,16 +379,21 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
     result equals that dense sum bit for bit, the sign of a zero sum
     included.
 
-    With `switch_key`, returns (forces, key): key is an (L, L) boolean mask,
-    taken from the same weights, of the pairs on the inner side of a
-    boundary where their weight jumps (see `weight_can_jump`). Agent i's pair
-    force switches discontinuously between two snapshots exactly when row i
-    of their keys differs. Suppressed rows never switch.
+    Returns (forces, key). The switch key lists, as flat codes
+    row * L + col, the directed near pairs on the inner side of a boundary
+    where their weight jumps (`PairSetup.jumps`), taken from the same
+    weights, with suppressed rows left out; it is empty for a law that
+    cannot jump. Agent i's pair force switches discontinuously between two
+    snapshots exactly when the codes of row i differ, that is, when
+    `np.setxor1d` of their keys holds a code of row i. The codes run in the
+    order of the near pairs, so two keys of the same pairs have the same
+    bytes.
 
     `setup` is `pair_setup` of the same radii, params, profile, suppressed
     and reach, from a caller that evaluates many snapshots of one group;
-    without it the call makes its own. A pass without near pairs returns
-    the setup's read-only `no_forces` (and `no_switch`) as they are, so two
+    without it the call makes its own. A pass without near pairs, and any
+    pass of a law that cannot jump, returns the setup's read-only
+    `no_switch` as it is (with `no_forces` when no pair is near), so two
     such keys are the same object.
     """
     pos = np.asarray(positions, float)
@@ -414,7 +404,7 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
         pairs = near_pairs(pos, radii, profile, setup=setup)
     rows, cols, rel, dist, gap, w = pairs[:6]
     if not len(rows):
-        return (setup.no_forces, setup.no_switch) if switch_key else setup.no_forces
+        return setup.no_forces, setup.no_switch
     # a coincident pair has no direction; a partner outside the ring is unseen
     keep = dist >= 1e-12
     if setup.reach is not None:
@@ -428,15 +418,14 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
         total[:, a] = np.bincount(rows, force[:, a], minlength=L)
     if setup.suppressed:
         total[setup.suppressed] = 0.0
-    if not switch_key:
-        return total
-
-    key = setup.no_switch.copy()
+    if not setup.jumps:
+        return total, setup.no_switch
     narrow = setup.narrow
-    key[rows, cols] = _jump_inner(w, gap, profile, None if narrow is None else narrow.take(rows))
+    inner = _jump_inner(w, gap, profile, None if narrow is None else narrow.take(rows))
     if setup.suppressed:
-        key[setup.suppressed] = False
-    return total, key
+        inner &= ~np.isin(rows, setup.suppressed)
+    at = inner.nonzero()[0]
+    return total, rows.take(at) * L + cols.take(at)
 
 
 def _pair_force_terms(rel, dist, w, params: InteractionParams, setup: PairSetup):

@@ -387,15 +387,19 @@ def _dense_jump_inner(w, dist, contact, profile: WeightProfile, radii, reach):
 
 
 def dense_crf_forces(positions, radii, params: InteractionParams, profile: WeightProfile,
-                     suppressed=None, reach=None, switch_key=False):
+                     suppressed=None, reach=None):
     """The pair forces from dense (L, L, dim) arrays: every ordered pair is
     evaluated and each row is summed over all partners in index order.
-    Returns what `crf_forces` returns, bit for bit."""
+    Returns (forces, key): the forces of `crf_forces`, bit for bit, and the
+    switch key as an (L, L) mask with suppressed rows cleared. Its diagonal
+    holds each agent's constant flag against itself (set for the spring
+    step), which `crf_forces`'s codes leave out; off the diagonal it is
+    set exactly where those codes are."""
     pos = np.asarray(positions, float)
     L, dim = pos.shape
     if not L:
         zeros = np.zeros_like(pos)
-        return (zeros, np.zeros((L, L), dtype=bool)) if switch_key else zeros
+        return zeros, np.zeros((L, L), dtype=bool)
     rel = pos[:, None, :] - pos[None, :, :]
     dist = np.linalg.norm(rel, axis=2)
     contact = np.add.outer(radii, radii)
@@ -433,8 +437,6 @@ def dense_crf_forces(positions, radii, params: InteractionParams, profile: Weigh
     total = force.sum(axis=1)
     if suppressed:
         total[list(suppressed)] = 0.0
-    if not switch_key:
-        return total
     key = _dense_jump_inner(w, dist, contact, profile, radii, reach)
     if suppressed:
         key[list(suppressed)] = False
@@ -573,7 +575,7 @@ def always_query_controls(runtime, positions):
     pen = np.zeros(L, dtype=bool)
     if L >= 2 and len(runtime._suppressed) < L:
         U += crf_forces(positions, runtime.radii, runtime.params, runtime.profile,
-                        suppressed=runtime._suppressed, reach=runtime.reach)
+                        suppressed=runtime._suppressed, reach=runtime.reach)[0]
     if runtime.repulsion is None:
         return U, pen
     groups = {}

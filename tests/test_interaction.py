@@ -43,7 +43,6 @@ from vhpf.interaction import (
     sigma_activity,
     stage_pairs,
     stage_room,
-    weight_can_jump,
 )
 from vhpf.scenarios import AgentSpec, GoalSpec
 from vhpf.world import Box, ConfigError, GridSpec, Workspace
@@ -240,7 +239,7 @@ def test_crf_batch_matches_pairwise_sum():
     pos = np.array([b.start for b in bodies])
     radii = np.array([b.radius for b in bodies])
     reach = np.array([b.reach for b in bodies])
-    batch = crf_forces(pos, radii, params, profile, reach=reach)
+    batch, _ = crf_forces(pos, radii, params, profile, reach=reach)
     for i, a in enumerate(bodies):
         expected = np.zeros(2)
         for other in neighbors(a, bodies):
@@ -256,10 +255,10 @@ def test_coincident_pair_adds_nothing_to_either_agent():
     bodies = [body(1, (0.0, 0.0)), body(2, (0.0, 0.0)), body(3, (2.5, 0.0))]
     pos = np.array([b.start for b in bodies])
     radii = np.ones(3)
-    batch = crf_forces(pos, radii, params, profile)
+    batch, _ = crf_forces(pos, radii, params, profile)
     assert np.array_equal(pair_force(bodies[0], bodies[1], params, profile), np.zeros(2))
     assert np.array_equal(pair_force(bodies[1], bodies[0], params, profile), np.zeros(2))
-    alone = crf_forces(pos[[0, 2]], radii[:2], params, profile)
+    alone, _ = crf_forces(pos[[0, 2]], radii[:2], params, profile)
     assert np.array_equal(batch[0], alone[0]) and np.array_equal(batch[1], alone[0])
     assert np.linalg.norm(batch[0]) > 0
     for i, a in enumerate(bodies):
@@ -274,7 +273,7 @@ def test_crf_3d_falls_back_to_y_when_rel_is_parallel_to_axis_and_x():
     params = InteractionParams(kr=2.0, kt=1.0, mode=UNIT_MODE, axis=(1.0, 0.0, 0.0))
     profile = WeightProfile(LINEAR, delta=1.5)
     a, b = body(0, (0.0, 0.0, 0.0)), body(1, (2.5, 0.0, 0.0))
-    out = crf_forces(np.array([a.start, b.start]), np.ones(2), params, profile)
+    out, _ = crf_forces(np.array([a.start, b.start]), np.ones(2), params, profile)
     expected = pair_force(a, b, params, profile)
     assert expected == pytest.approx([-4.0 / 3.0, 0.0, 2.0 / 3.0], abs=1e-12)
     assert out[0] == pytest.approx(expected, abs=1e-12)
@@ -286,7 +285,7 @@ def test_crf_batch_suppressed_rows_are_zero():
     profile = WeightProfile(LINEAR, delta=1.0)
     pos = np.array([[0.0, 0.0], [2.2, 0.0]])
     radii = np.array([1.0, 1.0])
-    out = crf_forces(pos, radii, params, profile, suppressed=[0])
+    out, _ = crf_forces(pos, radii, params, profile, suppressed=[0])
     assert np.array_equal(out[0], np.zeros(2))
     assert np.linalg.norm(out[1]) > 0
 
@@ -295,13 +294,13 @@ def _switch_key(kind, sep, ring=1.5):
     pos = np.array([[0.0, 0.0], [sep, 0.0]])
     radii = np.ones(2)
     _, key = crf_forces(pos, radii, InteractionParams(), WeightProfile(kind, delta=1.5),
-                        reach=radii + ring, switch_key=True)
+                        reach=radii + ring)
     return key
 
 
 def _switched_rows(kind, sep, ring):
-    changed = _switch_key(kind, sep - 1e-6, ring) != _switch_key(kind, sep + 1e-6, ring)
-    return np.flatnonzero(changed.any(axis=1)).tolist()
+    changed = np.setxor1d(_switch_key(kind, sep - 1e-6, ring), _switch_key(kind, sep + 1e-6, ring))
+    return np.unique(changed // 2).tolist()
 
 
 @pytest.mark.parametrize("kind, sep, ring, jumps", [
@@ -317,13 +316,17 @@ def test_switch_key_flips_exactly_where_the_weight_jumps(kind, sep, ring, jumps)
     assert _switched_rows(kind, sep, ring) == ([0, 1] if jumps else [])
 
 
-def test_weight_can_jump_by_profile_and_ring():
+def test_pair_setup_jumps_by_profile_and_ring():
     radii = np.ones(3)
-    assert weight_can_jump(WeightProfile(EXPONENTIAL), radii, radii + 1.5)
-    assert weight_can_jump(WeightProfile(SPRING), radii, radii + 1.5)
-    assert not weight_can_jump(WeightProfile(LINEAR), radii, radii + 1.5)
-    assert not weight_can_jump(WeightProfile(SINUSOIDAL), radii, None)
-    assert weight_can_jump(WeightProfile(SINUSOIDAL), radii, radii + np.array([1.5, 1.0, 2.0]))
+
+    def jumps(kind, reach):
+        return pair_setup(radii, 2, InteractionParams(), WeightProfile(kind), reach=reach).jumps
+
+    assert jumps(EXPONENTIAL, radii + 1.5)
+    assert jumps(SPRING, radii + 1.5)
+    assert not jumps(LINEAR, radii + 1.5)
+    assert not jumps(SINUSOIDAL, None)
+    assert jumps(SINUSOIDAL, radii + np.array([1.5, 1.0, 2.0]))
 
 
 def test_switch_key_leaves_forces_unchanged():
@@ -333,11 +336,30 @@ def test_switch_key_leaves_forces_unchanged():
     reach = radii + rng.uniform(0.5, 2.0, size=6)
     params = InteractionParams(kr=2.0, kt=1.0, mode=SPRING_MODE)
     profile = WeightProfile(EXPONENTIAL, delta=1.5)
-    plain = crf_forces(pos, radii, params, profile, suppressed=[2], reach=reach)
+    setup = pair_setup(radii, 2, params, profile, [2], reach)
+    # the same law with its key left out
+    plain, none = crf_forces(pos, radii, params, profile, suppressed=[2], reach=reach,
+                             setup=setup._replace(jumps=False))
     forces, key = crf_forces(pos, radii, params, profile, suppressed=[2], reach=reach,
-                             switch_key=True)
-    assert np.array_equal(plain, forces)
-    assert key.shape == (6, 6) and key.any() and not key[2].any()
+                             setup=setup)
+    assert np.array_equal(plain, forces) and none is setup.no_switch
+    assert key.dtype == np.intp and ((key >= 0) & (key < 36)).all()
+    assert len(key) and not (key // 6 == 2).any()
+
+
+def _key_mask(key, n):
+    """The (n, n) mask of a switch key's flat codes."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask.flat[key] = True
+    return mask
+
+
+def _off_diagonal(key):
+    """A dense switch key with its diagonal cleared: an agent's pair with
+    itself is not a near pair, so its constant flag is not a code."""
+    key = key.copy()
+    np.fill_diagonal(key, False)
+    return key
 
 
 @st.composite
@@ -386,16 +408,38 @@ def pair_layouts(draw):
 @given(pair_layouts())
 def test_pair_pass_is_bit_identical_to_dense_oracle(layout):
     pos, radii, reach, suppressed, profile, params = layout
-    forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
-                             switch_key=True)
+    forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach)
     want_forces, want_key = dense_crf_forces(pos, radii, params, profile,
-                                             suppressed=suppressed, reach=reach, switch_key=True)
+                                             suppressed=suppressed, reach=reach)
     assert forces.tobytes() == want_forces.tobytes()
-    assert key.tobytes() == want_key.tobytes()
-    plain = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach)
-    assert plain.tobytes() == want_forces.tobytes()
+    assert len(np.unique(key)) == len(key)
+    assert np.array_equal(_key_mask(key, len(pos)), _off_diagonal(want_key))
+    # with the caller's setup and pass
+    setup = pair_setup(radii, pos.shape[1], params, profile, suppressed, reach)
+    plain, same = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
+                             pairs=near_pairs(pos, radii, profile), setup=setup)
+    assert plain.tobytes() == want_forces.tobytes() and same.tobytes() == key.tobytes()
     sigma = sigma_activity(pos, radii, profile)
     assert sigma.tobytes() == dense_sigma_activity(pos, radii, profile).tobytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pair_layouts(), st.data())
+def test_switched_rows_of_the_codes_are_those_of_the_dense_keys(layout, data):
+    """Between a layout and a perturbed copy, the rows of the codes in one
+    switch key only are the rows where the dense (L, L) keys differ."""
+    pos, radii, reach, suppressed, profile, params = layout
+    n, dim = pos.shape
+    shift = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, -0.5, 1.0, 1e-9]),
+                               min_size=n * dim, max_size=n * dim))
+    moved = pos + np.array(shift).reshape(n, dim)
+    keys, dense = [], []
+    for p in (pos, moved):
+        keys.append(crf_forces(p, radii, params, profile, suppressed=suppressed, reach=reach)[1])
+        dense.append(dense_crf_forces(p, radii, params, profile, suppressed=suppressed,
+                                      reach=reach)[1])
+    rows = np.unique(np.setxor1d(*keys) // n)
+    assert rows.tolist() == np.flatnonzero((dense[0] != dense[1]).any(axis=1)).tolist()
 
 
 @st.composite
@@ -443,21 +487,19 @@ def test_a_pass_without_near_pairs_returns_the_setups_constants(group):
     pairs = near_pairs(pos, radii, profile, setup=setup)
     assert not len(pairs.rows) and np.array_equal(pairs.table, pair_index(n))
     want_forces, want_key = dense_crf_forces(pos, radii, params, profile, suppressed=suppressed,
-                                             reach=reach, switch_key=True)
+                                             reach=reach)
+    assert not _off_diagonal(want_key).any()
     for given_pairs in (pairs, None):
         forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
-                                 switch_key=True, pairs=given_pairs, setup=setup)
+                                 pairs=given_pairs, setup=setup)
         assert forces is setup.no_forces and key is setup.no_switch
-        assert forces.tobytes() == want_forces.tobytes() and key.tobytes() == want_key.tobytes()
-        assert crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
-                          pairs=given_pairs, setup=setup) is setup.no_forces
+        assert forces.tobytes() == want_forces.tobytes() and not len(key)
         sigma = sigma_activity(pos, radii, profile, pairs=given_pairs, setup=setup)
         assert sigma is setup.no_sigma
         assert sigma.tobytes() == dense_sigma_activity(pos, radii, profile).tobytes()
     # without a setup the same numbers come as new arrays
-    forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach,
-                             switch_key=True)
-    assert forces.tobytes() == want_forces.tobytes() and key.tobytes() == want_key.tobytes()
+    forces, key = crf_forces(pos, radii, params, profile, suppressed=suppressed, reach=reach)
+    assert forces.tobytes() == want_forces.tobytes() and not len(key)
     assert sigma_activity(pos, radii, profile).tobytes() == setup.no_sigma.tobytes()
     # a stage that measures no pair is the setup's empty pass
     room = stage_room(pairs, pos, profile, setup)
