@@ -245,9 +245,8 @@ class Runtime:
                                                 self.profile, suppressed=suppressed,
                                                 reach=self.reach, pairs=pairs,
                                                 setup=self._pair_setup)
-                # the same object is the same key (a pass without near pairs, or a
-                # law that cannot jump); else comparing bytes is the cheap exact
-                # test; the switched rows are those of the codes in one key only
+                # the same object is the same key (no near pair, or a law that cannot
+                # jump); else equal bytes are the same pairs; rows only on a change
                 step_key = self._step_key
                 if (step_key is not None and key is not step_key
                         and key.tobytes() != step_key.tobytes()):

@@ -379,22 +379,19 @@ def crf_forces(positions, radii, params: InteractionParams, profile: WeightProfi
     result equals that dense sum bit for bit, the sign of a zero sum
     included.
 
-    Returns (forces, key). The switch key lists, as flat codes
-    row * L + col, the directed near pairs on the inner side of a boundary
-    where their weight jumps (`PairSetup.jumps`), taken from the same
-    weights, with suppressed rows left out; it is empty for a law that
-    cannot jump. Agent i's pair force switches discontinuously between two
-    snapshots exactly when the codes of row i differ, that is, when
-    `np.setxor1d` of their keys holds a code of row i. The codes run in the
-    order of the near pairs, so two keys of the same pairs have the same
-    bytes.
+    Returns (forces, key). The switch key holds, as flat codes
+    row * L + col in near-pair order, the directed near pairs on the inner
+    side of a boundary where their weight jumps (`PairSetup.jumps`), with
+    suppressed rows left out: agent i's pair force switches discontinuously
+    between two snapshots exactly when `np.setxor1d` of their keys holds a
+    code of row i, and two keys of the same pairs have the same bytes.
 
     `setup` is `pair_setup` of the same radii, params, profile, suppressed
     and reach, from a caller that evaluates many snapshots of one group;
-    without it the call makes its own. A pass without near pairs, and any
-    pass of a law that cannot jump, returns the setup's read-only
-    `no_switch` as it is (with `no_forces` when no pair is near), so two
-    such keys are the same object.
+    without it the call makes its own. A pass without near pairs returns
+    the setup's read-only `no_forces`, and such a pass or a law that cannot
+    jump its empty `no_switch`, as they are, so two such keys are the same
+    object.
     """
     pos = np.asarray(positions, float)
     radii = np.asarray(radii, float)
