@@ -14,17 +14,11 @@ from .engine import (
 from .harmonic import (
     ScalarGridField,
     gradient_at,
-    max_gradient,
     resolve_incremental,
     solve_dirichlet,
     value_at,
 )
-from .interaction import (
-    InteractionParams,
-    ObstacleRepulsionParams,
-    WeightProfile,
-    circulation_bound_check,
-)
+from .interaction import InteractionParams, ObstacleRepulsionParams, WeightProfile
 from .scenarios import BUILTIN_NAMES, AgentSpec, GoalSpec, ScenarioSpec, builtin, load, save
 from .world import (
     Ball,

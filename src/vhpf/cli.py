@@ -36,6 +36,21 @@ _PROFILE_ALIASES = {"linear": "linear", "sin": "sinusoidal", "sinusoidal": "sinu
                     "exp": "exponential", "exponential": "exponential", "spring": "spring"}
 
 
+def _parse(convert, text, where):
+    """`convert(text)`; a value it cannot convert is a ConfigError naming it."""
+    try:
+        return convert(text)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: {text!r} is not a valid value") from None
+
+
+def _profile_kind(name: str) -> str:
+    if name not in _PROFILE_ALIASES:
+        raise ConfigError(f"--profiles: unknown profile {name!r}; "
+                          f"choose one of {', '.join(sorted(_PROFILE_ALIASES))}")
+    return _PROFILE_ALIASES[name]
+
+
 def _resolve_scenario(ref: str) -> scenarios.ScenarioSpec:
     if ref in scenarios.BUILTIN_NAMES:
         return scenarios.builtin(ref)
@@ -125,8 +140,6 @@ def cmd_run(args) -> int:
         if ev["kind"] == "audit_warning":
             print(f"warning: {ev['cells']} free cells too tight for a "
                   f"radius-{ev['radius']:g} conflict disc", file=sys.stderr)
-        elif ev["kind"] == "circulation_warning":
-            print(f"warning: {ev['message']}", file=sys.stderr)
     print(f"{spec.name}: outcome={log.outcome} t_end={log.times[-1]:.4g} "
           f"min_pair_clearance={metrics.min_pair_clearance:.4g}")
     return _OUTCOME_CODES[log.outcome]
@@ -141,10 +154,10 @@ def cmd_sweep_delta(args) -> int:
     spec = _apply_overrides(_resolve_scenario(args.scenario), args)
     if len(spec.agents) != 2:
         raise ConfigError("the width sweep needs a two-agent exchange scenario")
-    deltas = [float(v) for v in args.deltas.split(",") if v.strip()]
+    deltas = [_parse(float, v, "--deltas") for v in args.deltas.split(",") if v.strip()]
     if not deltas:
         raise ConfigError("no widths given for the sweep")
-    profiles = [_PROFILE_ALIASES[p.strip()] for p in args.profiles.split(",") if p.strip()]
+    profiles = [_profile_kind(p.strip()) for p in args.profiles.split(",") if p.strip()]
     if not profiles:
         raise ConfigError("no profiles given for the sweep")
     rows = [_sweep_one(spec, p, d) for p in profiles for d in deltas]
@@ -168,12 +181,16 @@ def cmd_plot(args) -> int:
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)
         cols = reader.fieldnames or []
-        if "agent_id" not in cols or "x" not in cols:
-            raise ConfigError(f"{path}: not a trajectory CSV (missing agent_id/x columns)")
-        axes = [c for c in ("x", "y", "z") if c in cols]
+        axes = ("x", "y", "z")[:len(spec.workspace.lo)]
+        missing = [c for c in ("agent_id", *axes) if c not in cols]
+        if missing:
+            raise ConfigError(f"{path}: not a trajectory CSV of a {len(axes)}-D scenario "
+                              f"(missing columns {', '.join(missing)})")
         for row in reader:
-            aid = int(row["agent_id"])
-            trajectories.setdefault(aid, []).append([float(row[a]) for a in axes])
+            where = f"{path}, line {reader.line_num}"
+            aid = _parse(int, row["agent_id"], f"{where}, agent_id")
+            point = [_parse(float, row[a], f"{where}, {a}") for a in axes]
+            trajectories.setdefault(aid, []).append(point)
     _render(spec, {k: np.asarray(v) for k, v in trajectories.items()}, Path(args.out))
     print(f"plot -> {args.out}")
     return EXIT_OK

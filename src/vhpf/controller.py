@@ -34,9 +34,7 @@ class AgentController:
     """What one agent learns while it runs, next to its `scenarios.AgentSpec`:
     its goal field (harmonic control only), whose `known_mask` is the
     agent's map of the boundary cells, and its wall-cushion index over the
-    cells it knows (None without one). An agent without a field never senses.
-    `goal` is the spec's goal as a list of floats (None without one), which
-    the goal term reads."""
+    cells it knows (None without one). An agent without a field never senses."""
 
     spec: object                           # scenarios.AgentSpec
     field: harmonic.ScalarGridField | None = None
@@ -45,8 +43,6 @@ class AgentController:
     def __post_init__(self):
         if self.spec.control.kind == HARMONIC_GOAL and self.field is None:
             raise ConfigError(f"agent {self.spec.id}: harmonic control needs a solved field")
-        goal = self.spec.goal_array
-        self.goal = None if goal is None else goal.tolist()
 
 
 def _length(v) -> float:
@@ -70,7 +66,7 @@ def goal_term(ctrl: AgentController, x) -> list:
         # constant-speed descent cannot stop on its own: inside the target
         # zone (obstacle-free by validation) park with a terminal spring
         # whose magnitude matches the cruise speed at the zone boundary
-        offset = [a - b for a, b in zip(ctrl.goal, x)]
+        offset = [a - b for a, b in zip(spec.goal, x)]
         if _length(offset) <= spec.target_radius:
             k = control.cruise / spec.target_radius
             return [k * a for a in offset]

@@ -601,11 +601,6 @@ def run(scenario):
         bad = int(np.count_nonzero(world.passage_width_audit(runtime.ws, pass_radius)))
         if bad:
             log.add_event(0.0, "audit_warning", cells=bad, radius=pass_radius)
-    if runtime._harmonic and runtime.params.mode == interaction.UNIT_MODE:
-        peaks = [harmonic.max_gradient(c.field) for _, c in runtime._harmonic]
-        warning = interaction.circulation_bound_check(runtime.params.kt, peaks)
-        if warning:
-            log.add_event(0.0, "circulation_warning", message=warning)
 
     positions = runtime.positions()
     start_positions = positions.copy()

@@ -432,13 +432,3 @@ def gradient_at(field: ScalarGridField, x) -> list:
 def value_at(field: ScalarGridField, x) -> float:
     """Potential at a point, multilinearly interpolated between cell centers."""
     return _sample(field, x, False)[0]
-
-
-def max_gradient(field: ScalarGridField) -> float:
-    """Largest gradient magnitude over the free cells (0.0 without any)."""
-    free = field.cell_class == FREE
-    if not np.any(free):
-        return 0.0
-    grads = field.gradients()
-    return float(np.sqrt((grads * grads).sum(axis=0))[free].max())
-

@@ -682,18 +682,3 @@ def repulsion_batch(points, radii, index: KnownBoundaryIndex,
     active = d < params.influence
     mag = np.where(active, params.strength * (1.0 - np.maximum(d, 0.0) / params.influence) ** 2, 0.0)
     return mag[:, None] * normal, d < 0
-
-
-def circulation_bound_check(kt: float, max_gradients) -> str | None:
-    """Deadlock-freedom heuristic: the circulating gain should dominate the
-    summed peak gradient magnitudes (`harmonic.max_gradient`) of all goal
-    fields. Returns a warning message, or None when the bound holds (or
-    cannot matter, single agent)."""
-    max_gradients = list(max_gradients)
-    if len(max_gradients) <= 1:
-        return None
-    bound = float(sum(max_gradients))
-    if kt < bound:
-        return (f"circulating gain {kt:g} is below the conservative "
-                f"deadlock-freedom bound {bound:.4g}")
-    return None

@@ -69,8 +69,7 @@ class AgentSpec:
     ring, its goal and its control. The run loop owns the moving position.
 
     `r_target` None means the target zone has the body's radius;
-    `target_radius` applies that rule. `goal_array` is the goal as a
-    read-only float array (None without a goal), made once: the tick reads it.
+    `target_radius` applies that rule.
     """
 
     id: int
@@ -98,11 +97,6 @@ class AgentSpec:
             raise ConfigError(f"{owner}: {self.control.kind} control needs a goal")
         if self.prior_knowledge not in (PRIOR_NONE, PRIOR_FULL):
             raise ConfigError(f"{owner}: unknown prior_knowledge {self.prior_knowledge!r}")
-        goal = None
-        if self.goal is not None:
-            goal = np.array(self.goal, float)
-            goal.flags.writeable = False
-        object.__setattr__(self, "goal_array", goal)
 
     @property
     def reach(self):
@@ -192,7 +186,7 @@ def build_runtime(spec: ScenarioSpec) -> Runtime:
         if a.control.kind == ctl.HARMONIC_GOAL:
             # tight tolerance: behind narrow passages the potential varies by
             # less than 1e-8, and the drive direction must outrank residual noise
-            field = harmonic.solve_dirichlet(ws.grid, walls if full else (), a.goal_array,
+            field = harmonic.solve_dirichlet(ws.grid, walls if full else (), a.goal,
                                              tol=1e-12, inflate=a.radius)
         index = None
         if repulsion is not None and full:
@@ -209,16 +203,19 @@ def build_runtime(spec: ScenarioSpec) -> Runtime:
 # Builtins
 # ---------------------------------------------------------------------------
 
-def _exchange_pair(profile_kind: str, name: str) -> ScenarioSpec:
-    """Two agents swapping places along a line, goal springs plus pair forces."""
+def _exchange_pair(profile_kind: str, name: str, dim: int = 2) -> ScenarioSpec:
+    """Two agents swapping places along the first axis, goal springs plus pair
+    forces, in a box of half-width 10 (the plane) or 6 (3-D)."""
+    rest = (0.0,) * (dim - 1)
+    half = 10.0 if dim == 2 else 6.0
     goal_control = GoalSpec(kind=ctl.SPRING_GOAL, gain=0.4)
     agents = (
-        AgentSpec(1, (-4.0, 0.0), 1.0, 1.5, goal_control, goal=(4.0, 0.0), r_target=1.0),
-        AgentSpec(2, (4.0, 0.0), 1.0, 1.5, goal_control, goal=(-4.0, 0.0), r_target=1.0),
+        AgentSpec(1, (-4.0, *rest), 1.0, 1.5, goal_control, goal=(4.0, *rest), r_target=1.0),
+        AgentSpec(2, (4.0, *rest), 1.0, 1.5, goal_control, goal=(-4.0, *rest), r_target=1.0),
     )
     return ScenarioSpec(
         name=name,
-        workspace=WorkspaceSpec((-10.0, -10.0), (10.0, 10.0), grid_h=0.25),
+        workspace=WorkspaceSpec((-half,) * dim, (half,) * dim, grid_h=0.25),
         agents=agents,
         crf=InteractionParams(kr=2.0, kt=1.0, mode=interaction.SPRING_MODE),
         profile=WeightProfile(kind=profile_kind, delta=1.5, beta=0.05),
@@ -244,21 +241,7 @@ def _case2_exp():
 
 
 def _case3_3d():
-    goal_control = GoalSpec(kind=ctl.SPRING_GOAL, gain=0.4)
-    agents = (
-        AgentSpec(1, (-4.0, 0.0, 0.0), 1.0, 1.5, goal_control, goal=(4.0, 0.0, 0.0), r_target=1.0),
-        AgentSpec(2, (4.0, 0.0, 0.0), 1.0, 1.5, goal_control, goal=(-4.0, 0.0, 0.0), r_target=1.0),
-    )
-    return ScenarioSpec(
-        name="case3_3d",
-        workspace=WorkspaceSpec((-6.0, -6.0, -6.0), (6.0, 6.0, 6.0), grid_h=0.25),
-        agents=agents,
-        crf=InteractionParams(kr=2.0, kt=1.0, mode=interaction.SPRING_MODE,
-                              axis=(0.0, 0.0, 1.0)),
-        profile=WeightProfile(kind=interaction.SPRING, delta=1.5),
-        obstacle_repulsion=None,
-        sim=SimConfig(dt=0.01, t_max=60.0),
-    )
+    return _exchange_pair(interaction.SPRING, "case3_3d", dim=3)
 
 
 def _triangle_vertices(side: float):

@@ -69,19 +69,14 @@ class Box:
         require_finite("box", lo=self.lo, hi=self.hi)
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise ConfigError(f"degenerate box {self.lo}..{self.hi}")
-        # the corners as arrays, made once: every audited tick measures against them
-        corners = (np.asarray(self.lo, float), np.asarray(self.hi, float))
-        for c in corners:
-            c.flags.writeable = False
-        object.__setattr__(self, "_corners", corners)
 
     @property
     def bbox(self):
-        return self._corners[0].copy(), self._corners[1].copy()
+        return np.asarray(self.lo, float), np.asarray(self.hi, float)
 
     def signed_distance(self, points):
         """Signed distance from points (..., dim); negative inside."""
-        return _box_distance(np.asarray(points, float), *self._corners)
+        return _box_distance(np.asarray(points, float), *self.bbox)
 
 
 @dataclass(frozen=True)
@@ -412,9 +407,9 @@ def validate_scenario(ws: Workspace, agents) -> list:
         if ws.obstacles and ws.obstacle_clearance(start) < a.radius - tol:
             violations.append(f"agent {a.id}: body overlaps an obstacle")
         if a.goal is not None:
-            if ws.bounds_clearance(a.goal_array) < a.target_radius - tol:
+            if ws.bounds_clearance(a.goal) < a.target_radius - tol:
                 violations.append(f"agent {a.id}: unattainable target (outside bounds)")
-            if ws.obstacles and ws.obstacle_clearance(a.goal_array) < a.target_radius - tol:
+            if ws.obstacles and ws.obstacle_clearance(a.goal) < a.target_radius - tol:
                 violations.append(f"agent {a.id}: unattainable target (inside an obstacle)")
     if len(agents) < 2:
         return violations
@@ -422,8 +417,8 @@ def validate_scenario(ws: Workspace, agents) -> list:
     i, j = np.triu_indices(len(agents), k=1)
     x = np.array([a.start for a in agents], float)
     radius = np.array([a.radius for a in agents])
-    goal = np.array([np.full(x.shape[1], np.nan) if a.goal is None else a.goal_array
-                     for a in agents])
+    goal = np.array([np.full(x.shape[1], np.nan) if a.goal is None else a.goal
+                     for a in agents], float)
     r_target = np.array([np.nan if a.goal is None else a.target_radius for a in agents])
     overlap = axis_norms(x[i] - x[j]) < radius[i] + radius[j] - tol
     conflict = axis_norms(goal[i] - goal[j]) < r_target[i] + r_target[j] - tol

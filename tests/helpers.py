@@ -526,7 +526,7 @@ def goal_term(ctrl, x) -> np.ndarray:
     x = np.asarray(x, float)
     spec, control = ctrl.spec, ctrl.spec.control
     if control.kind == controller.SPRING_GOAL:
-        return control.gain * (spec.goal_array - x)
+        return control.gain * (np.asarray(spec.goal, float) - x)
     if control.kind == controller.CONSTANT_DRIFT:
         return np.array(control.velocity, float)
     return np.array(controller.goal_term(ctrl, x))
@@ -540,7 +540,7 @@ def unit_goal_term(ctrl, x) -> np.ndarray:
     x = np.asarray(x, float)
     spec, control = ctrl.spec, ctrl.spec.control
     assert control.drive == controller.UNIT_DRIVE
-    offset = spec.goal_array - x
+    offset = np.asarray(spec.goal, float) - x
     if float(np.sqrt((offset * offset).sum())) <= spec.target_radius:
         return (control.cruise / spec.target_radius) * offset
     g = oracle_gradient_at(ctrl.field, x)
@@ -555,7 +555,7 @@ def goal_potential(ctrl, x) -> float | None:
     spring, None for a drift, `engine.agent_potential` for a harmonic agent."""
     control = ctrl.spec.control
     if control.kind == controller.SPRING_GOAL:
-        r = axis_norms(np.asarray(x, float) - ctrl.spec.goal_array)
+        r = axis_norms(np.asarray(x, float) - np.asarray(ctrl.spec.goal, float))
         return float(0.5 * control.gain * r * r)
     if control.kind == controller.CONSTANT_DRIFT:
         return None

@@ -285,6 +285,35 @@ def test_plot_malformed_csv_is_config_error(tmp_path):
                     "--out", str(tmp_path / "x.svg")]) == 5
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--profiles", "bogus"),
+    ("--deltas", "abc"),
+], ids=["profile", "delta"])
+def test_sweep_bad_list_value_is_config_error(tmp_path, capsys, flag, value):
+    args = {"--deltas": "1.5", "--profiles": "linear", flag: value}
+    argv = ["sweep-delta", "case1", "--out", str(tmp_path / "s.csv")]
+    for name, text in args.items():
+        argv += [name, text]
+    assert run_cli(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and repr(value) in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ("t,agent_id,x,y\n0.0,1,abc,0.0\n", "line 2, x: 'abc'"),
+    ("t,agent_id,x,y\n0.0,one,1.0,0.0\n", "line 2, agent_id: 'one'"),
+    ("t,agent_id,x\n0.0,1,1.0\n", "missing columns y"),
+], ids=["x", "agent_id", "no-y-column"])
+def test_plot_bad_csv_value_is_config_error(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert run_cli(["plot", str(bad), "--scenario", "case1",
+                    "--out", str(tmp_path / "x.svg")]) == 5
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_run_io_failure_exits_one(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

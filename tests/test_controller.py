@@ -274,7 +274,7 @@ def test_unit_goal_term_and_value_are_bit_identical_to_the_oracles(name):
     rng = np.random.default_rng(11)
     for c in rt.controllers:
         assert c.spec.control.drive == UNIT_DRIVE
-        goal, r = c.spec.goal_array, c.spec.target_radius
+        goal, r = np.asarray(c.spec.goal, float), c.spec.target_radius
         points = _free_points(c, rt.ws, rng, 200)
         inside = rng.normal(size=(40, rt.dim))
         inside *= rng.uniform(0.0, r, size=(40, 1)) / np.linalg.norm(inside, axis=1, keepdims=True)

@@ -33,7 +33,6 @@ from vhpf.interaction import (
     KnownBoundaryIndex,
     ObstacleRepulsionParams,
     WeightProfile,
-    circulation_bound_check,
     crf_forces,
     interaction_weights,
     near_pairs,
@@ -990,18 +989,3 @@ def test_cushion_query_rejects_non_finite_points():
     for bad in ([np.nan, 0.0], [0.0, np.inf]):
         with pytest.raises(ValueError, match="finite"):
             index.clearance_normal(np.array([[0.0, -1.0], bad]), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# circulation bound
-# ---------------------------------------------------------------------------
-
-def test_circulation_bound_warns_when_weak():
-    peaks = [1.2, 0.8]
-    assert circulation_bound_check(0.0, peaks) is not None
-    assert circulation_bound_check(1.0, peaks) is not None
-    assert circulation_bound_check(4.0, peaks) is None
-
-
-def test_circulation_bound_vacuous_for_single_agent():
-    assert circulation_bound_check(0.0, [5.0]) is None
