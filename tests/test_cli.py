@@ -290,11 +290,9 @@ def test_plot_malformed_csv_is_config_error(tmp_path):
     ("--deltas", "abc"),
 ], ids=["profile", "delta"])
 def test_sweep_bad_list_value_is_config_error(tmp_path, capsys, flag, value):
-    args = {"--deltas": "1.5", "--profiles": "linear", flag: value}
-    argv = ["sweep-delta", "case1", "--out", str(tmp_path / "s.csv")]
-    for name, text in args.items():
-        argv += [name, text]
-    assert run_cli(argv) == 5
+    # the later of two copies of an option wins
+    assert run_cli(["sweep-delta", "case1", "--deltas", "1.5", "--profiles", "linear",
+                    flag, value, "--out", str(tmp_path / "s.csv")]) == 5
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}") and repr(value) in err
     assert not (tmp_path / "s.csv").exists()
