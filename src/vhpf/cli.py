@@ -18,6 +18,10 @@ import numpy as np
 from . import engine, scenarios, svgplot
 from .world import ConfigError
 
+# what the imports made lives as long as the process: spare it the cyclic
+# collector's full passes, which would scan it again each time
+gc.freeze()
+
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DEADLOCK = 2
@@ -245,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if not gc.get_freeze_count():
-        # what the imports made lives as long as the process: spare it the
-        # cyclic collector's full passes, which would scan it again each time
-        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

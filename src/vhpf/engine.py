@@ -456,7 +456,8 @@ def curvature_profile(positions, speeds, v_eps, breaks=None):
     bound as the step shrinks. Flagged chords are dropped, each smooth
     stretch between them is resampled on its own with the same spacing
     ds = 4 x mean step, and the turning angle across each break is reported
-    instead. Returns (s, kappa, kappa_max, degenerate_flag, corner_angles).
+    instead. Returns (s, kappa, kappa_max, degenerate_flag, corner_angles);
+    kappa_max is NaN when the path's length overflows.
     """
     positions = np.asarray(positions, float)
     speeds = np.asarray(speeds, float)
@@ -466,6 +467,9 @@ def curvature_profile(positions, speeds, v_eps, breaks=None):
     if len(pts) < 3:
         return empty
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s_nodes = np.concatenate([[0.0], np.cumsum(seg)])
+    if not math.isfinite(s_nodes[-1]):   # an arc length that overflows: no curvature
+        return np.array([]), np.array([]), math.nan, True, np.array([])
     broken = np.zeros(len(seg), dtype=bool)
     if breaks is not None:
         # a chord between kept samples a < b is broken if any step in [a, b) is
@@ -479,7 +483,6 @@ def curvature_profile(positions, speeds, v_eps, breaks=None):
     if mean_step <= 0:
         return empty
     ds = 4.0 * mean_step
-    s_nodes = np.concatenate([[0.0], np.cumsum(seg)])
 
     # maximal runs of unbroken chords: chords lo..hi-1 join samples lo..hi
     edges = np.flatnonzero(np.diff(np.concatenate([[True], broken, [True]]).astype(np.int8)))
@@ -537,8 +540,9 @@ def _auto_v_eps(runtime: Runtime) -> float:
 
 
 def _quiet_overflow():
-    """Overflow and invalid operations in the integration surface as a
-    non-finite control or position (`_non_finite`), not as warnings."""
+    """Overflow and invalid operations in the integration and the metrics
+    surface as a non-finite control, position or metric (`_non_finite`),
+    not as warnings."""
     return np.errstate(over="ignore", invalid="ignore")
 
 
@@ -549,11 +553,12 @@ def _failed(log: TrajectoryLog, t, phase: str, exc: Exception) -> SimulationErro
     return SimulationError(f"{phase} failed at t={t:g}: {exc}", log)
 
 
-def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, values) -> SimulationError:
-    """Log an `error` event naming the agents whose row of `values` (their
-    `what`) is not finite, and return the error that ends the run: a NaN
-    state must never run on to a timeout whose clearances read as safe."""
-    agents = [runtime.agents[i].id for i in np.flatnonzero(~np.isfinite(values).all(axis=1))]
+def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, bad) -> SimulationError:
+    """Log an `error` event naming the agents flagged in `bad`, whose `what`
+    is not finite, and return the error that ends the run: a NaN state must
+    never run on to a timeout whose clearances read as safe, and strict
+    JSON has no number for a metric that overflows."""
+    agents = [runtime.agents[i].id for i in np.flatnonzero(bad)]
     message = f"non-finite {what} of agents {agents}"
     log.add_event(t, "error", message=message, agents=agents)
     return SimulationError(f"{message} at t={t:g}", log)
@@ -581,7 +586,8 @@ def run(scenario):
     The scenario's `sim` is the run's configuration. A tick whose sensing,
     field re-solve, control evaluation or integration fails, or whose state
     turns non-finite, ends the run with an `error` event and a
-    `SimulationError` that carries the log so far.
+    `SimulationError` that carries the log so far; so does a metric that
+    overflows.
     """
     from .scenarios import build_runtime  # deferred: scenarios imports SimConfig from here
 
@@ -618,7 +624,7 @@ def run(scenario):
     with _quiet_overflow():
         while True:
             if not np.isfinite(positions).all():
-                raise _non_finite(log, t, "position", runtime, positions)
+                raise _non_finite(log, t, "position", runtime, ~np.isfinite(positions).all(axis=1))
             rows = positions.tolist() if runtime._harmonic else None   # for sensing
             for i, c in runtime._harmonic:
                 iterations = c.field.iterations
@@ -639,7 +645,7 @@ def run(scenario):
             except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
                 raise _failed(log, t, "control evaluation", exc) from exc
             if not np.isfinite(U).all():
-                raise _non_finite(log, t, "control", runtime, U)
+                raise _non_finite(log, t, "control", runtime, ~np.isfinite(U).all(axis=1))
 
             switched = runtime.begin_step()
             if switched is not None:
@@ -705,18 +711,26 @@ def run(scenario):
         breaks = np.zeros((log.n_ticks - 1, runtime.n_agents), dtype=bool)
         for k, flags in log.switches:
             breaks[k] = flags
-    for i, b in enumerate(runtime.agents):
-        sp = np.linalg.norm(ctl_arr[:, i, :], axis=1)
-        _, _, kmax, _, angles = curvature_profile(pos_arr[:, i, :], sp, v_eps,
-                                                  None if breaks is None else breaks[:, i])
-        kappa[b.id] = kmax
-        corners[b.id] = float(angles.max()) if len(angles) else 0.0
-        lengths[b.id] = float(np.linalg.norm(np.diff(pos_arr[:, i, :], axis=0), axis=1).sum())
-
     trace_list = [float(v) for v in trace] if trace is not None else None
     rate_list = None
-    if trace_list and len(trace_list) > 1:
-        rate_list = [float(v) for v in np.diff(trace_list) / config.dt]
+    with _quiet_overflow():   # a finite state's metrics can still overflow
+        for i, b in enumerate(runtime.agents):
+            sp = np.linalg.norm(ctl_arr[:, i, :], axis=1)
+            _, _, kmax, _, angles = curvature_profile(pos_arr[:, i, :], sp, v_eps,
+                                                      None if breaks is None else breaks[:, i])
+            kappa[b.id] = kmax
+            corners[b.id] = float(angles.max()) if len(angles) else 0.0
+            lengths[b.id] = float(np.linalg.norm(np.diff(pos_arr[:, i, :], axis=0), axis=1).sum())
+        if trace_list and len(trace_list) > 1:
+            rate_list = [float(v) for v in np.diff(trace_list) / config.dt]
+    for what, values in (("path length", lengths), ("curvature", kappa),
+                         ("corner angle", corners)):
+        bad = ~np.isfinite(list(values.values()))
+        if bad.any():
+            raise _non_finite(log, t, what, runtime, bad)
+    for what, values in (("potential trace", trace_list), ("potential rate", rate_list)):
+        if values and not np.isfinite(values).all():    # a sum over every agent
+            raise _non_finite(log, t, what, runtime, np.ones(runtime.n_agents, bool))
 
     metrics = MetricsReport(
         kappa_max=kappa,

@@ -17,11 +17,6 @@ import numpy.fft  # NumPy loads it lazily, at the first solve otherwise
 
 from .world import ConfigError, GridSpec, dilate, disk
 
-FREE = 0
-OBSTACLE_BC = 1
-GOAL_BC = 2
-OUTER_BC = 3
-
 DEFAULT_TOL = 1e-8
 
 
@@ -34,12 +29,14 @@ class FieldQueryError(ValueError):
 
 
 class ScalarGridField:
-    """Solved potential with per-cell classification and gradient sampling."""
+    """Solved potential with gradient sampling. The solve moves the cells of
+    the boolean grid `free` and pins the rest: the outer rim and the known
+    cells inflated by `inflate` at 1, the goal cell at 0."""
 
-    def __init__(self, grid: GridSpec, cell_class, values, known_mask, goal_cell,
+    def __init__(self, grid: GridSpec, free, values, known_mask, goal_cell,
                  tol=DEFAULT_TOL, inflate=0.0):
         self.grid = grid
-        self.cell_class = cell_class
+        self.free = free
         self.values = values
         self.known_mask = known_mask  # raw discovered cells, without inflation
         self.goal_cell = goal_cell
@@ -205,7 +202,7 @@ def _relax(field: ScalarGridField, tol: float, max_sweeps=None):
     the first transform. `max_sweeps` caps the iterations.
     """
     v = field.values
-    free = (field.cell_class == FREE).astype(float)
+    free = field.free.astype(float)
     two_dim = 2.0 * v.ndim
     if max_sweeps is None:
         max_sweeps = 100 * int(np.sum(v.shape))
@@ -305,36 +302,30 @@ def solve_dirichlet(grid: GridSpec, known_cells, goal, tol=DEFAULT_TOL,
     """
     if tol <= 0:
         raise ConfigError(f"solver tolerance must be positive, got {tol}")
-    shape = grid.shape
-    cls = np.full(shape, FREE, dtype=np.int8)
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[ax] = 0
-        cls[tuple(sl)] = OUTER_BC
-        sl[ax] = shape[ax] - 1
-        cls[tuple(sl)] = OUTER_BC
+    free = np.zeros(grid.shape, dtype=bool)
+    free[(slice(1, -1),) * grid.dim] = True
 
     known_mask = _cell_mask(grid, known_cells)
     pinned = _inflate_mask(known_mask, grid, inflate)
-    cls[pinned] = OBSTACLE_BC
+    free &= ~pinned
 
     if not grid.contains(goal):
         raise ConfigError(f"goal {goal} lies outside the grid")
     goal_cell = grid.point_to_cell(goal)
-    if cls[goal_cell] == OBSTACLE_BC:
+    if pinned[goal_cell]:
         raise ConfigError(f"goal {goal} lies inside the known obstacle region")
-    cls[goal_cell] = GOAL_BC
+    free[goal_cell] = False
 
-    values = np.ones(shape, dtype=float)
+    values = np.ones(grid.shape, dtype=float)
     values[goal_cell] = 0.0
 
-    field = ScalarGridField(grid, cls, values, known_mask, goal_cell,
+    field = ScalarGridField(grid, free, values, known_mask, goal_cell,
                             tol=tol, inflate=inflate)
     _relax(field, tol, max_sweeps)
     return field
 
 
-def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGridField:
+def resolve_incremental(field: ScalarGridField, new_cells) -> ScalarGridField:
     """Add newly discovered cells (index rows, as `solve_dirichlet` takes
     them) to the field's `known_mask`, pin them to 1 and re-solve from the
     current values. A cell already known changes nothing.
@@ -344,15 +335,14 @@ def resolve_incremental(field: ScalarGridField, new_cells, tol=None) -> ScalarGr
     result matches a cold solve with the enlarged boundary set to within the
     solve tolerance. Mutates the field; `field.iterations` keeps counting.
     """
-    tol = field.tol if tol is None else tol
     added = _cell_mask(field.grid, new_cells)
     field.known_mask |= added
     pinned = _inflate_mask(added, field.grid, field.inflate)
     if pinned[field.goal_cell]:
         raise ConfigError("discovered obstacle region swallowed the goal cell")
-    field.cell_class[pinned & (field.cell_class != GOAL_BC)] = OBSTACLE_BC
-    field.values[field.cell_class == OBSTACLE_BC] = 1.0
-    _relax(field, tol)
+    field.free &= ~pinned
+    field.values[pinned] = 1.0
+    _relax(field, field.tol)
     return field
 
 

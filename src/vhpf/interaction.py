@@ -489,7 +489,7 @@ class KnownBoundaryIndex:
         self.mask = np.array(mask, dtype=bool)     # a copy: the agent's map grows on
         # argwhere's rows are a column-major view; row-major boxes are faster to take from
         self.cells = np.ascontiguousarray(np.argwhere(self.mask))
-        self.centers = np.asarray(grid.origin) + (self.cells + 0.5) * grid.h
+        self.centers = grid.cell_centers(self.cells)
         self.half = grid.h / 2.0
         # each cell box's lower and upper corner, then those of a sentinel box
         # at +inf, which pads the rows of the nearest-box tables

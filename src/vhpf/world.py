@@ -2,10 +2,11 @@
 
 The workspace keeps two views of the obstacle set: the exact primitive shapes
 (used for collision checks and clearance queries) and a rasterized occupancy
-grid (used by the potential solver). The shapes' numbers are also stacked by
-kind once, so a clearance query measures every box, and every ball, in one
-broadcast. Boundary cells are the obstacle cells of the raster that touch
-free space along a grid axis.
+grid (used by the potential solver), made from each cell center's signed
+distance to the nearest shape, which the passage audit reads too. The
+shapes' numbers are also stacked by kind once, so a clearance query
+measures every box, and every ball, in one broadcast. Boundary cells are
+the obstacle cells of the raster that touch free space along a grid axis.
 
 A set of grid cells is a boolean array of the grid's shape. A batch of cells
 in transit (what one sensing call sees) is that array's index rows, in the C
@@ -287,14 +288,17 @@ class Workspace:
             raise ConfigError("workspace has no free space")
 
     def _rasterize(self):
-        occupied = np.zeros(self.grid.shape, dtype=bool)
-        if self.obstacles:   # the cell centers serve only to test the shapes
+        # each cell center's signed distance to the nearest shape (inf with
+        # none), measured once: the raster and the passage audit read it
+        self.center_clearance = np.full(self.grid.shape, np.inf)
+        if self.obstacles:
             axes = [self.lo[k] + (np.arange(n) + 0.5) * self.h
                     for k, n in enumerate(self.grid.shape)]
             centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
             for ob in self.obstacles:
-                occupied |= ob.signed_distance(centers) <= 0.0
-        self.obstacle_mask = occupied
+                np.minimum(self.center_clearance, ob.signed_distance(centers),
+                           out=self.center_clearance)
+        occupied = self.center_clearance <= 0.0
         self.free_mask = ~occupied
 
         # the occupied cells among the free cells' axis neighbors; an empty
@@ -374,24 +378,14 @@ def passage_width_audit(ws: Workspace, radius: float) -> np.ndarray:
     outer bounds do not count against the disc.  A flagged cell marks a
     passage too tight for the two largest agents to resolve a conflict in.
     The centers within `radius` are the `disk` footprint, so the free cells
-    that pass are the fitting cells' dilation by it.
+    that pass are the dilation by it of the cells whose `center_clearance`
+    fits the disc.
     """
     if radius <= 0:
         raise ConfigError(f"passage audit radius must be positive, got {radius}")
     if not ws.obstacles:
         return np.zeros(ws.grid.shape, dtype=bool)
-    centers = ws.grid.cell_centers(np.argwhere(ws.free_mask))
-    # measured one slab of the first axis at a time: a clearance query
-    # broadcasts over (points, shapes), and over the whole grid that would
-    # hold several arrays of cells x shapes x dim at once
-    clearance = np.empty(len(centers))
-    start = 0
-    for end in np.cumsum(ws.free_mask.reshape(ws.grid.shape[0], -1).sum(axis=1)).tolist():
-        clearance[start:end] = ws.obstacle_clearance(centers[start:end])
-        start = end
-    fits = np.zeros(ws.grid.shape, dtype=bool)
-    # the free cells' centers are in C order, and so is a mask's assignment
-    fits[ws.free_mask] = clearance >= radius
+    fits = ws.center_clearance >= radius
     return ws.free_mask & ~dilate(fits, disk(float(radius), ws.h, ws.dim))
 
 

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from hypothesis import strategies as st
 
 from vhpf import controller, engine
-from vhpf.harmonic import FREE, FieldQueryError, ScalarGridField
+from vhpf.harmonic import FieldQueryError, ScalarGridField
 from vhpf.interaction import (
     CW,
     EXPONENTIAL,
@@ -60,7 +60,7 @@ def _free_system(field: ScalarGridField):
     order: A has 2*dim on the diagonal and -1 per free neighbor, b sums the
     values of the pinned neighbors. The rim is pinned, so every neighbor of
     a free cell lies on the grid."""
-    free = field.cell_class == FREE
+    free = field.free
     cells = np.argwhere(free)
     n, dim = cells.shape
     number = np.full(free.shape, -1)

@@ -19,7 +19,7 @@ import pytest
 from helpers import agent, component, direct_solve, pair_force, random_workspace
 from vhpf import engine, harmonic, scenarios
 from vhpf.engine import CONVERGED, DEADLOCK, TIMEOUT, SimConfig, run
-from vhpf.harmonic import FREE, GOAL_BC, resolve_incremental, solve_dirichlet
+from vhpf.harmonic import resolve_incremental, solve_dirichlet
 from vhpf.interaction import (
     LINEAR,
     SPRING,
@@ -229,7 +229,7 @@ def test_criterion_10_field_properties():
         rng = np.random.default_rng(9000 + seed)
         ws, goal = random_workspace(rng)
         field = solve_dirichlet(ws.grid, np.argwhere(ws.boundary_mask), goal, tol=tol)
-        free = field.cell_class == FREE
+        free = field.free
 
         if not (field.values.min() == 0.0 and field.values.max() <= 1 + 10 * tol
                 and np.all(field.values[free] > -10 * tol)
@@ -242,7 +242,8 @@ def test_criterion_10_field_properties():
         if np.max(np.abs(nb[free] / 4.0 - field.values[free])) >= 10 * tol:
             problems.append(f"seed {seed}: mean-value residual too large")
 
-        passable = free | (field.cell_class == GOAL_BC)
+        passable = free.copy()
+        passable[field.goal_cell] = True
         comp = component(passable, field.goal_cell)
         for c in map(tuple, np.argwhere(comp)):
             if c == field.goal_cell:

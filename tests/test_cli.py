@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import raising
-from vhpf import cli, harmonic, scenarios, world
+from vhpf import cli, engine, harmonic, scenarios, world
 from vhpf.world import Ball, ConfigError
 
 
@@ -188,6 +189,23 @@ def test_sense_phase_failure_exits_one(tmp_path, monkeypatch, capsys, fault):
 def test_overflowing_state_exits_one(tmp_path):
     path = _edited_file(tmp_path, lambda d: d["agents"][0]["control"].update(gain=1e300))
     assert run_cli(["run", str(path), "--tmax", "0.5", "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("metric", ["path length", "potential trace"])
+def test_overflowing_metric_exits_one(tmp_path, monkeypatch, capsys, metric):
+    # the state stays finite but a metric overflows: a failed run, with no
+    # traceback or warning, that writes nothing
+    out = tmp_path / "out"
+    args = ["run", "case1", "--tmax", "2", "--out", str(out)]
+    if metric == "path length":     # positions reach 7.8e155: their squares overflow
+        args += ["--kr", "1e160"]
+    else:                           # two potentials whose sum overflows
+        monkeypatch.setattr(engine.Runtime, "goal_potentials", lambda rt, x: [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(args) == 1
+    assert capsys.readouterr().err == f"error: non-finite {metric} of agents [1, 2] at t=2\n"
+    assert not out.exists()
 
 
 def test_sweep_single_cell_matches_direct_run(tmp_path):

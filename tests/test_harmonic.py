@@ -20,10 +20,6 @@ from helpers import (
 from vhpf import scenarios
 from vhpf.controller import HARMONIC_GOAL, UNIT_DRIVE, AgentController, goal_term
 from vhpf.harmonic import (
-    FREE,
-    GOAL_BC,
-    OBSTACLE_BC,
-    OUTER_BC,
     ConfigError,
     FieldQueryError,
     SolverError,
@@ -59,7 +55,7 @@ def test_strip_matches_linear_ramp():
     f = strip_field()
     assert f.values == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=10 * TOL)
     assert f.values[f.goal_cell] == 0.0
-    assert f.cell_class[0] == GOAL_BC and f.cell_class[4] == OUTER_BC
+    assert f.free.tolist() == [False, True, True, True, False]
 
 
 def test_strip_matches_dense_oracle():
@@ -75,14 +71,14 @@ def test_strip_gradient_is_constant_slope():
 
 def test_strip_stats():
     f = strip_field()
-    free = f.cell_class == FREE
+    free = f.free
     assert f.gradients()[0][free] == pytest.approx([0.25] * int(free.sum()), abs=1e-9)
     assert f.iterations > 0
 
 
 def test_square_interior_strictly_inside_unit_interval():
     f = square_field()
-    free = f.cell_class == FREE
+    free = f.free
     assert np.all(f.values[free] > 0.0)
     assert np.all(f.values[free] < 1.0)
 
@@ -109,7 +105,7 @@ def test_square_stats_match_oracle_scan():
     f = square_field()
     v = direct_solve(f)
     g = np.stack(np.gradient(v, 1.0))
-    free = f.cell_class == FREE
+    free = f.free
     assert np.max(np.abs(f.gradients()[:, free] - g[:, free])) < 1e-8
 
 
@@ -223,7 +219,7 @@ def _case7_cold_field():
 
 
 def _exact_residual(f):
-    free = f.cell_class == FREE
+    free = f.free
     two_dim = 2.0 * f.grid.dim
     return np.max(np.abs(_neighbor_sum(f.values) - two_dim * f.values)[free]) / two_dim
 
@@ -420,9 +416,9 @@ def test_inflation_pins_cells_within_radius():
     grid = GridSpec((0.0, 0.0), 0.5, (12, 12))
     f = solve_dirichlet(grid, {(6, 6)}, (1.0, 1.0), inflate=1.0)
     # cells within 1.0 world unit (2 cells) of the known cell are pinned
-    assert f.cell_class[6, 6] == OBSTACLE_BC
-    assert f.cell_class[6, 8] == OBSTACLE_BC
-    assert f.cell_class[6, 9] == FREE
+    assert not f.free[6, 6]
+    assert not f.free[6, 8]
+    assert f.free[6, 9]
     assert f.known_mask[6, 6] and not f.known_mask[6, 8]
 
 
@@ -494,7 +490,7 @@ def test_sequential_discovery_matches_cold_solve():
         resolve_incremental(f, {cell})
     cold = solve_dirichlet(grid, set(wall), (1.5, 4.5), tol=TOL)
     assert np.max(np.abs(f.values - cold.values)) < 10 * TOL
-    assert f.cell_class[4, 3] == OBSTACLE_BC
+    assert not f.free[4, 3]
 
 
 def test_incremental_rejects_swallowing_goal():
@@ -513,7 +509,7 @@ def test_random_fields_satisfy_grid_laws(seed):
     rng = np.random.default_rng(100 + seed)
     ws, goal = random_workspace(rng)
     f = solve_dirichlet(ws.grid, np.argwhere(ws.boundary_mask), goal, tol=TOL)
-    free = f.cell_class == FREE
+    free = f.free
 
     # bounds and extremes, with slack matching the iterative residual
     assert f.values.min() == 0.0 and f.values.max() <= 1 + 10 * TOL
@@ -528,7 +524,8 @@ def test_random_fields_satisfy_grid_laws(seed):
     # no spurious local minima among free cells reachable from the goal in the
     # field's own graph (pockets sealed by pinned cells sit at the flat value 1)
     v = f.values
-    passable = free | (f.cell_class == GOAL_BC)
+    passable = free.copy()
+    passable[f.goal_cell] = True
     component = _component(passable, f.goal_cell)
     assert component.sum() > 1
     for c in map(tuple, np.argwhere(component)):
@@ -556,7 +553,7 @@ def test_three_dimensional_solve_matches_oracle():
     grid = GridSpec((0.0, 0.0, 0.0), 1.0, (7, 7, 7))
     f = solve_dirichlet(grid, {(2, 2, 2)}, (3.5, 3.5, 3.5), tol=TOL)
     assert np.max(np.abs(f.values - direct_solve(f))) < 10 * TOL
-    free = f.cell_class == FREE
+    free = f.free
     assert np.all(f.values[free] > 0.0) and np.all(f.values[free] < 1.0)
     # center of the goal cell: flat minimum up to the pinned corner cell's pull
     g = gradient_at(f, (3.5, 3.5, 3.5))
@@ -588,11 +585,30 @@ ORACLE_CASES = [
 ]
 
 
+def _pinned_by_inflation(f):
+    """How many interior cells, other than the goal, the field pins."""
+    pinned = ~f.free
+    pinned[f.goal_cell] = False
+    return np.sum(pinned[(slice(1, -1),) * f.grid.dim])
+
+
+def _pinned_oracle(f):
+    """The cells a field must pin: the rim, the known cells' euclidean
+    inflation and the goal cell."""
+    pinned = euclidean_inflation(f.known_mask, f.grid.h, f.inflate)
+    rim = np.ones(f.grid.shape, dtype=bool)
+    rim[(slice(1, -1),) * f.grid.dim] = False
+    pinned |= rim
+    pinned[f.goal_cell] = True
+    return pinned
+
+
 @pytest.mark.parametrize("grid, known, goal, inflate", ORACLE_CASES)
 def test_solve_matches_direct_oracle_within_tolerance_bound(grid, known, goal, inflate):
     for tol in (1e-6, 1e-10):
         f = solve_dirichlet(grid, known, goal, tol=tol, inflate=inflate)
-        assert np.sum(f.cell_class == OBSTACLE_BC) > np.sum(f.known_mask)
+        assert _pinned_by_inflation(f) > np.sum(f.known_mask)
+        assert np.array_equal(~f.free, _pinned_oracle(f))
         assert np.max(np.abs(f.values - direct_solve(f))) <= solve_error_bound(f, tol)
 
 
@@ -603,7 +619,8 @@ def test_warm_resolve_matches_direct_oracle_and_cold_solve(grid, known, goal, in
     warm = solve_dirichlet(grid, known[:half], goal, tol=tol, inflate=inflate)
     resolve_incremental(warm, known[half:])
     cold = solve_dirichlet(grid, known, goal, tol=tol, inflate=inflate)
-    assert np.array_equal(warm.cell_class, cold.cell_class)
+    assert np.array_equal(~warm.free, _pinned_oracle(warm))
+    assert np.array_equal(warm.free, cold.free)
     bound = solve_error_bound(cold, tol)
     assert np.max(np.abs(warm.values - direct_solve(warm))) <= bound
     assert np.max(np.abs(warm.values - cold.values)) <= 2 * bound
@@ -614,7 +631,7 @@ def test_warm_resolve_matches_direct_oracle_and_cold_solve(grid, known, goal, in
 ])
 def test_grids_without_free_cells_solve_at_once(shape, goal):
     f = solve_dirichlet(GridSpec((0.0,) * len(shape), 1.0, shape), set(), goal)
-    assert not np.any(f.cell_class == FREE)
+    assert not np.any(f.free)
     assert f.iterations == 0 and f.residual == 0.0
     resolve_incremental(f, set())
     assert f.iterations == 0
@@ -623,7 +640,7 @@ def test_grids_without_free_cells_solve_at_once(shape, goal):
 def test_inflated_obstacles_match_dense_oracle():
     ws = Workspace((0, 0), (6, 6), [Box((2.0, 1.0), (3.0, 4.0))], h=0.25)
     f = solve_dirichlet(ws.grid, np.argwhere(ws.boundary_mask), (5.0, 5.0), tol=TOL, inflate=0.5)
-    assert np.sum(f.cell_class == OBSTACLE_BC) > np.sum(f.known_mask)
+    assert _pinned_by_inflation(f) > np.sum(f.known_mask)
     assert np.max(np.abs(f.values - direct_solve(f))) < 10 * TOL
 
 

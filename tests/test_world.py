@@ -113,6 +113,9 @@ def test_obstacle_clearance_is_bit_identical_to_one_shape_at_a_time(case):
     for ob in ws.obstacles:
         assert _bits(ob.signed_distance(points)) == _bits(shape_distance(ob, points))
         assert _bits(ob.signed_distance(points[0])) == _bits(shape_distance(ob, points[0]))
+    cells = np.indices(ws.grid.shape).reshape(ws.dim, -1).T
+    centers = ws.grid.cell_centers(cells).reshape(*ws.grid.shape, ws.dim)
+    assert _bits(ws.center_clearance) == _bits(ws.obstacle_clearance(centers))
 
 
 def test_obstacle_clearance_without_obstacles_is_infinite():
@@ -127,7 +130,7 @@ def test_workspace_boundary_cells_touch_free_space():
     ws = Workspace((-4, -4), (4, 4), [Box((-1, -1), (1, 1)), Box((-1, 1), (0, 2))], h=0.25)
     free = ws.free_mask
     touching = set()
-    for cell in map(tuple, np.argwhere(ws.obstacle_mask)):
+    for cell in map(tuple, np.argwhere(~ws.free_mask)):
         i, j = cell
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             ni, nj = i + di, j + dj
@@ -135,7 +138,7 @@ def test_workspace_boundary_cells_touch_free_space():
                 touching.add(cell)
     assert set(map(tuple, np.argwhere(ws.boundary_mask))) == touching
     # interior obstacle cells are excluded
-    interior = ws.obstacle_mask.sum() - ws.boundary_mask.sum()
+    interior = (~ws.free_mask).sum() - ws.boundary_mask.sum()
     assert interior > 0
 
 
@@ -149,7 +152,7 @@ def test_boundary_cells_are_the_occupied_cells_touching_free_space(dim):
             shapes.append(Ball(tuple(rng.uniform(r, size - r, size=dim)), float(r)))
         shapes.append(Box((0.0,) * dim, tuple([0.75] + [size] * (dim - 1))))   # on the rim
         ws = Workspace((0.0,) * dim, (size,) * dim, shapes, h=0.25)
-        occupied, free = ws.obstacle_mask, ws.free_mask
+        occupied, free = ~ws.free_mask, ws.free_mask
         want = np.zeros_like(occupied)
         for cell in map(tuple, np.argwhere(occupied)):
             for ax, step in itertools.product(range(dim), (-1, 1)):
