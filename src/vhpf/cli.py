@@ -123,7 +123,7 @@ def _write_outputs(spec, log, metrics, out_dir: Path, want_plot: bool):
     svg = None
     if want_plot:
         svg = out_dir / "trajectories.svg"
-        positions = log.position_array()
+        positions = log.positions
         _render(spec, {aid: positions[:, i, :] for i, aid in enumerate(log.agent_ids)}, svg)
     return traj, events, metrics_path, svg
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,25 +64,60 @@ class SimConfig:
             raise ConfigError("collision tolerance must be non-negative")
 
 
-@dataclass
 class TrajectoryLog:
-    agent_ids: list
-    dim: int
-    times: list = field(default_factory=list)
-    positions: list = field(default_factory=list)   # one (L, dim) array per tick
-    controls: list = field(default_factory=list)
-    sigma_activity: list = field(default_factory=list)
-    switches: list = field(default_factory=list)    # (step, (L,) flags) where a pair force switched
-    events: list = field(default_factory=list)
-    outcome: str | None = None
+    """A run's record: each tick's time (`times`) and, as one row of a
+    single float64 block of shape (capacity, 2 dim + 1, L), every agent's
+    position, control and `sigma_activity`. A row's lines are the position
+    axes, the control axes and sigma, each running over the agents, so a
+    tick's write is three copies along the agents. The block doubles when
+    it is full, starting from one row: a tick costs its data and no
+    per-tick object, and capacity not yet written is never touched.
+    `positions`, `controls` and `sigma_activity` are read-only views of the
+    filled rows: nothing is stacked, and a view taken earlier still reads
+    the ticks it covered."""
+
+    def __init__(self, agent_ids, dim):
+        self.agent_ids = list(agent_ids)
+        self.dim = dim
+        self.times = []
+        self.switches = []     # (step, (L,) flags) where a pair force switched
+        self.events = []
+        self.outcome = None
+        n_agents = len(self.agent_ids)
+        self._shapes = (n_agents,), (n_agents, dim)
+        self._hold(np.empty((1, 2 * dim + 1, n_agents)))
+
+    def _hold(self, block):
+        """Keep `block` and its (capacity, L, dim) and (capacity, L) views."""
+        dim = self.dim
+        self._block = block
+        self._x = block[:, :dim].transpose(0, 2, 1)
+        self._u = block[:, dim:2 * dim].transpose(0, 2, 1)
+        self._sigma = block[:, 2 * dim]
 
     def append(self, t, x, u, sigma):
-        if self.times and t <= self.times[-1]:
-            raise ValueError("timestamps must be strictly increasing")
-        self.times.append(float(t))
-        self.positions.append(np.array(x))
-        self.controls.append(np.array(u))
-        self.sigma_activity.append(np.array(sigma))
+        """Log one tick: positions x and controls u of shape (L, dim), sigma
+        of shape (L,), at a time after the last one. Anything else raises
+        ValueError and leaves the log as it was."""
+        x, u, sigma = np.asarray(x), np.asarray(u), np.asarray(sigma)
+        agents, dims = self._shapes
+        if x.shape != dims or u.shape != dims or sigma.shape != agents:
+            name, got, want = next(f for f in (("positions", x.shape, dims),
+                                               ("controls", u.shape, dims),
+                                               ("sigma_activity", sigma.shape, agents))
+                                   if f[1] != f[2])
+            raise ValueError(f"{name} must have shape {want}, got {got}")
+        if self.times and not t > self.times[-1]:
+            raise ValueError(f"time must increase: {t!r} after {self.times[-1]!r}")
+        n = len(self.times)
+        if n == len(self._block):
+            grown = np.empty((2 * n, *self._block.shape[1:]))
+            grown[:n] = self._block
+            self._hold(grown)
+        self._x[n] = x
+        self._u[n] = u
+        self._sigma[n] = sigma
+        self.times.append(float(t))   # the row counts from here on
 
     def add_event(self, t, kind, **data):
         self.events.append({"t": float(t), "kind": kind, **data})
@@ -91,27 +126,47 @@ class TrajectoryLog:
     def n_ticks(self):
         return len(self.times)
 
+    def _filled(self, view):
+        view = view[:len(self.times)]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def positions(self):
+        """(T, L, dim) read-only view of every tick's positions."""
+        return self._filled(self._x)
+
+    @property
+    def controls(self):
+        """(T, L, dim) read-only view of every tick's controls."""
+        return self._filled(self._u)
+
+    @property
+    def sigma_activity(self):
+        """(T, L) read-only view of every tick's `sigma_activity`."""
+        return self._filled(self._sigma)
+
     def position_array(self):
-        return np.stack(self.positions) if self.positions else np.empty((0, len(self.agent_ids), self.dim))
+        """The `positions` view."""
+        return self.positions
 
     def control_array(self):
-        return np.stack(self.controls) if self.controls else np.empty((0, len(self.agent_ids), self.dim))
+        """The `controls` view."""
+        return self.controls
 
     def agent_positions(self, agent_id):
-        i = self.agent_ids.index(agent_id)
-        return self.position_array()[:, i, :]
+        """(T, dim) read-only view of one agent's positions."""
+        return self.positions[:, self.agent_ids.index(agent_id), :]
 
     def write_csv(self, path):
         axes = "xyz"[: self.dim]
         cols = ["t", "agent_id"] + [a for a in axes] + [f"u{a}" for a in axes] + ["sigma_activity"]
         with open(path, "w", encoding="utf-8") as f:
             f.write(",".join(cols) + "\n")
-            for t, x, u, sigma in zip(self.times, self.positions, self.controls,
-                                      self.sigma_activity):
-                # one tick's rows as lists of Python floats: the repr of such
-                # a list is "[[a, b], [c, d]]", each number the repr of its float
-                rows = np.concatenate([x, u, sigma[:, None]], axis=1, dtype=float).tolist()
-                values = repr(rows)[2:-2].replace(", ", ",").split("],[")
+            for t, row in zip(self.times, self._block):
+                # one tick's row, agent by agent, as lists of Python floats: the repr
+                # of such a list is "[[a, b], [c, d]]", each number the repr of its float
+                values = repr(row.T.tolist())[2:-2].replace(", ", ",").split("],[")
                 stamp = repr(float(t))
                 f.write("".join(f"{stamp},{aid},{v}\n" for aid, v in zip(self.agent_ids, values)))
 
@@ -704,8 +759,7 @@ def run(scenario):
     kappa = {}
     corners = {}
     lengths = {}
-    pos_arr = log.position_array()
-    ctl_arr = log.control_array()
+    tracks, controls = log.positions, log.controls
     breaks = None
     if log.switches:
         breaks = np.zeros((log.n_ticks - 1, runtime.n_agents), dtype=bool)
@@ -715,12 +769,13 @@ def run(scenario):
     rate_list = None
     with _quiet_overflow():   # a finite state's metrics can still overflow
         for i, b in enumerate(runtime.agents):
-            sp = np.linalg.norm(ctl_arr[:, i, :], axis=1)
-            _, _, kmax, _, angles = curvature_profile(pos_arr[:, i, :], sp, v_eps,
+            track = tracks[:, i, :]
+            sp = np.linalg.norm(controls[:, i, :], axis=1)
+            _, _, kmax, _, angles = curvature_profile(track, sp, v_eps,
                                                       None if breaks is None else breaks[:, i])
             kappa[b.id] = kmax
             corners[b.id] = float(angles.max()) if len(angles) else 0.0
-            lengths[b.id] = float(np.linalg.norm(np.diff(pos_arr[:, i, :], axis=0), axis=1).sum())
+            lengths[b.id] = float(np.linalg.norm(np.diff(track, axis=0), axis=1).sum())
         if trace_list and len(trace_list) > 1:
             rate_list = [float(v) for v in np.diff(trace_list) / config.dt]
     for what, values in (("path length", lengths), ("curvature", kappa),

@@ -46,24 +46,29 @@ def color_for(agent_id: int) -> str:
 
 
 def render(ws_lo, ws_hi, obstacles, trajectories, agents, out_path):
-    """Write the scene to out_path.
+    """Write the scene to out_path, one line per element as it is made.
 
     obstacles: iterable of `world.Box` and `world.Ball` shapes.
     trajectories: {agent_id: (T, dim) array}; agents: `scenarios.AgentSpec`s,
     whose start, goal and body radius are marked. A track whose id has no
     agent starts at its first point and gets no goal or body mark.
     """
+    with open(out_path, "w", encoding="utf-8") as f:
+        for line in _lines(ws_lo, ws_hi, obstacles, trajectories, agents):
+            f.write(line + "\n")
+
+
+def _lines(ws_lo, ws_hi, obstacles, trajectories, agents):
+    """The SVG document's lines, one element each."""
     by_id = {a.id: a for a in agents}
     m = _Mapper(ws_lo, ws_hi)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(m.width)}" '
-        f'height="{_fmt(m.height)}" viewBox="0 0 {_fmt(m.width)} {_fmt(m.height)}">',
-        f'<rect x="0" y="0" width="{_fmt(m.width)}" height="{_fmt(m.height)}" fill="#ffffff"/>',
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(m.width)}" '
+           f'height="{_fmt(m.height)}" viewBox="0 0 {_fmt(m.width)} {_fmt(m.height)}">')
+    yield f'<rect x="0" y="0" width="{_fmt(m.width)}" height="{_fmt(m.height)}" fill="#ffffff"/>'
     x0, y0 = m.to_px(ws_lo)
     x1, y1 = m.to_px(ws_hi)
-    parts.append(
+    yield (
         f'<rect x="{_fmt(min(x0, x1))}" y="{_fmt(min(y0, y1))}" '
         f'width="{_fmt(abs(x1 - x0))}" height="{_fmt(abs(y1 - y0))}" '
         f'fill="none" stroke="#333333" stroke-width="1.5"/>'
@@ -72,14 +77,14 @@ def render(ws_lo, ws_hi, obstacles, trajectories, agents, out_path):
         if isinstance(ob, Box):
             ax, ay = m.to_px(ob.lo)
             bx, by = m.to_px(ob.hi)
-            parts.append(
+            yield (
                 f'<rect x="{_fmt(min(ax, bx))}" y="{_fmt(min(ay, by))}" '
                 f'width="{_fmt(abs(bx - ax))}" height="{_fmt(abs(by - ay))}" '
                 f'fill="#c8c8c8" stroke="#777777" stroke-width="0.8"/>'
             )
         else:
             cx, cy = m.to_px(ob.center)
-            parts.append(
+            yield (
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ob.radius * m.scale)}" '
                 f'fill="#c8c8c8" stroke="#777777" stroke-width="0.8"/>'
             )
@@ -91,32 +96,28 @@ def render(ws_lo, ws_hi, obstacles, trajectories, agents, out_path):
             # one %-format over all points; "%.3f" formats like _fmt
             flat = np.column_stack([xs, ys]).ravel().tolist()
             coords = " ".join(["%.3f,%.3f"] * len(pts)) % tuple(flat)
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"/>'
-            )
+            yield f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         agent = by_id.get(aid)
         start = agent.start if agent is not None else (pts[0] if len(pts) else None)
         if start is not None:
             sx, sy = m.to_px(start)
-            parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>')
+            yield f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="3" fill="{color}"/>'
         goal = agent.goal if agent is not None else None
         if goal is not None:
             gx, gy = m.to_px(goal)
-            parts.append(
+            yield (
                 f'<path d="M {_fmt(gx - 5)} {_fmt(gy)} H {_fmt(gx + 5)} '
                 f'M {_fmt(gx)} {_fmt(gy - 5)} V {_fmt(gy + 5)}" '
                 f'stroke="{color}" stroke-width="1.5" fill="none"/>'
             )
         if agent is not None and len(pts):
             fx, fy = m.to_px(pts[-1])
-            parts.append(
+            yield (
                 f'<circle cx="{_fmt(fx)}" cy="{_fmt(fy)}" r="{_fmt(agent.radius * m.scale)}" '
                 f'fill="none" stroke="{color}" stroke-width="1.5"/>'
             )
-    parts.append(
+    yield (
         f'<text x="{_fmt(_MARGIN)}" y="{_fmt(m.height - 12.0)}" font-size="11" '
         f'fill="#555555" font-family="monospace">scale: 1 world unit = {m.scale:.4g} px</text>'
     )
-    parts.append("</svg>")
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    yield "</svg>"

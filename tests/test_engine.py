@@ -3,11 +3,13 @@ import importlib.util
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     always_query_controls,
@@ -681,6 +683,100 @@ def test_csv_rows_are_the_reprs_of_the_logged_values(tmp_path):
             row.append(repr(float(log.sigma_activity[k][i])))
             want.append(",".join(row))
     assert csv_path.read_text().splitlines()[1:] == want
+
+
+def _log_state(log):
+    return (list(log.times), log.positions.tobytes(), log.controls.tobytes(),
+            log.sigma_activity.tobytes())
+
+
+@pytest.mark.parametrize("t, x, u, sigma, field", [
+    (0.2, np.ones(2), np.zeros((3, 2)), np.zeros(3), "positions"),         # would broadcast
+    (0.2, np.ones((4, 2)), np.zeros((3, 2)), np.zeros(3), "positions"),
+    (0.2, np.ones((3, 2)), np.zeros((3, 3)), np.zeros(3), "controls"),
+    (0.2, np.ones((3, 2)), np.zeros(2), np.zeros(3), "controls"),
+    (0.2, np.ones((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)), "sigma_activity"),
+    (0.2, np.ones((3, 2)), np.zeros((3, 2)), 0.0, "sigma_activity"),
+    (0.05, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
+    (0.01, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
+    (math.nan, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
+])
+def test_log_rejects_a_bad_tick_and_stays_as_it_was(t, x, u, sigma, field):
+    log = TrajectoryLog([4, 5, 6], 2)
+    for k in range(2):     # the second append grows the one-row block
+        log.append(0.05 * k, np.full((3, 2), k + 1.0), np.full((3, 2), -k - 1.0), np.full(3, 0.5))
+    before = _log_state(log)
+    with pytest.raises(ValueError, match=field):
+        log.append(t, x, u, sigma)
+    assert _log_state(log) == before
+
+
+_LOG_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.sampled_from([2, 3]), st.integers(0, 70), st.integers(0, 2**32 - 1))
+def test_log_views_round_trip_every_tick_across_growths(n_agents, dim, n_ticks, seed):
+    rng = np.random.default_rng(seed)
+    ids = [3 * i + 1 for i in range(n_agents)]
+    log = TrajectoryLog(ids, dim)
+    assert log.positions.shape == log.controls.shape == (0, n_agents, dim)
+    assert log.position_array().shape == log.control_array().shape == (0, n_agents, dim)
+    assert log.sigma_activity.shape == (0, n_agents)
+    assert log.agent_positions(ids[-1]).shape == (0, dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        log.write_csv(Path(tmp) / "empty.csv")
+        header = (Path(tmp) / "empty.csv").read_text()
+    assert header == ",".join(["t", "agent_id", *"xyz"[:dim], *[f"u{a}" for a in "xyz"[:dim]],
+                               "sigma_activity"]) + "\n"
+
+    rows = rng.standard_normal((n_ticks, n_agents, 2 * dim + 1))
+    special = rng.random(rows.shape) < 0.05
+    rows[special] = rng.choice(_LOG_SPECIALS, size=int(special.sum()))
+    times = np.cumsum(rng.uniform(1e-3, 1.0, n_ticks))
+    half = None
+    for k in range(n_ticks):
+        log.append(times[k], rows[k, :, :dim], rows[k, :, dim:2 * dim], rows[k, :, 2 * dim])
+        if k == n_ticks // 2:
+            half = log.positions     # taken before later growths
+    assert log.times == times.tolist() and log.n_ticks == n_ticks
+    want_x, want_u, want_s = rows[:, :, :dim], rows[:, :, dim:2 * dim], rows[:, :, 2 * dim]
+    views = [(log.positions, want_x), (log.position_array(), want_x),
+             (log.controls, want_u), (log.control_array(), want_u),
+             (log.sigma_activity, want_s)]
+    views += [(log.agent_positions(aid), want_x[:, i, :]) for i, aid in enumerate(ids)]
+    if half is not None:
+        views.append((half, want_x[:n_ticks // 2 + 1]))
+    for got, want in views:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[...] = 0.0
+
+
+def test_log_memory_peak_is_near_its_data(tmp_path):
+    # The traced heap peak of a run and its outputs, plot included, against
+    # the log's data bytes. A tick costs its row in one growing block, and
+    # the peak is its last doubling, which holds the 256 filled rows and the
+    # new 512-row block at once: with the run's fixed state, 1.77x the data
+    # of these 501 ticks. Per-tick arrays, whole-run stacks at the end of the
+    # run and a stacked, joined plot read 2.93x. The ratio depends on where
+    # the run ends between doublings: just past one (257 ticks) it nears 3x,
+    # of which the new block's unwritten half is allocated but never touched
+    # (no resident memory), so the bound holds for a run that ends in the
+    # upper part of a doubling, as this one does.
+    spec = _crowd_spec(1)
+    spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, t_max=5.0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        log, metrics = run(spec)
+        cli._write_outputs(spec, log, metrics, tmp_path, want_plot=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    data = log.n_ticks * len(log.agent_ids) * (2 * log.dim + 1) * 8
+    assert log.n_ticks == 501
+    assert peak <= 2.25 * data, peak / data
 
 
 def test_svg_tracks_map_each_point_like_a_single_point(tmp_path):

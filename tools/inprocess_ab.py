@@ -1,4 +1,4 @@
-"""Interleaved A/B of two checkouts' simulation loop on one vhpf command.
+"""Interleaved A/B of two checkouts on one vhpf command: loop time and peak RSS.
 
 Each run is a fresh Python process that imports the package under
 `<root>/src` and makes one `vhpf` CLI call (`cli.main`) with its own
@@ -17,12 +17,15 @@ by round, so a slow spell of a shared host falls on both.
 A bare scenario (a builtin name or a scenario file) means `run SCENARIO`;
 any other command follows `--`, without `--out`. The report is one line per
 side: the per-tick time (µs, the summed loop time over the summed ticks) of
-its fastest and median run, the number of rounds whose run it won, and the
-sha256 of the command's exit code and of every file it wrote; each side's
-digest must be the same in every run, and the two sides' digests agree
-exactly when the outputs are byte-identical. The last line is a JSON object
-with the same numbers and every run's µs per tick. Exit code 0 when every
-run of both sides gave the same digest, 1 when any differs.
+its fastest and median run, the number of rounds whose run it won, the peak
+resident set size of its smallest and median run (MB, the process's
+`ru_maxrss` when the command returns: imports, build, runs and writes), and
+the sha256 of the command's exit code and of every file it wrote; each
+side's digest must be the same in every run, and the two sides' digests
+agree exactly when the outputs are byte-identical. The last line is a JSON
+object with the same numbers and every run's µs per tick and peak RSS. Exit
+code 0 when every run of both sides gave the same digest, 1 when any
+differs.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 
 # One run, in the child process: argv is the vhpf command line.
 CHILD = r"""
-import hashlib, json, sys, tempfile, time
+import hashlib, json, resource, sys, tempfile, time
 from pathlib import Path
 from vhpf import cli, engine, scenarios
 
@@ -64,12 +67,14 @@ scenarios.build_runtime = timed_build
 engine.run = timed_run
 with tempfile.TemporaryDirectory() as work:
     code = cli.main(sys.argv[1:] + ["--out", str(Path(work) / "out")])
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0   # before hashing
     h = hashlib.sha256(str(code).encode())
     for path in sorted(p for p in Path(work).rglob("*") if p.is_file()):
         h.update(path.relative_to(work).as_posix().encode())
         h.update(path.read_bytes())
 print(json.dumps({"ticks": spent["ticks"], "runs": spent["runs"], "loop_s": spent["loop_s"],
-                  "digest": h.hexdigest()}))
+                  "digest": h.hexdigest(),
+                  "peak_rss_mb": rss_mb}))
 """
 
 
@@ -116,6 +121,7 @@ def main(argv=None) -> int:
     same = True
     for side, other in (("a", "b"), ("b", "a")):
         per_tick = [1e6 * r["loop_s"] / r["ticks"] for r in runs[side]]
+        rss = [r["peak_rss_mb"] for r in runs[side]]
         wins = sum(r["loop_s"] < o["loop_s"] for r, o in zip(runs[side], runs[other]))
         digests = {r["digest"] for r in runs[side]}
         same &= len(digests) == 1
@@ -124,10 +130,14 @@ def main(argv=None) -> int:
                         "min_us_per_tick": round(min(per_tick), 1),
                         "median_us_per_tick": round(statistics.median(per_tick), 1),
                         "wins": wins, "us_per_tick": [round(v, 1) for v in per_tick],
+                        "min_peak_rss_mb": round(min(rss), 2),
+                        "median_peak_rss_mb": round(statistics.median(rss), 2),
+                        "peak_rss_mb": [round(v, 2) for v in rss],
                         "digest": sorted(digests)}
         print(f"{side}: {sides[side]}: min {min(per_tick):.1f}, "
               f"median {statistics.median(per_tick):.1f} us/tick over {report[side]['ticks']} "
-              f"ticks in {report[side]['runs']} runs, won {wins} of {args.rounds}, "
+              f"ticks in {report[side]['runs']} runs, won {wins} of {args.rounds}; "
+              f"peak RSS min {min(rss):.2f}, median {statistics.median(rss):.2f} MB; "
               f"outputs {', '.join(sorted(digests))}")
     report["same_outputs"] = same and report["a"]["digest"] == report["b"]["digest"]
     print(json.dumps(report))
