@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import controller as ctl
-from . import harmonic, interaction, world
+from . import floatrepr, harmonic, interaction, world
 from .world import ConfigError, Workspace, require_finite
 
 EULER = "euler"
@@ -26,6 +26,8 @@ CONVERGED = "converged"
 DEADLOCK = "deadlock"
 TIMEOUT = "timeout"
 COLLISION = "collision"
+
+CSV_BLOCK = 2048        # about this many values of the trajectory CSV are rendered at a time
 
 
 class SimulationError(RuntimeError):
@@ -97,8 +99,8 @@ class TrajectoryLog:
 
     def append(self, t, x, u, sigma):
         """Log one tick: positions x and controls u of shape (L, dim), sigma
-        of shape (L,), at a time after the last one. Anything else raises
-        ValueError and leaves the log as it was."""
+        of shape (L,), at a finite time after the last one. Anything else
+        raises ValueError and leaves the log as it was."""
         x, u, sigma = np.asarray(x), np.asarray(u), np.asarray(sigma)
         agents, dims = self._shapes
         if x.shape != dims or u.shape != dims or sigma.shape != agents:
@@ -107,6 +109,8 @@ class TrajectoryLog:
                                                ("sigma_activity", sigma.shape, agents))
                                    if f[1] != f[2])
             raise ValueError(f"{name} must have shape {want}, got {got}")
+        if not math.isfinite(t):
+            raise ValueError(f"time must be finite, got {t!r}")
         if self.times and not t > self.times[-1]:
             raise ValueError(f"time must increase: {t!r} after {self.times[-1]!r}")
         n = len(self.times)
@@ -159,16 +163,41 @@ class TrajectoryLog:
         return self.positions[:, self.agent_ids.index(agent_id), :]
 
     def write_csv(self, path):
+        """Write the log as CSV: a header, then one row per tick and agent,
+        `t,agent_id,` and the agent's position, control and sigma, each
+        number the `repr` of its float. Whole ticks of about `CSV_BLOCK`
+        values at a time go through `floatrepr.render` into one array of
+        fixed-width slots, a value and its separator in each, and the rows
+        are the array's kept bytes. The buffers are made once per call, and
+        no Python call is made per value."""
         axes = "xyz"[: self.dim]
-        cols = ["t", "agent_id"] + [a for a in axes] + [f"u{a}" for a in axes] + ["sigma_activity"]
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(cols) + "\n")
-            for t, row in zip(self.times, self._block):
-                # one tick's row, agent by agent, as lists of Python floats: the repr
-                # of such a list is "[[a, b], [c, d]]", each number the repr of its float
-                values = repr(row.T.tolist())[2:-2].replace(", ", ",").split("],[")
-                stamp = repr(float(t))
-                f.write("".join(f"{stamp},{aid},{v}\n" for aid, v in zip(self.agent_ids, values)))
+        header = ["t", "agent_id", *axes, *[f"u{a}" for a in axes], "sigma_activity"]
+        n_agents, columns = len(self.agent_ids), len(header) - 1
+        ticks = max(1, CSV_BLOCK // (columns * max(n_agents, 1)))
+        values = np.empty((ticks, n_agents, columns))
+        # a slot's tail: ",<agent id>," after t, "," after the next values
+        # and "\n" after the last
+        w = floatrepr.WIDTH
+        tails = [f",{aid},".encode() for aid in self.agent_ids]
+        slots = np.zeros(values.shape + (w + max(map(len, tails), default=1),), np.uint8)
+        keep = np.zeros(slots.shape, bool)
+        slots[..., :w] = floatrepr.TEMPLATE
+        for i, tail in enumerate(tails):
+            slots[:, i, 0, w:w + len(tail)] = np.frombuffer(tail, np.uint8)
+            keep[:, i, 0, w:w + len(tail)] = True
+        slots[:, :, 1:, w] = ord(",")
+        slots[:, :, -1, w] = ord("\n")
+        keep[:, :, 1:, w] = True
+        slots, keep = slots.reshape(-1, slots.shape[-1]), keep.reshape(-1, slots.shape[-1])
+        with open(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            for start in range(0, self.n_ticks, ticks):
+                n = min(ticks, self.n_ticks - start)
+                values[:n, :, 0] = np.array(self.times[start:start + n])[:, None]
+                values[:n, :, 1:] = self._block[start:start + n].transpose(0, 2, 1)
+                filled = n * n_agents * columns
+                floatrepr.render(values.reshape(-1)[:filled], slots[:filled, :w], keep[:filled, :w])
+                f.write(slots[:filled][keep[:filled]])
 
     def write_events(self, path):
         with open(path, "w", encoding="utf-8") as f:

@@ -700,9 +700,15 @@ def _log_state(log):
     (0.05, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
     (0.01, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
     (math.nan, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
+    (math.inf, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
+    (-math.inf, np.ones((3, 2)), np.zeros((3, 2)), np.zeros(3), "time"),
 ])
 def test_log_rejects_a_bad_tick_and_stays_as_it_was(t, x, u, sigma, field):
     log = TrajectoryLog([4, 5, 6], 2)
+    if not math.isfinite(t):     # an empty log refuses it too
+        with pytest.raises(ValueError, match=field):
+            log.append(t, x, u, sigma)
+        assert _log_state(log) == ([], b"", b"", b"")
     for k in range(2):     # the second append grows the one-row block
         log.append(0.05 * k, np.full((3, 2), k + 1.0), np.full((3, 2), -k - 1.0), np.full(3, 0.5))
     before = _log_state(log)
@@ -751,15 +757,23 @@ def test_log_views_round_trip_every_tick_across_growths(n_agents, dim, n_ticks, 
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             got[...] = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        log.write_csv(Path(tmp) / "log.csv")
+        lines = (Path(tmp) / "log.csv").read_text().splitlines()
+    assert lines[0] + "\n" == header
+    assert lines[1:] == [",".join([repr(float(t)), str(aid), *map(repr, row.tolist())])
+                         for t, tick in zip(times, rows) for aid, row in zip(ids, tick)]
 
 
 def test_log_memory_peak_is_near_its_data(tmp_path):
     # The traced heap peak of a run and its outputs, plot included, against
-    # the log's data bytes. A tick costs its row in one growing block, and
-    # the peak is its last doubling, which holds the 256 filled rows and the
-    # new 512-row block at once: with the run's fixed state, 1.77x the data
-    # of these 501 ticks. Per-tick arrays, whole-run stacks at the end of the
-    # run and a stacked, joined plot read 2.93x. The ratio depends on where
+    # the log's data bytes. A tick costs its row in one growing block, whose
+    # last doubling holds the 256 filled rows and the new 512-row block at
+    # once: with the run's fixed state, 1.77x the data of these 501 ticks.
+    # The CSV writer's fixed buffers (about 1 MB at its 2,048-value block)
+    # on top of the 512-row block make the peak, 1.88x. Per-tick arrays,
+    # whole-run stacks at the end of the run and a stacked, joined plot read
+    # 2.93x. The ratio depends on where
     # the run ends between doublings: just past one (257 ticks) it nears 3x,
     # of which the new block's unwritten half is allocated but never touched
     # (no resident memory), so the bound holds for a run that ends in the

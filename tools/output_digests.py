@@ -22,11 +22,18 @@ equal, so comparing them is the whole byte-identity check:
     python3 tools/output_digests.py --root ../parent --out parent.json
     python3 tools/output_digests.py --compare parent.json change.json
 
-It takes a few minutes (the builtins run to their outcomes). `--compare A B`
-runs nothing: it prints one line per call whose entry differs between the
-two digest files, naming what moved (a call on one side only, the exit code,
-stdout, stderr, and each written file whose digest differs or that only one
-side wrote), and exits 1 when any entry differs, 0 when none does.
+It takes a few minutes (the builtins run to their outcomes). `--pinned` runs
+only the few-second set that `tests/digests.json` pins (see `pinned`) and
+records the NumPy version next to it; a tier-1 test reruns that set and
+compares:
+
+    python3 tools/output_digests.py --pinned --out tests/digests.json
+
+`--compare A B` runs nothing: it prints one line per call whose entry
+differs between the two digest files, naming what moved (a call on one side
+only, the exit code, stdout, stderr, and each written file whose digest
+differs or that only one side wrote), and exits 1 when any entry differs, 0
+when none does.
 """
 
 from __future__ import annotations
@@ -98,10 +105,33 @@ def _call(root: Path, argv: list[str], out: Path) -> dict:
     }
 
 
+def _write_crowd(root: Path, work: Path, seed: int) -> Path:
+    """Write crowd seed `seed` (`bench/crowd.py`'s `generate`) into `work`."""
+    crowd = _module(root / "bench" / "crowd.py", "bench_crowd")
+    scenario = work / f"crowd_seed{seed}.json"
+    scenario.write_text(json.dumps(crowd.generate(seed), indent=1) + "\n", encoding="utf-8")
+    return scenario
+
+
+def pinned(root: Path, work: Path) -> dict:
+    """The record of each call of the set `tests/digests.json` pins, each
+    with `--out . --plot`. It takes a few seconds, and no run uses the
+    exponential profile, whose trajectory moves with NumPy's CPU dispatch."""
+    crowd = str(_write_crowd(root, work, 1))
+    calls = {
+        "run case1": ["run", "case1"],
+        "run case4_malfunction": ["run", "case4_malfunction"],
+        "run case7_unknown": ["run", "case7_unknown"],
+        "run case5_lanes --tmax 20": ["run", "case5_lanes", "--tmax", "20"],
+        "run crowd seed 1 --tmax 5": ["run", crowd, "--tmax", "5"],
+    }
+    return {label: _call(root, [*argv, "--out", ".", "--plot"], work / f"call{k}")
+            for k, (label, argv) in enumerate(calls.items())}
+
+
 def digests(root: Path, work: Path) -> dict:
     """Every call's record, keyed by a label of the call."""
     bench = _module(root / "bench" / "run.py", "bench_run")
-    crowd = _module(root / "bench" / "crowd.py", "bench_crowd")
     runs = {}
 
     def call(label, argv):
@@ -114,9 +144,8 @@ def digests(root: Path, work: Path) -> dict:
     for name in _builtin_names(root):
         dirs[name] = call(f"run {name}", ["run", name, "--out", ".", "--plot"])
     for seed in CROWD_SEEDS:
-        scenario = work / f"crowd_seed{seed}.json"
-        scenario.write_text(json.dumps(crowd.generate(seed), indent=1) + "\n", encoding="utf-8")
-        call(f"run crowd seed {seed}", ["run", str(scenario), "--out", ".", "--plot"])
+        call(f"run crowd seed {seed}", ["run", str(_write_crowd(root, work, seed)),
+                                         "--out", ".", "--plot"])
     call("run docs/case1.json", ["run", str(root / "docs" / "case1.json"), "--out", ".", "--plot"])
     for name in WALLED:
         scenario = work / f"{name}.json"
@@ -159,17 +188,28 @@ def main(argv=None) -> int:
     mode.add_argument("--out", help="where to write the digests JSON")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
                       help="list the calls and files whose entries differ between two digest JSONs")
+    parser.add_argument("--pinned", action="store_true",
+                        help="with --out: run only the set tests/digests.json pins, "
+                             "and record the NumPy version")
     args = parser.parse_args(argv)
+    if args.pinned and args.compare:
+        parser.error("--pinned writes a digest file: give it with --out")
     if args.compare:
+        # a pinned file keeps its records under "runs"
         a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
-        moved = differences(a, b)
+        moved = differences(a.get("runs", a), b.get("runs", b))
         for label, what in moved.items():
             print(f"{label}: {', '.join(what)}")
         return 1 if moved else 0
+    root = Path(args.root).resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        runs = digests(Path(args.root).resolve(), Path(tmp))
+        if args.pinned:
+            numpy = _python(root, "import numpy; print(numpy.__version__)").strip()
+            record = {"numpy": numpy, "runs": pinned(root, Path(tmp))}
+        else:
+            record = digests(root, Path(tmp))
     with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(runs, f, indent=1, sort_keys=True)
+        json.dump(record, f, indent=1, sort_keys=True)
         f.write("\n")
     return 0
 
