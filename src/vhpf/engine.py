@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import controller as ctl
-from . import floatrepr, harmonic, interaction, world
+from . import harmonic, interaction, world
 from .world import ConfigError, Workspace, require_finite
 
 EULER = "euler"
@@ -150,14 +150,6 @@ class TrajectoryLog:
         """(T, L) read-only view of every tick's `sigma_activity`."""
         return self._filled(self._sigma)
 
-    def position_array(self):
-        """The `positions` view."""
-        return self.positions
-
-    def control_array(self):
-        """The `controls` view."""
-        return self.controls
-
     def agent_positions(self, agent_id):
         """(T, dim) read-only view of one agent's positions."""
         return self.positions[:, self.agent_ids.index(agent_id), :]
@@ -170,6 +162,8 @@ class TrajectoryLog:
         fixed-width slots, a value and its separator in each, and the rows
         are the array's kept bytes. The buffers are made once per call, and
         no Python call is made per value."""
+        from . import floatrepr   # its tables are made only by a process that writes a CSV
+
         axes = "xyz"[: self.dim]
         header = ["t", "agent_id", *axes, *[f"u{a}" for a in axes], "sigma_activity"]
         n_agents, columns = len(self.agent_ids), len(header) - 1
@@ -249,7 +243,8 @@ class Runtime:
     (`params`), its weight profile and the wall cushion (`repulsion`, None
     without one). Each agent is its controller's spec (`agents`); the
     numbers the tick reads from the specs are stacked into arrays once,
-    here. The run loop owns the moving positions.
+    here. Evaluating a snapshot changes nothing: the run (`Run`) owns the
+    moving positions and every per-step fact.
     """
 
     def __init__(self, ws: Workspace, controllers, params, profile,
@@ -293,9 +288,6 @@ class Runtime:
         self._suppressed = [i for i, a in enumerate(agents) if not a.cooperative]
         self._pair_setup = interaction.pair_setup(self.radii, self.dim, params, profile,
                                                   self._suppressed, self.reach)
-        self._last_key = None       # switch key of the latest control evaluation
-        self._step_key = None       # switch key at the start of the current step
-        self._switched = np.zeros(len(agents), dtype=bool)
         self._cushion_indexes = None    # the agents' cushion indexes that _groups is of
         self._groups = None
 
@@ -303,12 +295,9 @@ class Runtime:
     def n_agents(self):
         return len(self.agents)
 
-    def positions(self):
-        """The start positions, one row per agent."""
-        return self.starts.copy()
-
     def eval_controls(self, positions, pairs=None):
-        """Controls for all agents on one snapshot. Returns (U, penetration mask).
+        """Controls for all agents on one snapshot, a function of the
+        snapshot alone. Returns (U, penetration mask, switch key).
 
         Each row is the goal term plus the pair-force sum plus the wall
         cushion. The pair-force sum is dropped for a non-cooperative agent
@@ -316,27 +305,19 @@ class Runtime:
         reacts only to the agent's own discovered boundary cells. `pairs` is
         the snapshot's `interaction.near_pairs`, or an RK4 stage's
         `interaction.stage_pairs`, when the caller already has it; without
-        it the pair forces make their own pass.
+        it the pair forces make their own pass. The switch key is that of
+        `interaction.crf_forces`; without a pair-force sum, the empty `no_switch`.
         """
         L = self.n_agents
         positions = np.asarray(positions, float)
         U = self.goal_terms(positions)
         pen = np.zeros(L, dtype=bool)
-        if L >= 2:
-            suppressed = self._suppressed
-            if len(suppressed) < L:
-                F, key = interaction.crf_forces(positions, self.radii, self.params,
-                                                self.profile, suppressed=suppressed,
-                                                reach=self.reach, pairs=pairs,
-                                                setup=self._pair_setup)
-                # the same object is the same key (no near pair, or a law that cannot
-                # jump); else equal bytes are the same pairs; rows only on a change
-                step_key = self._step_key
-                if (step_key is not None and key is not step_key
-                        and key.tobytes() != step_key.tobytes()):
-                    self._switched[np.setxor1d(key, step_key) // L] = True
-                self._last_key = key
-                U += F
+        key = self._pair_setup.no_switch
+        if L >= 2 and len(self._suppressed) < L:
+            F, key = interaction.crf_forces(positions, self.radii, self.params, self.profile,
+                                            suppressed=self._suppressed, reach=self.reach,
+                                            pairs=pairs, setup=self._pair_setup)
+            U += F
         groups = self._cushion_groups()
         x = positions.tolist() if groups else None
         idle = []
@@ -351,7 +332,7 @@ class Runtime:
             # out of reach the force is exactly +0.0, and adding it changes
             # only a -0.0, which becomes +0.0
             U[idle] += 0.0
-        return U, pen
+        return U, pen, key
 
     def goal_terms(self, positions):
         """The goal term of every agent on one snapshot, a new array: the
@@ -396,18 +377,6 @@ class Runtime:
             out[i] = agent_potential(c, x[i])
         return out
 
-    def begin_step(self):
-        """Start a step at the snapshot evaluated last. Returns per-agent
-        flags for the step that ended there, True where some evaluation of
-        that step (any RK4 stage, or the end snapshot) saw the agent's pair
-        force switch discontinuously; None when no agent's did."""
-        self._step_key = self._last_key
-        switched = self._switched
-        if not switched.any():
-            return None
-        self._switched = np.zeros(self.n_agents, dtype=bool)
-        return switched
-
     def _cushion_groups(self):
         """(index, rows, rows as a list, radii, reach) for each cushion index
         the agents share, reach being the largest radius among them plus the
@@ -443,38 +412,41 @@ class Runtime:
 
 def step(runtime: Runtime, positions, k1=None, pairs=None):
     """Advance one tick from the snapshot with the runtime's integrator. RK4
-    re-evaluates controls at each stage.
+    re-evaluates controls at each stage. Returns (positions, the RK4 stages'
+    switch keys in stage order, none for Euler).
 
-    `k1` is the control at the snapshot and `pairs` its full
-    `interaction.near_pairs` pass, when the caller already has them. With
-    `pairs`, each RK4 stage x + h k measures only the pairs that a
-    displacement of |h| max_i |k_i| can bring within the cut-off
-    (`interaction.stage_pairs`), so a tick makes one pass over the whole
-    pair table; a stage that no far pair of the pass can reach measures only
-    the pass's near pairs (`interaction.stage_room`). Without it, each
-    evaluation makes its own pass. Either way the stages see the same near
-    pairs and the step returns the same bits."""
+    `pairs` is the snapshot's full `interaction.near_pairs` pass and `k1`
+    the control there; the step makes those it is not given. Each RK4
+    stage x + h k measures only the pairs that a displacement of
+    |h| max_i |k_i| can bring within the cut-off (`interaction.stage_pairs`),
+    so a tick makes one pass over the whole pair table; a stage that no far
+    pair of the pass can reach measures only the pass's near pairs
+    (`interaction.stage_room`). The stages see the near pairs of a full
+    pass, and the step returns the same bits as one whose every evaluation
+    makes its own pass."""
     dt = runtime.config.dt
-    if k1 is None:
-        k1, _ = runtime.eval_controls(positions, pairs)
-    if runtime.config.integrator == EULER:
-        return positions + dt * k1
-
     setup = runtime._pair_setup
-    if pairs is not None:
-        room = interaction.stage_room(pairs, positions, runtime.profile, setup)
+    if pairs is None:
+        pairs = interaction.near_pairs(positions, runtime.radii, runtime.profile, setup=setup)
+    if k1 is None:
+        k1 = runtime.eval_controls(positions, pairs)[0]
+    if runtime.config.integrator == EULER:
+        return positions + dt * k1, []
+
+    room = interaction.stage_room(pairs, positions, runtime.profile, setup)
+    keys = []
 
     def slope(h, k):
         y = positions + h * k
-        if pairs is not None:
-            return runtime.eval_controls(y, interaction.stage_pairs(
-                pairs, y, h, k, runtime.radii, runtime.profile, room, setup))[0]
-        return runtime.eval_controls(y)[0]
+        U, _, key = runtime.eval_controls(y, interaction.stage_pairs(
+            pairs, y, h, k, runtime.radii, runtime.profile, room, setup))
+        keys.append(key)
+        return U
 
     k2 = slope(0.5 * dt, k1)
     k3 = slope(0.5 * dt, k2)
     k4 = slope(dt, k3)
-    return positions + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return positions + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), keys
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +589,7 @@ def agent_potential(c: ctl.AgentController, x) -> float:
 def _auto_v_eps(runtime: Runtime) -> float:
     """1e-3 x the mean initial goal-term magnitude of the agents that move."""
     with _quiet_overflow():
-        mags = world.axis_norms(runtime.goal_terms(runtime.positions()))
+        mags = world.axis_norms(runtime.goal_terms(runtime.starts))
     mags = mags[mags > 1e-12]
     typical = float(np.mean(mags)) if len(mags) else 1.0
     return 1e-3 * typical
@@ -628,13 +600,6 @@ def _quiet_overflow():
     surface as a non-finite control, position or metric (`_non_finite`),
     not as warnings."""
     return np.errstate(over="ignore", invalid="ignore")
-
-
-def _failed(log: TrajectoryLog, t, phase: str, exc: Exception) -> SimulationError:
-    """Log an `error` event for a phase of the tick that raised, and return
-    the error that ends the run."""
-    log.add_event(t, "error", message=str(exc))
-    return SimulationError(f"{phase} failed at t={t:g}: {exc}", log)
 
 
 def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, bad) -> SimulationError:
@@ -648,74 +613,96 @@ def _non_finite(log: TrajectoryLog, t, what: str, runtime: Runtime, bad) -> Simu
     return SimulationError(f"{message} at t={t:g}", log)
 
 
-def _horizon_success(runtime: Runtime, start_positions, positions) -> bool:
+def _horizon_success(runtime: Runtime, positions) -> bool:
     if runtime.success.check != "groups_crossed":
         return True
-    drift_x = np.array([
-        a.control.velocity[0] if a.control.velocity is not None else 0.0 for a in runtime.agents
-    ])
-    left_movers = drift_x < 0
-    right_movers = drift_x > 0
-    if not np.any(left_movers) or not np.any(right_movers):
+    rows, vx = runtime._drift_rows, runtime._drift[:, 0]
+    left, right = rows[vx < 0], rows[vx > 0]
+    if not len(left) or not len(right):
         return True
-    left_final = positions[left_movers, 0]
-    right_final = positions[right_movers, 0]
-    return bool(np.all(left_final < start_positions[right_movers, 0].min())
-                and np.all(right_final > start_positions[left_movers, 0].max()))
+    return bool(np.all(positions[left, 0] < runtime.starts[right, 0].min())
+                and np.all(positions[right, 0] > runtime.starts[left, 0].max()))
 
 
-def run(scenario):
-    """Integrate a scenario to its outcome. Returns (TrajectoryLog, MetricsReport).
+class Run:
+    """One run of a scenario, the one owner of every per-step fact: the
+    positions, the time, the step's switch keys, the monitors' state and
+    the log. `Run(scenario)` sets the run up, `tick()` advances it by one
+    tick, and `finish(outcome)` ends it.
 
-    The scenario's `sim` is the run's configuration. A tick whose sensing,
-    field re-solve, control evaluation or integration fails, or whose state
-    turns non-finite, ends the run with an `error` event and a
-    `SimulationError` that carries the log so far; so does a metric that
-    overflows.
+    A tick whose sensing, field re-solve, control evaluation or integration
+    fails, or whose state turns non-finite, ends the run with an `error`
+    event and a `SimulationError` that carries the log so far; so does a
+    metric that overflows.
     """
-    from .scenarios import build_runtime  # deferred: scenarios imports SimConfig from here
 
-    runtime = build_runtime(scenario)
-    config = runtime.config
-    violations = world.validate_scenario(runtime.ws, runtime.agents)
-    if violations:
-        raise ConfigError("scenario validation failed: " + "; ".join(violations))
-    success_kind = runtime.success.kind
+    def __init__(self, scenario):
+        from .scenarios import build_runtime  # deferred: scenarios imports SimConfig from here
 
-    log = TrajectoryLog([a.id for a in runtime.agents], runtime.dim)
-    v_eps = config.v_eps if config.v_eps is not None else _auto_v_eps(runtime)
+        self.runtime = runtime = build_runtime(scenario)
+        violations = world.validate_scenario(runtime.ws, runtime.agents)
+        if violations:
+            raise ConfigError("scenario validation failed: " + "; ".join(violations))
+        config = runtime.config
+        self.log = TrajectoryLog([a.id for a in runtime.agents], runtime.dim)
+        self.v_eps = config.v_eps if config.v_eps is not None else _auto_v_eps(runtime)
+        if runtime.n_agents >= 2:
+            reaches = sorted(runtime.reach.tolist(), reverse=True)
+            pass_radius = reaches[0] + reaches[1]
+            bad = int(np.count_nonzero(world.passage_width_audit(runtime.ws, pass_radius)))
+            if bad:
+                self.log.add_event(0.0, "audit_warning", cells=bad, radius=pass_radius)
 
-    if runtime.n_agents >= 2:
-        reaches = sorted(runtime.reach.tolist(), reverse=True)
-        pass_radius = reaches[0] + reaches[1]
-        bad = int(np.count_nonzero(world.passage_width_audit(runtime.ws, pass_radius)))
-        if bad:
-            log.add_event(0.0, "audit_warning", cells=bad, radius=pass_radius)
+        self.positions = runtime.starts.copy()
+        self.t = 0.0
+        self._cushion = runtime.repulsion is not None   # discoveries rebuild the cushion index
+        self._no_goal = ~runtime.has_goal
+        self._step_key = None      # the switch key at the start of the current step
+        self._stage_keys = []      # the current step's RK4 stage keys
+        self._slow_time = 0.0
+        self._pair_reported = set()      # the (i, j) pairs reported overlapping
+        self._obstacle_reported = np.zeros(runtime.n_agents, dtype=bool)
+        self._min_pair = self._min_obstacle = np.inf
+        self._trace = [] if not len(runtime._drift_rows) else None
 
-    positions = runtime.positions()
-    start_positions = positions.copy()
-    cushion = runtime.repulsion is not None   # discoveries rebuild the cushion index
-    t = 0.0
-    slow_time = 0.0
-    pair_reported = set()      # the (i, j) pairs reported overlapping
-    obstacle_reported = np.zeros(runtime.n_agents, dtype=bool)
-    min_pair = np.inf
-    min_obstacle = np.inf
-    trace = [] if not len(runtime._drift_rows) else None
-    no_goal = ~runtime.has_goal
-    outcome = None
+    def _switched(self, key):
+        """Per-agent flags of the step that ends at a snapshot of switch key
+        `key`: True where a stage's key or `key` differs from the step's
+        start key in the agent's row, that is, where its pair force switched
+        discontinuously. None when no agent's did, and at the first tick."""
+        start, L = self._step_key, self.runtime.n_agents
+        flags = None
+        for other in (*self._stage_keys, key) if start is not None else ():
+            # the same object is the same key (no near pair, or a law that cannot
+            # jump); else equal bytes are the same pairs; rows only on a change
+            if other is not start and other.tobytes() != start.tobytes():
+                if flags is None:
+                    flags = np.zeros(L, dtype=bool)
+                flags[np.setxor1d(other, start) // L] = True
+        return flags
 
-    with _quiet_overflow():
-        while True:
+    def tick(self):
+        """Run one tick on the current snapshot: sense, evaluate the
+        controls, log and monitor the snapshot, and unless that reaches an
+        outcome, step to the next snapshot. Returns the outcome, or None."""
+        with _quiet_overflow():
+            return self._tick()
+
+    def _tick(self):
+        """`tick` without entering `_quiet_overflow`: `run` enters it once
+        for all its ticks."""
+        runtime, log, config = self.runtime, self.log, self.runtime.config
+        t, positions = self.t, self.positions
+        phase = None
+        try:
             if not np.isfinite(positions).all():
-                raise _non_finite(log, t, "position", runtime, ~np.isfinite(positions).all(axis=1))
-            rows = positions.tolist() if runtime._harmonic else None   # for sensing
+                raise _non_finite(log, t, "position", runtime,
+                                  ~np.isfinite(positions).all(axis=1))
+            phase = "sensing"
+            rows = positions.tolist() if runtime._harmonic else None
             for i, c in runtime._harmonic:
                 iterations = c.field.iterations
-                try:
-                    n_new = ctl.on_tick_sense(c, rows[i], runtime.ws, cushion)
-                except (harmonic.FieldQueryError, harmonic.SolverError, ConfigError) as exc:
-                    raise _failed(log, t, "sensing", exc) from exc
+                n_new = ctl.on_tick_sense(c, rows[i], runtime.ws, self._cushion)
                 if n_new:
                     log.add_event(t, "discovery", agent=c.spec.id, new_cells=n_new,
                                   solver_iterations=c.field.iterations - iterations,
@@ -724,105 +711,116 @@ def run(scenario):
             # the tick's one pass over the whole pair table
             pairs = interaction.near_pairs(positions, runtime.radii, runtime.profile,
                                            setup=runtime._pair_setup)
-            try:
-                U, pen = runtime.eval_controls(positions, pairs)
-            except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
-                raise _failed(log, t, "control evaluation", exc) from exc
+            phase = "control evaluation"
+            U, pen, key = runtime.eval_controls(positions, pairs)
+            phase = None
             if not np.isfinite(U).all():
                 raise _non_finite(log, t, "control", runtime, ~np.isfinite(U).all(axis=1))
 
-            switched = runtime.begin_step()
+            switched = self._switched(key)
             if switched is not None:
                 log.switches.append((log.n_ticks - 1, switched))
+            self._step_key = key
             log.append(t, positions, U, runtime.sigma_activity(positions, pairs))
             for i in pen.nonzero()[0]:
                 log.add_event(t, "penetration", agent=runtime.agents[i].id)
 
-            hits = collision_audit(positions, runtime.radii, runtime.ws, config.collision_tol,
-                                   pairs)
+            hits = collision_audit(positions, runtime.radii, runtime.ws,
+                                   config.collision_tol, pairs)
             if hits.pair_clearance.size:
-                min_pair = min(min_pair, float(hits.pair_clearance.min()))
+                self._min_pair = min(self._min_pair, float(hits.pair_clearance.min()))
             if hits.obstacle_clearance is not None and hits.obstacle_clearance.size:
-                min_obstacle = min(min_obstacle, float(hits.obstacle_clearance.min()))
+                self._min_obstacle = min(self._min_obstacle, float(hits.obstacle_clearance.min()))
             # each pair or agent is reported once, at its first overlapping tick
             for a, b_ in hits.pairs.tolist():
-                if (a, b_) not in pair_reported:
-                    pair_reported.add((a, b_))
+                if (a, b_) not in self._pair_reported:
+                    self._pair_reported.add((a, b_))
                     log.add_event(t, "collision",
                                   agents=[runtime.agents[a].id, runtime.agents[b_].id])
             if len(hits.agents):
-                new_agents = hits.agents[~obstacle_reported[hits.agents]]
-                obstacle_reported[new_agents] = True
+                new_agents = hits.agents[~self._obstacle_reported[hits.agents]]
+                self._obstacle_reported[new_agents] = True
                 for i in new_agents:
                     log.add_event(t, "collision_obstacle", agent=runtime.agents[i].id)
 
-            if trace is not None:
-                trace.append(sum(runtime.goal_potentials(positions)))
+            if self._trace is not None:
+                self._trace.append(sum(runtime.goal_potentials(positions)))
 
-            slow = world.axis_norms(U) < v_eps
+            slow = world.axis_norms(U) < self.v_eps
             inside = runtime.in_target(positions)
-            if success_kind == "converge" and ((inside & slow) | no_goal).all():
-                outcome = CONVERGED
-                break
-            slow_time, deadlocked = detect_deadlock(slow_time, slow, ~inside, config)
+            success_kind = runtime.success.kind
+            if success_kind == "converge" and ((inside & slow) | self._no_goal).all():
+                return CONVERGED
+            self._slow_time, deadlocked = detect_deadlock(self._slow_time, slow, ~inside, config)
             if deadlocked:
-                outcome = DEADLOCK
                 log.add_event(t, "deadlock")
-                break
+                return DEADLOCK
             if t >= config.t_max - 0.5 * config.dt:
-                if (success_kind == "horizon"
-                        and _horizon_success(runtime, start_positions, positions)):
-                    outcome = CONVERGED
-                else:
-                    outcome = TIMEOUT
-                break
+                if success_kind == "horizon" and _horizon_success(runtime, positions):
+                    return CONVERGED
+                return TIMEOUT
 
-            try:
-                positions = step(runtime, positions, k1=U, pairs=pairs)
-            except (harmonic.FieldQueryError, harmonic.SolverError) as exc:
-                raise _failed(log, t, "integration", exc) from exc
-            t += config.dt
+            phase = "integration"
+            self.positions, self._stage_keys = step(runtime, positions, k1=U, pairs=pairs)
+            self.t = t + config.dt
+            return None
+        except (harmonic.FieldQueryError, harmonic.SolverError, ConfigError) as exc:
+            # a ConfigError (say, a body outside the workspace) is a failure only of sensing
+            if phase is None or (phase != "sensing" and isinstance(exc, ConfigError)):
+                raise
+            log.add_event(t, "error", message=str(exc))
+            raise SimulationError(f"{phase} failed at t={t:g}: {exc}", log) from exc
 
-    log.outcome = COLLISION if pair_reported or obstacle_reported.any() else outcome
+    def finish(self, outcome):
+        """End the run at the outcome its last tick reached, which a
+        collision at any tick overrides, and make its metrics. Returns the
+        MetricsReport."""
+        runtime, log = self.runtime, self.log
+        log.outcome = (COLLISION if self._pair_reported or self._obstacle_reported.any()
+                       else outcome)
 
-    kappa = {}
-    corners = {}
-    lengths = {}
-    tracks, controls = log.positions, log.controls
-    breaks = None
-    if log.switches:
-        breaks = np.zeros((log.n_ticks - 1, runtime.n_agents), dtype=bool)
-        for k, flags in log.switches:
-            breaks[k] = flags
-    trace_list = [float(v) for v in trace] if trace is not None else None
-    rate_list = None
-    with _quiet_overflow():   # a finite state's metrics can still overflow
-        for i, b in enumerate(runtime.agents):
-            track = tracks[:, i, :]
-            sp = np.linalg.norm(controls[:, i, :], axis=1)
-            _, _, kmax, _, angles = curvature_profile(track, sp, v_eps,
-                                                      None if breaks is None else breaks[:, i])
-            kappa[b.id] = kmax
-            corners[b.id] = float(angles.max()) if len(angles) else 0.0
-            lengths[b.id] = float(np.linalg.norm(np.diff(track, axis=0), axis=1).sum())
-        if trace_list and len(trace_list) > 1:
-            rate_list = [float(v) for v in np.diff(trace_list) / config.dt]
-    for what, values in (("path length", lengths), ("curvature", kappa),
-                         ("corner angle", corners)):
-        bad = ~np.isfinite(list(values.values()))
-        if bad.any():
-            raise _non_finite(log, t, what, runtime, bad)
-    for what, values in (("potential trace", trace_list), ("potential rate", rate_list)):
-        if values and not np.isfinite(values).all():    # a sum over every agent
-            raise _non_finite(log, t, what, runtime, np.ones(runtime.n_agents, bool))
+        kappa, corners, lengths = {}, {}, {}
+        tracks, controls = log.positions, log.controls
+        breaks = None
+        if log.switches:
+            breaks = np.zeros((log.n_ticks - 1, runtime.n_agents), dtype=bool)
+            for k, flags in log.switches:
+                breaks[k] = flags
+        trace_list = [float(v) for v in self._trace] if self._trace is not None else None
+        rate_list = None
+        with _quiet_overflow():   # a finite state's metrics can still overflow
+            for i, b in enumerate(runtime.agents):
+                track = tracks[:, i, :]
+                sp = np.linalg.norm(controls[:, i, :], axis=1)
+                _, _, kmax, _, angles = curvature_profile(track, sp, self.v_eps,
+                                                          None if breaks is None else breaks[:, i])
+                kappa[b.id] = kmax
+                corners[b.id] = float(angles.max()) if len(angles) else 0.0
+                lengths[b.id] = float(np.linalg.norm(np.diff(track, axis=0), axis=1).sum())
+            if trace_list and len(trace_list) > 1:
+                rate_list = [float(v) for v in np.diff(trace_list) / runtime.config.dt]
+        for what, values in (("path length", lengths), ("curvature", kappa),
+                             ("corner angle", corners)):
+            bad = ~np.isfinite(list(values.values()))
+            if bad.any():
+                raise _non_finite(log, self.t, what, runtime, bad)
+        for what, values in (("potential trace", trace_list), ("potential rate", rate_list)):
+            if values and not np.isfinite(values).all():    # a sum over every agent
+                raise _non_finite(log, self.t, what, runtime, np.ones(runtime.n_agents, bool))
 
-    metrics = MetricsReport(
-        kappa_max=kappa,
-        corner_angle_max=corners,
-        min_pair_clearance=min_pair,
-        min_obstacle_clearance=min_obstacle,
-        path_lengths=lengths,
-        potential_trace=trace_list,
-        potential_rate=rate_list,
-    )
-    return log, metrics
+        return MetricsReport(kappa_max=kappa, corner_angle_max=corners,
+                             min_pair_clearance=self._min_pair,
+                             min_obstacle_clearance=self._min_obstacle, path_lengths=lengths,
+                             potential_trace=trace_list, potential_rate=rate_list)
+
+
+def run(scenario):
+    """Integrate a scenario to its outcome: a `Run` set up, ticked until a
+    tick reaches an outcome, and finished. Returns (TrajectoryLog,
+    MetricsReport). The scenario's `sim` is the run's configuration."""
+    r = Run(scenario)
+    outcome = None
+    with _quiet_overflow():
+        while outcome is None:
+            outcome = r._tick()
+    return r.log, r.finish(outcome)

@@ -66,7 +66,7 @@ class GoalSpec:
 @dataclass(frozen=True)
 class AgentSpec:
     """One agent, from the scenario file to the tick: its body, its sensing
-    ring, its goal and its control. The run loop owns the moving position.
+    ring, its goal and its control. `engine.Run` owns the moving position.
 
     `r_target` None means the target zone has the body's radius;
     `target_radius` applies that rule.

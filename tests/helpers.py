@@ -563,7 +563,7 @@ def goal_potential(ctrl, x) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# always-query oracle for engine.Runtime.eval_controls
+# always-query oracle for engine.Runtime.eval_controls, full-pass oracle for engine.step
 # ---------------------------------------------------------------------------
 
 def always_query_controls(runtime, positions):
@@ -587,6 +587,26 @@ def always_query_controls(runtime, positions):
         U[rows] += F
         pen[rows] |= p
     return U, pen
+
+
+def oracle_step(runtime, positions):
+    """`engine.step` with every control evaluation making its own full pair
+    pass: (positions, the RK4 stages' snapshots in stage order, none for
+    Euler)."""
+    dt = runtime.config.dt
+    k1 = runtime.eval_controls(positions)[0]
+    if runtime.config.integrator == engine.EULER:
+        return positions + dt * k1, []
+    stages = []
+
+    def slope(h, k):
+        stages.append(positions + h * k)
+        return runtime.eval_controls(stages[-1])[0]
+
+    k2 = slope(0.5 * dt, k1)
+    k3 = slope(0.5 * dt, k2)
+    k4 = slope(dt, k3)
+    return positions + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), stages
 
 
 # ---------------------------------------------------------------------------

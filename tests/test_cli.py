@@ -383,6 +383,28 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
             assert host == (tmp_path / "haswell" / name / file).read_bytes(), (name, file)
 
 
+def test_a_sweep_makes_no_csv_tables(tmp_path):
+    # `vhpf.floatrepr`'s tables serve only the trajectory CSV, which a sweep
+    # does not write; a run that writes one loads them
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from vhpf import cli\n"
+        "assert cli.main(['sweep-delta', 'case1', '--deltas', '1.0', '--profiles', 'linear',"
+        " '--out', sys.argv[1] + '/sweep.csv']) == 0\n"
+        "print('vhpf.floatrepr' in sys.modules)\n"
+        "assert cli.main(['run', 'case1', '--tmax', '0.1', '--out', sys.argv[1] + '/a']) == 4\n"
+        "print('vhpf.floatrepr' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line in ("False", "True")] == \
+        ["False", "True"]
+
+
 def test_runs_import_no_scipy(tmp_path):
     # the package needs NumPy alone (SciPy serves the tests' oracles); a run
     # through walls, discoveries, re-solves and the wall cushion imports none

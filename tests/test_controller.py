@@ -37,8 +37,7 @@ def controls(ctrls):
     """Composed controls of a group at its start positions, as the engine evaluates them."""
     ws = Workspace((-10.0, -10.0), (10.0, 10.0), h=0.25)
     rt = Runtime(ws, ctrls, CASE_PARAMS, CASE_PROFILE, None, None, SimConfig())
-    U, _ = rt.eval_controls(rt.positions())
-    return U
+    return rt.eval_controls(rt.starts)[0]
 
 
 def test_spring_control_at_start():

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from helpers import (
     always_query_controls,
+    dense_crf_forces,
     goal_potential,
     goal_term,
+    oracle_step,
     oracle_value_at,
     raising,
     scenario_dicts,
@@ -81,9 +83,9 @@ def single_agent_spec(start=(-4.0, 0.0), goal=(4.0, 0.0), gain=0.4, t_max=60.0,
 
 def test_step_fixed_point_for_zero_control():
     rt = build_runtime(single_agent_spec(start=(4.0, 0.0)))  # already at the goal
-    x = rt.positions()
-    out = step(rt, x)
-    assert np.array_equal(out, x)
+    x = rt.starts
+    out, keys = step(rt, x)
+    assert np.array_equal(out, x) and len(keys) == 3
 
 
 def test_step_euler_constant_drift():
@@ -99,15 +101,15 @@ def test_step_euler_constant_drift():
         success=SuccessSpec(kind="horizon"),
     )
     rt = build_runtime(spec)
-    out = step(rt, rt.positions())
-    assert out[0] == pytest.approx([0.1, 0.0], abs=1e-15)
+    out, keys = step(rt, rt.starts)
+    assert out[0] == pytest.approx([0.1, 0.0], abs=1e-15) and keys == []
 
 
 def test_step_rk4_matches_exponential_decay():
     spec = single_agent_spec(gain=0.5, dt=0.1)
     rt = build_runtime(spec)
-    x = rt.positions()
-    out = step(rt, x)
+    x = rt.starts
+    out = step(rt, x)[0]
     # linear spring flow has the exact solution goal + (x - goal) e^{-k dt};
     # fourth-order truncation leaves ~ (k dt)^5 / 5! * |offset| ~ 2e-8
     exact = np.array([4.0, 0.0]) + (x[0] - [4.0, 0.0]) * np.exp(-0.5 * 0.1)
@@ -140,8 +142,8 @@ def test_case1_id_swap_mirrors_exactly():
     log_a, _ = run(spec)
     log_b, _ = run(swapped)
     assert log_a.n_ticks == log_b.n_ticks
-    pa = log_a.position_array()
-    pb = log_b.position_array()
+    pa = log_a.positions
+    pb = log_b.positions
     # agent k of the swapped run retraces agent k's mirror of the original
     assert np.array_equal(pa[:, 0, :], -pb[:, 0, :])
     assert np.array_equal(pa[:, 1, :], -pb[:, 1, :])
@@ -151,8 +153,8 @@ def test_run_is_bitwise_deterministic():
     log_a, _ = run(builtin("case1"))
     log_b, _ = run(builtin("case1"))
     assert log_a.times == log_b.times
-    assert np.array_equal(log_a.position_array(), log_b.position_array())
-    assert np.array_equal(log_a.control_array(), log_b.control_array())
+    assert np.array_equal(log_a.positions, log_b.positions)
+    assert np.array_equal(log_a.controls, log_b.controls)
     assert log_a.outcome == log_b.outcome
 
 
@@ -257,10 +259,12 @@ def test_step_is_the_same_with_and_without_the_ticks_pairs(name):
     filtered = 0
     for x in log.positions[::7]:
         pairs = near_pairs(x, rt.radii, rt.profile)
-        k1, _ = rt.eval_controls(x, pairs)
-        want = step(rt, x)
-        assert step(rt, x, k1=k1, pairs=pairs).tobytes() == want.tobytes()
-        assert step(rt, x, k1=k1).tobytes() == want.tobytes()
+        k1 = rt.eval_controls(x, pairs)[0]
+        want, stages = oracle_step(rt, x)
+        want_keys = [rt.eval_controls(y)[2].tobytes() for y in stages]
+        for got, keys in (step(rt, x, k1=k1, pairs=pairs), step(rt, x, k1=k1), step(rt, x)):
+            assert got.tobytes() == want.tobytes()
+            assert [key.tobytes() for key in keys] == want_keys
         h = 0.5 * rt.config.dt
         room = interaction.stage_room(pairs, x, rt.profile, rt._pair_setup)
         filtered += len(interaction.stage_pairs(pairs, x + h * k1, h, k1, rt.radii, rt.profile,
@@ -424,7 +428,7 @@ def test_in_target_is_false_for_nan_and_goal_free_agents():
     inside = rt.in_target(np.array([[4.0, 0.5], [np.nan, 0.0]]))
     assert inside.tolist() == [True, False]
     lanes = build_runtime(builtin("case5_lanes"))
-    assert not lanes.in_target(lanes.positions()).any()
+    assert not lanes.in_target(lanes.starts).any()
 
 
 def audit(positions, radii, ws, collision_tol=1e-3, profile=WeightProfile()):
@@ -600,7 +604,7 @@ def test_potential_zero_when_parked_at_goals():
 def test_group_goal_terms_and_potentials_match_each_agent(name):
     rt = build_runtime(builtin(name))
     rng = np.random.default_rng(5)
-    pos = rt.positions() + rng.uniform(-0.5, 0.5, size=(rt.n_agents, rt.dim))
+    pos = rt.starts + rng.uniform(-0.5, 0.5, size=(rt.n_agents, rt.dim))
     U = rt.goal_terms(pos)
     potentials = rt.goal_potentials(pos)
     for i, c in enumerate(rt.controllers):
@@ -646,7 +650,7 @@ def test_lyapunov_trace_matches_online_series_for_springs():
     log, metrics = run(spec)
     goals = np.array([a.goal for a in spec.agents])
     gains = np.array([a.control.gain for a in spec.agents])
-    r2 = ((log.position_array() - goals) ** 2).sum(axis=2)
+    r2 = ((log.positions - goals) ** 2).sum(axis=2)
     expected = (0.5 * gains * r2).sum(axis=1)
     assert expected == pytest.approx(np.asarray(metrics.potential_trace), abs=1e-12)
 
@@ -727,7 +731,6 @@ def test_log_views_round_trip_every_tick_across_growths(n_agents, dim, n_ticks, 
     ids = [3 * i + 1 for i in range(n_agents)]
     log = TrajectoryLog(ids, dim)
     assert log.positions.shape == log.controls.shape == (0, n_agents, dim)
-    assert log.position_array().shape == log.control_array().shape == (0, n_agents, dim)
     assert log.sigma_activity.shape == (0, n_agents)
     assert log.agent_positions(ids[-1]).shape == (0, dim)
     with tempfile.TemporaryDirectory() as tmp:
@@ -747,9 +750,7 @@ def test_log_views_round_trip_every_tick_across_growths(n_agents, dim, n_ticks, 
             half = log.positions     # taken before later growths
     assert log.times == times.tolist() and log.n_ticks == n_ticks
     want_x, want_u, want_s = rows[:, :, :dim], rows[:, :, dim:2 * dim], rows[:, :, 2 * dim]
-    views = [(log.positions, want_x), (log.position_array(), want_x),
-             (log.controls, want_u), (log.control_array(), want_u),
-             (log.sigma_activity, want_s)]
+    views = [(log.positions, want_x), (log.controls, want_u), (log.sigma_activity, want_s)]
     views += [(log.agent_positions(aid), want_x[:, i, :]) for i, aid in enumerate(ids)]
     if half is not None:
         views.append((half, want_x[:n_ticks // 2 + 1]))
@@ -839,6 +840,23 @@ def test_sense_phase_failure_is_an_error_event(monkeypatch, fault):
     assert err.value.log.outcome is None and err.value.log.n_ticks == 0
 
 
+@pytest.mark.parametrize("phase", ["control evaluation", "integration"])
+def test_tick_phase_failure_is_an_error_event(monkeypatch, phase):
+    # a field or solver failure names its phase; a ConfigError outside
+    # sensing is not a failure of the tick and passes through as it is
+    where = (engine.Runtime, "eval_controls") if phase == "control evaluation" else (engine, "step")
+    for exc in (harmonic.FieldQueryError("off the grid"), harmonic.SolverError("no convergence")):
+        monkeypatch.setattr(*where, raising(exc))
+        with pytest.raises(SimulationError, match=f"{phase} failed at t=0") as err:
+            run(builtin("case1"))
+        assert err.value.__cause__ is exc
+        assert err.value.log.events[-1] == {"t": 0.0, "kind": "error", "message": str(exc)}
+        assert err.value.log.n_ticks == (1 if phase == "integration" else 0)
+    monkeypatch.setattr(*where, raising(ConfigError("not a tick failure")))
+    with pytest.raises(ConfigError, match="not a tick failure"):
+        run(builtin("case1"))
+
+
 def test_overflowing_state_is_an_error_not_a_timeout():
     spec = builtin("case1")
     first = spec.agents[0]
@@ -849,7 +867,7 @@ def test_overflowing_state_is_an_error_not_a_timeout():
         run(spec)
     event = err.value.log.events[-1]
     assert event["kind"] == "error" and "non-finite position" in event["message"]
-    assert np.isfinite(err.value.log.position_array()).all()
+    assert np.isfinite(err.value.log.positions).all()
 
 
 def test_log_csv_and_events_roundtrip(tmp_path):
@@ -921,7 +939,7 @@ def test_generated_runs_repeat_stay_finite_and_exit_as_they_end(raw):
     spec = scenarios.from_dict(raw)
     log = _run_log(spec)
     assert _log_bytes(_run_log(spec)) == _log_bytes(log)
-    assert np.isfinite(log.position_array()).all() and np.isfinite(log.control_array()).all()
+    assert np.isfinite(log.positions).all() and np.isfinite(log.controls).all()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
         scenarios.save(spec, path)
@@ -930,6 +948,76 @@ def test_generated_runs_repeat_stay_finite_and_exit_as_they_end(raw):
         assert code == 1 and log.events[-1]["kind"] == "error"
     else:
         assert code == cli._OUTCOME_CODES[log.outcome]
+
+
+def test_an_extra_control_evaluation_changes_nothing(monkeypatch):
+    # evaluating a snapshot is a function of the snapshot alone: an
+    # evaluation of the start positions before every step, which no run
+    # makes, leaves the log and the metrics as they were
+    spec = builtin("case2_exp")
+    log, metrics = run(spec)
+    assert len(log.switches) == 2
+    plain_step = engine.step
+
+    def step_after_an_extra_evaluation(runtime, positions, **kwargs):
+        runtime.eval_controls(runtime.starts)
+        return plain_step(runtime, positions, **kwargs)
+
+    monkeypatch.setattr(engine, "step", step_after_an_extra_evaluation)
+    again, again_metrics = run(spec)
+    assert _log_bytes(again) == _log_bytes(log)
+    assert json.dumps(again_metrics.to_dict()) == json.dumps(metrics.to_dict())
+
+
+def test_a_run_ticked_by_hand_is_run():
+    spec = builtin("case2_exp")
+    log, metrics = run(spec)
+    r = engine.Run(spec)
+    outcome = None
+    while outcome is None:
+        outcome = r.tick()
+    assert json.dumps(r.finish(outcome).to_dict()) == json.dumps(metrics.to_dict())
+    assert _log_bytes(r.log) == _log_bytes(log)
+    assert r.t == log.times[-1] and r.positions.tobytes() == log.positions[-1].tobytes()
+
+
+def test_switch_flags_replay_the_dense_keys():
+    # a step's flags are the rows whose dense switch key differs from the
+    # step's start at one of its RK4 stages or at the next tick
+    spec = builtin("case2_exp")
+    log, _ = run(spec)
+    rt = build_runtime(spec)
+
+    def key(x):
+        return dense_crf_forces(x, rt.radii, rt.params, rt.profile, suppressed=rt._suppressed,
+                                reach=rt.reach)[1]
+
+    want = []
+    start = key(log.positions[0])
+    for k in range(log.n_ticks - 1):
+        end, stages = oracle_step(rt, log.positions[k])
+        assert end.tobytes() == log.positions[k + 1].tobytes()
+        keys = [key(y) for y in (*stages, end)]
+        flags = np.any([(other != start).any(axis=1) for other in keys], axis=0)
+        if flags.any():
+            want.append((k, flags.tobytes()))
+        start = keys[-1]
+    assert len(want) == 2
+    assert [(k, flags.tobytes()) for k, flags in log.switches] == want
+
+
+def test_a_switch_seen_only_at_a_stage_flags_its_rows():
+    # a pair that crosses a weight jump and back within one step ends it at
+    # its start key; the RK4 stage that saw the jump still breaks the step
+    r = engine.Run(builtin("case2_exp"))
+    L = r.runtime.n_agents
+    start = np.array([0 * L + 1])
+    assert r._switched(start) is None      # the first tick has no step behind it
+    r._step_key = start
+    r._stage_keys = [start.copy(), np.array([0 * L + 1, 1 * L + 0]), start.copy()]
+    assert r._switched(start.copy()).tolist() == [False, True]
+    r._stage_keys = [start.copy()] * 3
+    assert r._switched(start.copy()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +1048,7 @@ def test_cushion_reach_test_keeps_every_bit(name):
         else:               # around the starts, clear of the walls
             x = rt.starts + rng.uniform(-0.3, 0.3, size=rt.starts.shape)
         x = np.clip(x, lo, hi)
-        U, pen = rt.eval_controls(x)
+        U, pen, _ = rt.eval_controls(x)
         U_all, pen_all = always_query_controls(rt, x)
         assert U.tobytes() == U_all.tobytes() and np.array_equal(pen, pen_all)
         for index, rows, members, radii, reach in rt._cushion_groups():
@@ -980,8 +1068,8 @@ def test_cushion_out_of_reach_still_adds_to_negative_zero():
     rt = engine.Runtime(ws, [AgentController(me, boundary_index=index)],
                         InteractionParams(), WeightProfile(), ObstacleRepulsionParams(),
                         SuccessSpec(kind="horizon"), SimConfig())
-    x = rt.positions()
+    x = rt.starts
     assert not index.within_reach(x.tolist(), 0.5 + rt.repulsion.influence)
-    U, _ = rt.eval_controls(x)
+    U = rt.eval_controls(x)[0]
     assert U.tobytes() == always_query_controls(rt, x)[0].tobytes()
     assert not np.signbit(U[0, 0]) and U[0, 0] == 0.0

@@ -513,13 +513,14 @@ def test_a_pass_without_near_pairs_returns_the_setups_constants(group):
 
     rt = Runtime(Workspace((-30.0,) * dim, (30.0,) * dim), [AgentController(a) for a in agents],
                  params, profile, None, None, SimConfig())
-    U, pen = rt.eval_controls(pos, pairs)
+    U, pen, key = rt.eval_controls(pos, pairs)
     want = np.array([goal_term(c, pos[i]) for i, c in enumerate(rt.controllers)])
     if n >= 2 and len(suppressed) < n:
         want += want_forces
         # adding the +0.0 forces turns a drift's -0.0 into +0.0
         assert not np.signbit(U[U == 0.0]).any()
     assert U.tobytes() == want.tobytes() and not pen.any()
+    assert key is rt._pair_setup.no_switch
     assert rt.sigma_activity(pos, pairs) is rt._pair_setup.no_sigma
 
 
@@ -842,11 +843,11 @@ def test_repulsion_without_knowledge_is_zero():
     ctrl = AgentController(me)
     rt = Runtime(ws, [ctrl], InteractionParams(), WeightProfile(),
                  ObstacleRepulsionParams(), None, SimConfig())
-    U, pen = rt.eval_controls(rt.positions())
+    U, pen, _ = rt.eval_controls(rt.starts)
     assert np.array_equal(U[0], goal_term(ctrl, me.start)) and not pen[0]
     # the same wall, once known, pushes back
     ctrl.boundary_index = KnownBoundaryIndex(ws.grid, ws.boundary_mask)
-    U, _ = rt.eval_controls(rt.positions())
+    U = rt.eval_controls(rt.starts)[0]
     assert U[0][0] < goal_term(ctrl, me.start)[0]
 
 
